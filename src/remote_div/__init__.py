@@ -35,13 +35,11 @@ from .metric import (
     Objective,
     PointSet,
     RunConfig,
-    clamp_metric,
     diameter,
-    distance,
     dump_pointset,
     load_pointset,
 )
-from .nets import DpTable, NetTree, build_net_tree, dp_antichain, pf_offline, rescale_and_clamp
+from .nets import NetTree, build_net_tree, dp_antichain, pf_offline, rescale_and_clamp
 from .results import DiversitySolution
 
 __all__ = [
@@ -50,11 +48,9 @@ __all__ = [
     "ClampedMetric",
     "RunConfig",
     "Objective",
-    "distance",
     "diameter",
     "load_pointset",
     "dump_pointset",
-    "clamp_metric",
     "SubsetCostReport",
     "ThresholdComponents",
     "mwm_exact",
@@ -70,7 +66,6 @@ __all__ = [
     "random_even_subset",
     "mwm_offline",
     "NetTree",
-    "DpTable",
     "rescale_and_clamp",
     "build_net_tree",
     "dp_antichain",

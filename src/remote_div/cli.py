@@ -28,7 +28,7 @@ from .generators import KINDS, make_clusters, make_grid, make_line, make_uniform
 from .hst import embed_subset, hst_distance, hst_distance_matrix, hst_mwm_odd_count, verify_random_subset_bound
 from .matching import mwm_offline
 from .metric import Objective, PointSet, RunConfig, dump_pointset, load_pointset
-from .nets import build_net_tree, pf_offline, rescale_and_clamp
+from .nets import pf_offline
 from .rng import START_POINT_STREAM, stream_rng
 
 SCHEMA_VERSION = 1
@@ -149,10 +149,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", required=True, type=int)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--repeats", type=int, default=20)
-    p.add_argument("--algorithm", default=None, help="matching: random-fill (default); pseudoforest: nets")
     p.add_argument("--gmm-start", default="0", help="start index for the farthest-point traversal, or 'random'")
     p.add_argument("--net-root", type=int, default=0, help="root point of the net hierarchy (pseudoforest)")
-    p.add_argument("--dump-net-tree", default=None, help="write the net tree as JSON to this path")
+    p.add_argument("--dump-net-tree", default=None, help="write the net tree the solver used as JSON to this path")
     p.add_argument("--threads", type=int, default=1)
     p.add_argument("--input", required=True)
     p.add_argument("--input-format", default="json", choices=["json", "csv", "matrix-csv"])
@@ -205,7 +204,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--output", default=None, help="report path; stdout when omitted")
-    p.add_argument("--format", default="json", choices=["json"])
 
 
 def _emit(args, payload: dict, started: float) -> int:
@@ -221,7 +219,10 @@ def _emit(args, payload: dict, started: float) -> int:
         **payload,
         "timings": {"total_seconds": time.perf_counter() - started},
     }
-    text = json.dumps(report, indent=2, sort_keys=True)
+    try:
+        text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise InternalInvariantError(f"report holds a non-finite number: {exc}") from exc
     if args.output:
         Path(args.output).write_text(text + "\n")
     else:
@@ -299,9 +300,6 @@ def _cmd_solve(args) -> int:
     ps = _read_pointset(args)
     objective = Objective.parse(args.objective)
     if objective is Objective.REMOTE_MATCHING:
-        algorithm = args.algorithm or "random-fill"
-        if algorithm != "random-fill":
-            raise PreconditionError(f"unknown matching algorithm {algorithm!r}")
         if args.k % 2 != 0:
             raise PreconditionError(f"remote-matching needs an even k; got k={args.k}")
         cfg = RunConfig(k=args.k, seed=args.seed, repeats=args.repeats, objective=objective)
@@ -316,14 +314,9 @@ def _cmd_solve(args) -> int:
             "gmm_radius": trace.gmm.radius,
         }
     else:
-        algorithm = args.algorithm or "nets"
-        if algorithm != "nets":
-            raise PreconditionError(f"unknown pseudoforest algorithm {algorithm!r}")
-        solution = pf_offline(ps, args.k, root=args.net_root)
+        solution, tree = pf_offline(ps, args.k, root=args.net_root)
         trace_payload = {}
         if args.dump_net_tree:
-            metric, _scale = rescale_and_clamp(ps, args.k)
-            tree = build_net_tree(metric, root=args.net_root)
             Path(args.dump_net_tree).write_text(tree.to_json() + "\n")
             trace_payload["net_tree_depth"] = tree.depth
     payload = {

@@ -187,9 +187,9 @@ def brute_force_diversity(
         dmat = ps.distance_matrix()
     rows = [[float(dmat[a, b]) for b in cand] for a in cand]
     if objective is Objective.REMOTE_MATCHING:
-        evaluate = _matching_eval(rows)
+        evaluate = _matching_sum
     else:
-        evaluate = _pf_eval(rows)
+        evaluate = costs.pf_sum
 
     combos = itertools.combinations(range(m), k)
     if order_seed is not None:
@@ -204,7 +204,7 @@ def brute_force_diversity(
     best_value = -math.inf
     best_combo: tuple[int, ...] | None = None
     for combo in combos:
-        value = evaluate(combo)
+        value = evaluate(rows, combo)
         if value > best_value or (value == best_value and combo < best_combo):
             best_value = value
             best_combo = combo
@@ -219,31 +219,8 @@ def brute_force_diversity(
     )
 
 
-def _pf_eval(rows: list[list[float]]):
-    inf = math.inf
-
-    def evaluate(combo: tuple[int, ...]) -> float:
-        total = 0.0
-        for a in combo:
-            row = rows[a]
-            nn = inf
-            for b in combo:
-                if b != a:
-                    d = row[b]
-                    if d < nn:
-                        nn = d
-            total += nn
-        return total
-
-    return evaluate
-
-
-def _matching_eval(rows: list[list[float]]):
-    def evaluate(combo: tuple[int, ...]) -> float:
-        sub = [[rows[a][b] for b in combo] for a in combo]
-        return costs.matching_value(sub)
-
-    return evaluate
+def _matching_sum(rows: list[list[float]], members: tuple[int, ...]) -> float:
+    return costs.matching_value([[rows[a][b] for b in members] for a in members])
 
 
 def run_pipeline(
@@ -320,23 +297,22 @@ def run_pipeline(
 
 def _lower_bound_on_union(ps: PointSet, union: list[int], cfg: RunConfig) -> tuple[float, list[int]]:
     sub = ps.restrict(union)
-    dmat = ps.distance_matrix()
     k = cfg.k
     candidates: list[tuple[float, list[int]]] = []
     try:
         if cfg.objective is Objective.REMOTE_MATCHING:
             sol, _trace = mwm_offline(sub, k, cfg)
         else:
-            sol = pf_offline(sub, k)
+            sol, _tree = pf_offline(sub, k)
         candidates.append((sol.value, sorted(union[i] for i in sol.indices)))
     except PreconditionError:
         pass
     centers = gmm(sub, k).centers
     center_global = sorted(union[i] for i in centers)
     if cfg.objective is Objective.REMOTE_MATCHING:
-        center_value = costs.mwm_exact(ps, center_global, dmat=dmat, with_witness=False).value
+        center_value = costs.mwm_exact(ps, center_global, with_witness=False).value
     else:
-        center_value = costs.pf_cost(ps, center_global, dmat=dmat, with_witness=False).value
+        center_value = costs.pf_cost(ps, center_global, with_witness=False).value
     candidates.append((center_value, center_global))
     candidates.sort(key=lambda vc: (-vc[0], vc[1]))
     return candidates[0]

@@ -5,12 +5,15 @@
 * pseudoforest cost (sum of nearest-neighbor distances),
 
 plus the threshold-graph component counter and the dyadic component sum
-that brackets the MST cost. All evaluators are pure functions over an
-immutable point set and an index subset; each returns a `SubsetCostReport`
-whose witness re-evaluates to exactly the reported value.
+that brackets the MST cost. Each cost has one evaluator over distance rows
+(`matching_table`, `mst_value_and_edges`, `pf_sum`), shared by the subset
+reports and the brute-force search. All evaluators are pure functions over
+an immutable point set and an index subset; each returns a
+`SubsetCostReport` whose witness re-evaluates to exactly the reported value.
 """
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -243,15 +246,19 @@ def mst_cost(
 # Pseudoforest cost
 # ---------------------------------------------------------------------------
 
-def pf_value(rows: list[list[float]]) -> float:
-    s = len(rows)
+def pf_sum(rows: list[list[float]], members) -> float:
+    """Sum over `members` (positions into `rows`) of the distance to the
+    nearest other member."""
+    inf = math.inf
     total = 0.0
-    for i in range(s):
-        row = rows[i]
-        nn = math.inf
-        for j in range(s):
-            if j != i and row[j] < nn:
-                nn = row[j]
+    for a in members:
+        row = rows[a]
+        nn = inf
+        for b in members:
+            if b != a:
+                d = row[b]
+                if d < nn:
+                    nn = d
         total += nn
     return total
 
@@ -268,18 +275,15 @@ def pf_cost(
     if len(idx) < 2:
         raise PreconditionError("pseudoforest cost needs at least 2 points")
     rows = _subset_rows(ps, idx, dmat)
-    total = 0.0
-    assignment = []
-    for a, row in enumerate(rows):
-        nn = math.inf
-        nn_at = -1
-        for b in range(len(rows)):
-            if b != a and row[b] < nn:
-                nn = row[b]
-                nn_at = b
-        total += nn
-        assignment.append((idx[a], idx[nn_at]))
-    return SubsetCostReport(idx, "pf", total, assignment if with_witness else None)
+    members = range(len(idx))
+    witness = None
+    if with_witness:
+        # The nearest other member, lowest position on ties, as in pf_sum.
+        witness = [
+            (idx[a], idx[min((b for b in members if b != a), key=rows[a].__getitem__)])
+            for a in members
+        ]
+    return SubsetCostReport(idx, "pf", pf_sum(rows, members), witness)
 
 
 # ---------------------------------------------------------------------------
@@ -318,49 +322,30 @@ def threshold_components(
     return ThresholdComponents(float(r), component_of, len(smallest))
 
 
-def component_count(rows: list[list[float]], r: float) -> int:
-    """Number of components of the threshold graph at radius r."""
-    s = len(rows)
-    uf = UnionFind(s)
-    count = s
-    for a in range(s):
-        row = rows[a]
-        for b in range(a + 1, s):
-            if row[b] <= r and uf.union(a, b):
-                count -= 1
-    return count
-
-
 def mst_component_sum(ps: PointSet, subset, *, dmat: np.ndarray | None = None) -> float:
     """Sum over dyadic radii 2^i of 2^i * (components(2^i) - 1).
 
-    The window of radii that can change the component count runs from just
-    below the minimum pairwise distance up to the diameter; radii below the
-    window all leave every point isolated and contribute a closed-form
-    geometric tail, radii above contribute zero. The MST weight of the
-    subset always lies in [1/2, 1] times this sum.
+    The threshold graph at radius r has s - #{MST edges <= r} components,
+    so one Prim pass gives every count. The window of radii that can change
+    the count runs from just below the lightest MST edge (the minimum
+    pairwise distance) up to the heaviest; radii below the window all leave
+    every point isolated and contribute a closed-form geometric tail, radii
+    above contribute zero. The MST weight of the subset always lies in
+    [1/2, 1] times this sum.
     """
     idx = _as_subset(subset, ps.n)
     if len(idx) < 2:
         raise PreconditionError("component sum needs at least 2 points")
     rows = _subset_rows(ps, idx, dmat)
     s = len(idx)
-    dmin = math.inf
-    dmax = 0.0
-    for a in range(s):
-        row = rows[a]
-        for b in range(a + 1, s):
-            d = row[b]
-            if d < dmin:
-                dmin = d
-            if d > dmax:
-                dmax = d
-    if dmin <= 0.0:
+    _value, edges = mst_value_and_edges(rows)
+    weights = sorted(rows[a][b] for a, b in edges)
+    if weights[0] <= 0.0:
         raise PreconditionError("component sum undefined for coincident points")
-    lo = math.floor(math.log2(dmin)) - 1
-    hi = math.ceil(math.log2(dmax))
+    lo = math.floor(math.log2(weights[0])) - 1
+    hi = math.ceil(math.log2(weights[-1]))
     total = math.ldexp(1.0, lo) * (s - 1)  # tail: all radii below 2^lo leave s singletons
     for i in range(lo, hi + 1):
         radius = math.ldexp(1.0, i)
-        total += radius * (component_count(rows, radius) - 1)
+        total += radius * (s - bisect.bisect_right(weights, radius) - 1)
     return total

@@ -89,14 +89,13 @@ def _run_trial(
     k: int,
     centers: list[int],
     partition: VoronoiPartition,
-    dmat: np.ndarray,
     seed: int,
     trial: int,
 ) -> tuple[float, list[int], list[int]]:
     rng = stream_rng(seed, trial)
     z = random_even_subset(centers, rng)
     w = fill_same_cell_pairs(z, set(centers), partition, k)
-    value = mwm_exact(ps, w, dmat=dmat, with_witness=False).value
+    value = mwm_exact(ps, w, with_witness=False).value
     return value, z, sorted(w)
 
 
@@ -122,14 +121,13 @@ def mwm_offline(
         raise PreconditionError(f"k={k} above exact matching cap {MATCHING_EXACT_CAP}")
 
     started = time.perf_counter()
-    dmat = ps.distance_matrix()
     g = gmm(ps, k, gmm_start)
     partition = voronoi_partition(ps, g.centers)
     y_sorted = sorted(g.centers)
-    y_value = mwm_exact(ps, y_sorted, dmat=dmat, with_witness=False).value
+    y_value = mwm_exact(ps, y_sorted, with_witness=False).value
 
     def trial(t: int):
-        return _run_trial(ps, k, g.centers, partition, dmat, cfg.seed, t)
+        return _run_trial(ps, k, g.centers, partition, cfg.seed, t)
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:

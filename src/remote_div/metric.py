@@ -5,6 +5,8 @@ distance or an explicit symmetric distance matrix. Matrix inputs are
 validated on load (symmetry, zero diagonal, nonnegativity, triangle
 inequality) with an absolute tolerance of 1e-9; algorithms themselves
 compare distances exactly, since they only need a consistent total order.
+Every Euclidean distance, single or in rows, comes from one kernel
+(`_euclidean`), so the same pair always gets the same bits.
 
 Point identity is by index into the original dataset. Every subset that
 the algorithms pass around is a list of indices, never a copy of the
@@ -15,6 +17,7 @@ from __future__ import annotations
 import enum
 import io
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,6 +72,12 @@ class PointSet:
             raise PreconditionError("need n >= 1 points of dimension >= 1")
         if not np.all(np.isfinite(arr)):
             raise PreconditionError("coordinates must be finite")
+        # Every squared difference is at most extent^2, so the kernel's sum
+        # stays finite (with a factor 2 of slack for rounding) below this.
+        with np.errstate(over="ignore"):
+            extent = float(np.max(arr.max(axis=0) - arr.min(axis=0)))
+        if not math.isfinite(2.0 * arr.shape[1] * extent * extent):
+            raise PreconditionError("coordinates too far apart: pairwise distances overflow")
         arr = arr.copy()
         arr.flags.writeable = False
         return cls("euclidean", arr, None)
@@ -97,16 +106,14 @@ class PointSet:
         if i == j:
             return 0.0
         if self.kind == "euclidean":
-            diff = self._coords[i] - self._coords[j]
-            return float(np.sqrt(np.dot(diff, diff)))
+            return float(_euclidean(self._coords[j : j + 1], self._coords[i])[0])
         return float(self._matrix[i, j])
 
     def distances_from(self, i: int) -> np.ndarray:
         """All distances from point i, as a length-n array."""
         _check_index(i, self.n)
         if self.kind == "euclidean":
-            diff = self._coords - self._coords[i]
-            return np.sqrt(np.einsum("ij,ij->i", diff, diff))
+            return _euclidean(self._coords, self._coords[i])
         return self._matrix[i].copy()
 
     def distance_matrix(self) -> np.ndarray:
@@ -139,19 +146,22 @@ class PointSet:
 
 
 class ClampedMetric:
-    """A metric with all off-diagonal distances floored at a constant.
+    """A scaled metric with all off-diagonal distances floored at a constant.
 
-    d(i, j) = max(base distance, floor) for i != j, and d(i, i) = 0. The
-    floor preserves the triangle inequality whenever the base satisfies it.
+    d(i, j) = max(scale * base distance, floor) for i != j, and d(i, i) = 0.
+    Scale and floor are scalars over the base point set, so no scaled copy
+    of its distances is kept. The floor preserves the triangle inequality
+    whenever the base satisfies it.
     """
 
-    __slots__ = ("base", "floor")
+    __slots__ = ("base", "floor", "scale")
 
-    def __init__(self, base: PointSet, floor: float):
+    def __init__(self, base: PointSet, floor: float, scale: float = 1.0):
         if floor < 0:
             raise PreconditionError("clamp floor must be nonnegative")
         self.base = base
         self.floor = float(floor)
+        self.scale = float(scale)
 
     @property
     def n(self) -> int:
@@ -161,10 +171,15 @@ class ClampedMetric:
         if i == j:
             _check_index(i, self.n)
             return 0.0
-        return max(self.base.distance(i, j), self.floor)
+        return max(self.base.distance(i, j) * self.scale, self.floor)
 
     def distance_matrix(self) -> np.ndarray:
-        out = np.maximum(self.base.distance_matrix(), self.floor)
+        """A fresh dense matrix; scale and floor are applied in place."""
+        out = self.base.distance_matrix()
+        if self.base.kind == "matrix":  # the stored distances, not a copy
+            out = out.copy()
+        out *= self.scale
+        np.maximum(out, self.floor, out=out)
         np.fill_diagonal(out, 0.0)
         return out
 
@@ -190,10 +205,6 @@ class RunConfig:
             raise PreconditionError("seed must fit in 64 unsigned bits")
 
 
-def distance(ps: PointSet, i: int, j: int) -> float:
-    return ps.distance(i, j)
-
-
 def diameter(ps) -> float:
     """Maximum pairwise distance; 0 for a single point."""
     if ps.n == 1:
@@ -209,15 +220,6 @@ def min_offdiag_distance(ps) -> float:
     dmat = np.array(ps.distance_matrix(), copy=True)
     np.fill_diagonal(dmat, np.inf)
     return float(dmat.min())
-
-
-def clamp_metric(ps: PointSet, c: float, k: int) -> ClampedMetric:
-    """Floor all off-diagonal distances at c/k."""
-    if c <= 0:
-        raise PreconditionError("c must be positive")
-    if k < 1:
-        raise PreconditionError("k must be a positive integer")
-    return ClampedMetric(ps, c / k)
 
 
 # ---------------------------------------------------------------------------
@@ -360,6 +362,12 @@ def _validate_matrix(arr: np.ndarray) -> np.ndarray:
                 f"{arr[i, l]} > {arr[i, j]} + {arr[j, l]}"
             )
     return arr
+
+
+def _euclidean(coords: np.ndarray, center: np.ndarray) -> np.ndarray:
+    """Distances from `center` to each row of `coords`."""
+    diff = coords - center
+    return np.sqrt(np.einsum("ij,ij->i", diff, diff))
 
 
 def _check_index(i: int, n: int) -> None:

@@ -1,10 +1,13 @@
 """Offline remote-pseudoforest solver built on hierarchical nets.
 
-The input metric is rescaled so its diameter is exactly 1/20, and (when n
-is large enough relative to k) all distances are floored at a small
-constant over k. The floor caps the aspect ratio, so the number of net
-levels stays logarithmic in k no matter how skewed the input scale is,
-while changing any k-subset's pseudoforest cost by at most the constant.
+The input metric is rescaled so its diameter is exactly 1/20 and then
+floored by one rule, applied in `rescale_and_clamp` and nowhere else: every
+off-diagonal distance is floored at CLAMP_CONSTANT/k when n >= 2k or when
+some scaled distance is 0 (coincident points); otherwise the floor is 0
+and the rescaled metric is kept as it is. The floor caps the aspect ratio,
+so the number of net levels stays logarithmic in k no matter how skewed
+the input scale is, while changing any k-subset's pseudoforest cost by at
+most the constant.
 
 On the clamped metric we grow nested greedy nets: level l keeps a maximal
 set of points pairwise separated by 5^-l/20, each level extending the one
@@ -58,33 +61,21 @@ class NetTree:
         return json.dumps({"levels": self.levels, "parents": parents})
 
 
-@dataclass(frozen=True)
-class DpTable:
-    values: dict[tuple[Node, int], float]
-    picks: dict[tuple[Node, int], list[Node]]
-
-
-def rescale_and_clamp(ps: PointSet, k: int) -> tuple[ClampedMetric, float]:
-    """Rescale to diameter 1/20, then floor distances at (1/160)/k.
-
-    Returns the clamped metric and the scale factor applied to the original
-    distances.
-    """
+def rescale_and_clamp(ps: PointSet, k: int) -> ClampedMetric:
+    """The metric the net tree is built on: `ps` scaled to diameter 1/20
+    and floored by the module's floor rule, as scalars over `ps`."""
     if k < 1:
         raise PreconditionError("k must be a positive integer")
-    scaled, scale = _rescale(ps)
-    return ClampedMetric(scaled, CLAMP_CONSTANT / k), scale
-
-
-def _rescale(ps: PointSet) -> tuple[PointSet, float]:
     if ps.n < 2:
         raise PreconditionError("need at least 2 points to rescale")
     diam = diameter(ps)
     if diam <= 0.0:
         raise PreconditionError("all points coincide; diameter is zero")
     scale = TARGET_DIAMETER / diam
-    scaled = PointSet.from_matrix(ps.distance_matrix() * scale, validate=False)
-    return scaled, scale
+    # Scaling is monotone, so this is the smallest scaled distance.
+    if ps.n >= 2 * k or min_offdiag_distance(ps) * scale <= 0.0:
+        return ClampedMetric(ps, CLAMP_CONSTANT / k, scale)
+    return ClampedMetric(ps, 0.0, scale)
 
 
 def build_net_tree(metric: ClampedMetric, root: int = 0) -> NetTree:
@@ -98,15 +89,19 @@ def build_net_tree(metric: ClampedMetric, root: int = 0) -> NetTree:
     n = metric.n
     if not (0 <= root < n):
         raise PreconditionError(f"root index {root} out of range for n={n}")
-    dmat = metric.distance_matrix()
     if n == 1:
         return NetTree(levels=[[root]], parent={}, children={(0, root): []}, depth=0)
+    dmat = metric.distance_matrix()
     if float(dmat.max()) > TARGET_DIAMETER * (1.0 + 1e-12):
         raise PreconditionError("net tree expects a metric rescaled to diameter <= 1/20")
 
-    min_dist = float(np.min(np.where(np.eye(n, dtype=bool), np.inf, dmat)))
+    np.fill_diagonal(dmat, np.inf)
+    min_dist = float(dmat.min())
+    np.fill_diagonal(dmat, 0.0)
     if min_dist <= 0.0:
         raise PreconditionError("net tree needs all pairwise distances positive (clamp first)")
+    # Every point is at least min_dist >= 5^-depth from every other, so
+    # level `depth` (separation 5^-depth/20) holds all of them.
     depth = max(0, math.ceil(math.log(1.0 / min_dist, 5)))
 
     in_net = np.zeros(n, dtype=bool)
@@ -120,18 +115,8 @@ def build_net_tree(metric: ClampedMetric, root: int = 0) -> NetTree:
                 in_net[q] = True
                 np.minimum(mind, dmat[q], out=mind)
         levels.append([q for q in range(n) if in_net[q]])
-    while len(levels[-1]) < n:
-        # The log-based depth always suffices with a 20x margin; keep a
-        # guarded extension in case of pathological rounding.
-        depth += 1
-        if depth > 128:
-            raise InternalInvariantError("net tree failed to absorb all points")
-        sep = 5.0 ** (-depth) / 20.0
-        for q in range(n):
-            if not in_net[q] and mind[q] >= sep:
-                in_net[q] = True
-                np.minimum(mind, dmat[q], out=mind)
-        levels.append([q for q in range(n) if in_net[q]])
+    if len(levels[-1]) < n:
+        raise InternalInvariantError("net tree failed to absorb all points")
 
     parent: dict[Node, Node] = {}
     children: dict[Node, list[Node]] = {(lvl, p): [] for lvl, members in enumerate(levels) for p in members}
@@ -150,54 +135,40 @@ def build_net_tree(metric: ClampedMetric, root: int = 0) -> NetTree:
     return NetTree(levels=levels, parent=parent, children=children, depth=depth)
 
 
-def dp_antichain(tree: NetTree, k: int) -> tuple[DpTable, list[Node]]:
+def dp_antichain(tree: NetTree, k: int) -> tuple[float, list[Node]]:
     """Select k tree nodes, none an ancestor of another, maximizing the sum
-    of 5^-level values.
+    of 5^-level values. Returns that sum and the selected nodes.
 
     The table is computed with exact integer weights (5^(depth-level)), so
-    reconstruction can test equality safely. Only the winning selection's
-    picks are materialized.
+    reconstruction can test equality safely.
     """
     n = len(tree.levels[-1])
     if not (1 <= k <= n):
         raise PreconditionError(f"k must satisfy 1 <= k <= n; got k={k}, n={n}")
     depth = tree.depth
-    weight = {lvl: 5 ** (depth - lvl) for lvl in range(depth + 1)}
     table: dict[Node, list[int]] = {}
 
     for level in range(depth, -1, -1):
         for p in tree.levels[level]:
             node = (level, p)
             kids = tree.children[node]
-            row = [-1] * (k + 1)
-            row[0] = 0
+            row = [0, 5 ** (depth - level)] + [-1] * (k - 1)
             if kids and k >= 2:
-                fold = _fold_children(table, kids, k)
-                for cnt in range(2, k + 1):
-                    row[cnt] = fold[cnt]
-            row[0] = 0
-            if k >= 1:
-                row[1] = weight[level]
+                row[2:] = _fold_children(table, kids, k)[-1][2:]
             table[node] = row
 
     root = tree.root
     if table[root][k] < 0:
         raise InternalInvariantError("antichain of size k must exist when k <= n")
-
-    picks: dict[tuple[Node, int], list[Node]] = {}
-    selected = _reconstruct(tree, table, root, k, picks)
-    inv_scale = float(5 ** depth)
-    values = {
-        (node, cnt): (val / inv_scale if val >= 0 else -math.inf)
-        for node, row in table.items()
-        for cnt, val in enumerate(row)
-    }
-    return DpTable(values=values, picks=picks), selected
+    return table[root][k] / float(5 ** depth), _reconstruct(tree, table, root, k)
 
 
-def _fold_children(table: dict[Node, list[int]], kids: list[Node], k: int) -> list[int]:
-    fold = table[kids[0]][:]
+def _fold_children(table: dict[Node, list[int]], kids: list[Node], k: int) -> list[list[int]]:
+    """Best totals over the first 1, 2, ... children: entry j of fold i is
+    the best sum of j nodes taken from kids[0..i]."""
+    folds = [table[kids[0]][:]]
     for child in kids[1:]:
+        fold = folds[-1]
         child_row = table[child]
         nxt = [-1] * (k + 1)
         for have in range(k + 1):
@@ -210,90 +181,55 @@ def _fold_children(table: dict[Node, list[int]], kids: list[Node], k: int) -> li
                     continue
                 if base + add > nxt[have + take]:
                     nxt[have + take] = base + add
-        fold = nxt
-    return fold
+        folds.append(nxt)
+    return folds
 
 
-def _reconstruct(
-    tree: NetTree,
-    table: dict[Node, list[int]],
-    node: Node,
-    count: int,
-    picks: dict[tuple[Node, int], list[Node]],
-) -> list[Node]:
+def _reconstruct(tree: NetTree, table: dict[Node, list[int]], node: Node, count: int) -> list[Node]:
     if count == 0:
         return []
     level, _ = node
-    target = table[node][count]
-    if count == 1 and target == 5 ** (tree.depth - level):
-        picks[(node, 1)] = [node]
+    if count == 1 and table[node][1] == 5 ** (tree.depth - level):
         return [node]
     kids = tree.children[node]
-    # Replay the fold to find a split that reproduces the stored optimum.
-    folds = [table[kids[0]][:]]
-    for child in kids[1:]:
-        child_row = table[child]
-        prev = folds[-1]
-        nxt = [-1] * (len(prev))
-        for have in range(len(prev)):
-            base = prev[have]
-            if base < 0:
-                continue
-            for take in range(0, len(prev) - have):
-                add = child_row[take]
-                if add < 0:
-                    continue
-                if base + add > nxt[have + take]:
-                    nxt[have + take] = base + add
-        folds.append(nxt)
+    folds = _fold_children(table, kids, len(table[node]) - 1)
     chosen: list[Node] = []
     remaining = count
     for pos in range(len(kids) - 1, 0, -1):
         child_row = table[kids[pos]]
         prev = folds[pos - 1]
-        found = False
         for take in range(0, remaining + 1):
             if child_row[take] < 0 or prev[remaining - take] < 0:
                 continue
             if child_row[take] + prev[remaining - take] == folds[pos][remaining]:
                 if take:
-                    chosen.extend(_reconstruct(tree, table, kids[pos], take, picks))
+                    chosen.extend(_reconstruct(tree, table, kids[pos], take))
                 remaining -= take
-                found = True
                 break
-        if not found:
+        else:
             raise InternalInvariantError("dp reconstruction failed to split the fold")
-    chosen.extend(_reconstruct(tree, table, kids[0], remaining, picks))
+    chosen.extend(_reconstruct(tree, table, kids[0], remaining))
     chosen.sort()
-    picks[(node, count)] = chosen
     return chosen
 
 
-def pf_offline(ps: PointSet, k: int, root: int = 0) -> DiversitySolution:
+def pf_offline(ps: PointSet, k: int, root: int = 0) -> tuple[DiversitySolution, NetTree]:
     """Constant-factor offline solver for remote-pseudoforest.
 
-    When n >= 2k the metric is clamped (the floor provably costs only an
-    additive constant there); for smaller n the true rescaled metric is kept
-    unless coincident points force a floor to keep the net depth finite.
+    Returns the solution and the net tree it was selected from, built on
+    `rescale_and_clamp(ps, k)`.
     """
     n = ps.n
     if not (2 <= k <= n):
         raise PreconditionError(f"need 2 <= k <= n; got k={k}, n={n}")
     started = time.perf_counter()
-    scaled, _scale = _rescale(ps)
-    if n >= 2 * k:
-        metric = ClampedMetric(scaled, CLAMP_CONSTANT / k)
-    elif min_offdiag_distance(scaled) > 0.0:
-        metric = ClampedMetric(scaled, 0.0)
-    else:
-        metric = ClampedMetric(scaled, CLAMP_CONSTANT / k)
-    tree = build_net_tree(metric, root)
-    _table, nodes = dp_antichain(tree, k)
+    tree = build_net_tree(rescale_and_clamp(ps, k), root)
+    _value, nodes = dp_antichain(tree, k)
     points = sorted(p for _lvl, p in nodes)
     if len(set(points)) != k:
         raise InternalInvariantError("antichain nodes must map to distinct points")
     value = pf_cost(ps, points, with_witness=False).value
-    return DiversitySolution(
+    solution = DiversitySolution(
         indices=points,
         value=value,
         objective="pseudoforest",
@@ -301,3 +237,4 @@ def pf_offline(ps: PointSet, k: int, root: int = 0) -> DiversitySolution:
         seed=None,
         elapsed_seconds=time.perf_counter() - started,
     )
+    return solution, tree

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from remote_div import PointSet
 from remote_div.rng import stream_rng
@@ -36,3 +37,8 @@ def two_clusters(seed: int, n: int, separation: float = 100.0, width: float = 1.
 @pytest.fixture
 def line3() -> PointSet:
     return line_pointset([0.0, 1.0, 10.0])
+
+
+# Property tests run the same fixed examples on every run.
+settings.register_profile("repo", derandomize=True, max_examples=40, deadline=None, database=None)
+settings.load_profile("repo")

@@ -85,7 +85,7 @@ def test_criterion_3_offline_pseudoforest_guarantee():
         k = int(rng.integers(2, 7))
         n = int(rng.integers(max(k, 3), 15))
         ps = PointSet.from_coords(rng.random((n, 2)))
-        solution = pf_offline(ps, k)
+        solution, _tree = pf_offline(ps, k)
         oracle = brute_force_diversity(ps, k, Objective.REMOTE_PSEUDOFOREST)
         ratio = solution.value / oracle.value
         worst = min(worst, ratio)

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import argparse
 import json
 
 import numpy as np
 import pytest
 
-from remote_div.cli import canonicalize_report, main
+from remote_div import InternalInvariantError, PointSet, dump_pointset, pf_offline
+from remote_div.cli import _emit, canonicalize_report, main
 from remote_div.generators import make_clusters, make_grid, make_line, make_uniform_cube
 from remote_div.metric import load_pointset
 
@@ -120,6 +122,35 @@ def test_solve_pseudoforest_with_tree_dump(dataset, tmp_path):
         c_idx, c_lvl = child.split("@")
         p_idx, p_lvl = parent.split("@")
         assert int(c_lvl) == int(p_lvl) + 1
+
+
+def test_dumped_net_tree_is_the_solver_tree(tmp_path):
+    data, tree_path = tmp_path / "points.json", tmp_path / "tree.json"
+    for seed in range(200):
+        ps = PointSet.from_coords(np.random.default_rng(seed).random((12, 2)))
+        data.write_text(dump_pointset(ps, "json"))
+        code = run_cli([
+            "solve", "--objective", "pseudoforest", "--k", "8", "--input", str(data),
+            "--output", str(tmp_path / "report.json"), "--dump-net-tree", str(tree_path),
+        ])
+        assert code == 0
+        _solution, tree = pf_offline(ps, 8)
+        assert tree_path.read_text() == tree.to_json() + "\n", f"seed {seed}"
+
+
+def test_solve_overflowing_coordinates_exit_one(tmp_path, capsys):
+    data = tmp_path / "huge.json"
+    data.write_text(json.dumps({"dim": 2, "points": [[1e200 * i, 1e200] for i in range(5)]}))
+    code = run_cli(["solve", "--objective", "pseudoforest", "--k", "2", "--input", str(data)])
+    assert code == 1
+    assert "overflow" in capsys.readouterr().err
+
+
+def test_emit_refuses_non_finite_numbers(tmp_path):
+    args = argparse.Namespace(command="eval", output=str(tmp_path / "report.json"))
+    with pytest.raises(InternalInvariantError, match="non-finite"):
+        _emit(args, {"value": float("inf")}, 0.0)
+    assert not (tmp_path / "report.json").exists()
 
 
 def test_solve_missing_input(tmp_path):
@@ -271,9 +302,9 @@ def test_no_command_prints_help(capsys):
 @pytest.mark.parametrize(
     "command,flags",
     [
-        ("gen", ["--kind", "--n", "--dim", "--seed", "--params", "--output", "--format"]),
-        ("solve", ["--objective", "--k", "--seed", "--repeats", "--algorithm", "--gmm-start",
-                   "--net-root", "--dump-net-tree", "--threads", "--input", "--output", "--format"]),
+        ("gen", ["--kind", "--n", "--dim", "--seed", "--params", "--output"]),
+        ("solve", ["--objective", "--k", "--seed", "--repeats", "--gmm-start",
+                   "--net-root", "--dump-net-tree", "--threads", "--input", "--output"]),
         ("coreset", ["--objective", "--k", "--epsilon", "--part-id", "--input", "--output"]),
         ("compose", ["--objective", "--k", "--epsilon", "--parts", "--strategy", "--seed",
                      "--oracle", "--input", "--output"]),

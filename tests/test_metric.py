@@ -9,9 +9,7 @@ from remote_div import (
     PointSet,
     PreconditionError,
     RunConfig,
-    clamp_metric,
     diameter,
-    distance,
     dump_pointset,
     load_pointset,
     pf_cost,
@@ -21,26 +19,26 @@ from conftest import line_pointset, random_euclidean, random_matrix_metric
 
 def test_distance_345_triangle():
     ps = PointSet.from_coords([[0.0, 0.0], [3.0, 4.0]])
-    assert distance(ps, 0, 1) == 5.0
-    assert distance(ps, 1, 0) == 5.0
+    assert ps.distance(0, 1) == 5.0
+    assert ps.distance(1, 0) == 5.0
 
 
 def test_distance_identity_is_zero():
     ps = random_euclidean(3, 7)
     for i in range(ps.n):
-        assert distance(ps, i, i) == 0.0
+        assert ps.distance(i, i) == 0.0
 
 
 def test_matrix_entry_readback():
     m = np.array([[0.0, 4.0, 5.0], [4.0, 0.0, 7.25], [5.0, 7.25, 0.0]])
     ps = PointSet.from_matrix(m)
-    assert distance(ps, 1, 2) == 7.25
+    assert ps.distance(1, 2) == 7.25
 
 
 def test_distance_index_out_of_range():
     ps = line_pointset([0.0, 1.0])
     with pytest.raises(PreconditionError):
-        distance(ps, 0, 2)
+        ps.distance(0, 2)
 
 
 def test_diameter_line(line3):
@@ -58,7 +56,7 @@ def test_diameter_two_points():
 def test_load_json_basic():
     ps = load_pointset('{"dim":1,"points":[[0],[5]]}', "json")
     assert ps.n == 2
-    assert distance(ps, 0, 1) == 5.0
+    assert ps.distance(0, 1) == 5.0
 
 
 def test_load_matrix_symmetry_error_names_indices():
@@ -82,7 +80,7 @@ def test_load_matrix_negative_entry():
 def test_load_csv_with_header():
     ps = load_pointset("# dim=2\n0,0\n3,4\n", "csv")
     assert ps.dim == 2
-    assert distance(ps, 0, 1) == 5.0
+    assert ps.distance(0, 1) == 5.0
 
 
 def test_roundtrip_matrix_bit_exact():
@@ -103,7 +101,7 @@ def test_roundtrip_euclidean(fmt):
 
 def test_clamp_applies_floor():
     ps = line_pointset([0.0, 0.001])
-    cm = clamp_metric(ps, 0.4, 4)
+    cm = ClampedMetric(ps, 0.4 / 4)
     assert cm.distance(0, 1) == pytest.approx(0.1)
     assert cm.distance(0, 0) == 0.0
 
@@ -120,7 +118,7 @@ def test_clamp_changes_pf_by_at_most_c():
     ps = random_euclidean(17, 8, scale=0.05)
     k = 3
     c = 0.02
-    cm = clamp_metric(ps, c, k)
+    cm = ClampedMetric(ps, c / k)
     base = ps.distance_matrix()
     clamped = PointSet.from_matrix(cm.distance_matrix(), validate=False)
     for subset in combinations(range(ps.n), k):
@@ -145,6 +143,34 @@ def test_clamped_metric_preserves_triangle():
     n = ps.n
     for j in range(n):
         assert np.all(dmat <= dmat[:, j][:, None] + dmat[None, j, :] + 1e-9)
+
+
+def test_clamped_matrix_leaves_stored_matrix_untouched():
+    ps = random_matrix_metric(29, 12)
+    before = ps.distance_matrix().copy()
+    cm = ClampedMetric(ps, 0.3, 0.5)
+    assert np.array_equal(cm.distance_matrix(), np.maximum(before * 0.5, 0.3) * ~np.eye(12, dtype=bool))
+    assert np.array_equal(ps.distance_matrix(), before)
+
+
+def test_single_distances_match_rows_bit_for_bit():
+    # One Euclidean kernel: a single distance is exactly its row entry, and
+    # a clamped distance is exactly its clamped-matrix entry.
+    ps = PointSet.from_coords(np.random.default_rng(0).random((200, 37)))
+    rows = [ps.distances_from(i) for i in range(ps.n)]
+    assert all(ps.distance(i, j) == rows[i][j] for i in range(ps.n) for j in range(ps.n))
+    cm = ClampedMetric(ps, 1.2, 1.0 / 3.0)
+    cmat = cm.distance_matrix()
+    assert all(cm.distance(i, j) == cmat[i, j] for i in range(ps.n) for j in range(ps.n))
+
+
+def test_coords_whose_distances_overflow_are_rejected():
+    with pytest.raises(PreconditionError, match="overflow"):
+        PointSet.from_coords([[0.0, 0.0], [1e200, 1e200]])
+    with pytest.raises(PreconditionError, match="overflow"):
+        PointSet.from_coords([[-1.7e308], [1.7e308]])
+    ps = PointSet.from_coords([[0.0, 0.0], [3e150, 4e150]])
+    assert ps.distance(0, 1) == 5e150
 
 
 def test_restrict_preserves_distances():

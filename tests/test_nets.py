@@ -36,18 +36,22 @@ def _synthetic_tree(levels, parent):
 
 def test_rescale_diameter_40():
     ps = line_pointset([0.0, 40.0, 10.0])
-    metric, scale = rescale_and_clamp(ps, 4)
-    assert scale == pytest.approx(1.0 / 800.0)
+    metric = rescale_and_clamp(ps, 4)
+    assert metric.scale == pytest.approx(1.0 / 800.0)
     assert max(metric.distance(i, j) for i in range(3) for j in range(3)) == pytest.approx(0.05)
 
 
 def test_rescale_clamp_floor():
     ps = line_pointset([0.0, 1e-9, 1.0])
-    k = 4
-    metric, _ = rescale_and_clamp(ps, k)
-    dmat = metric.distance_matrix()
-    off = dmat[~np.eye(3, dtype=bool)]
-    assert off.min() >= CLAMP_CONSTANT / k - 1e-18
+    # n >= 2k floors at c/k; n < 2k with distinct points keeps floor 0
+    for k, floor in [(1, CLAMP_CONSTANT), (4, 0.0)]:
+        metric = rescale_and_clamp(ps, k)
+        assert metric.floor == floor
+        dmat = metric.distance_matrix()
+        off = dmat[~np.eye(3, dtype=bool)]
+        assert off.min() >= floor
+    # n < 2k with coincident points floors again
+    assert rescale_and_clamp(line_pointset([0.0, 0.0, 1.0]), 4).floor == CLAMP_CONSTANT / 4
 
 
 def test_rescale_rejects_coincident_everything():
@@ -59,8 +63,8 @@ def test_rescale_rejects_coincident_everything():
 def test_clamped_pf_within_c_of_scaled_pf_all_subsets():
     ps = random_euclidean(909, 10)
     k = 3
-    metric, scale = rescale_and_clamp(ps, k)
-    scaled = PointSet.from_matrix(ps.distance_matrix() * scale, validate=False)
+    metric = rescale_and_clamp(ps, k)
+    scaled = PointSet.from_matrix(ps.distance_matrix() * metric.scale, validate=False)
     clamped = PointSet.from_matrix(metric.distance_matrix(), validate=False)
     for subset in combinations(range(10), k):
         a = pf_cost(scaled, subset, with_witness=False).value
@@ -95,7 +99,7 @@ def test_tree_rejects_oversized_diameter():
 def test_net_separation_and_parent_distance(seed):
     n = 6 + (4 * seed) % 59  # exercises sizes up to 64
     ps = random_euclidean(1000 + seed, n)
-    metric, _ = rescale_and_clamp(ps, 4)
+    metric = rescale_and_clamp(ps, 4)
     tree = build_net_tree(metric)
     dmat = metric.distance_matrix()
     for level, members in enumerate(tree.levels):
@@ -115,9 +119,9 @@ def test_net_separation_and_parent_distance(seed):
 
 def test_dp_k1_returns_root():
     tree = _synthetic_tree([[0], [0, 1]], {(1, 0): (0, 0), (1, 1): (0, 0)})
-    table, nodes = dp_antichain(tree, 1)
+    value, nodes = dp_antichain(tree, 1)
     assert nodes == [(0, 0)]
-    assert table.values[((0, 0), 1)] == 1.0
+    assert value == 1.0
 
 
 def test_dp_star_three_children_k2():
@@ -125,15 +129,15 @@ def test_dp_star_three_children_k2():
         [[0], [0, 1, 2]],
         {(1, 0): (0, 0), (1, 1): (0, 0), (1, 2): (0, 0)},
     )
-    table, nodes = dp_antichain(tree, 2)
+    value, nodes = dp_antichain(tree, 2)
     assert len(nodes) == 2
     assert all(lvl == 1 for lvl, _ in nodes)
-    assert table.values[((0, 0), 2)] == pytest.approx(2.0 / 5.0)
+    assert value == pytest.approx(2.0 / 5.0)
 
 
 def test_dp_two_leaf_tree_k2_picks_both_leaves():
     tree = _synthetic_tree([[0], [0, 1]], {(1, 0): (0, 0), (1, 1): (0, 0)})
-    _table, nodes = dp_antichain(tree, 2)
+    _value, nodes = dp_antichain(tree, 2)
     assert sorted(nodes) == [(1, 0), (1, 1)]
 
 
@@ -159,9 +163,9 @@ def _no_ancestor_pairs(tree: NetTree, nodes) -> bool:
 def test_dp_matches_bruteforce_antichain(seed, k):
     n = max(k, 5 + (seed % 8))
     ps = random_euclidean(1100 + seed, n)
-    metric, _ = rescale_and_clamp(ps, k)
+    metric = rescale_and_clamp(ps, k)
     tree = build_net_tree(metric)
-    table, nodes = dp_antichain(tree, k)
+    _value, nodes = dp_antichain(tree, k)
     assert len(nodes) == k
     assert _no_ancestor_pairs(tree, nodes)
     dp_value = sum(5.0 ** (-lvl) for lvl, _ in nodes)
@@ -174,26 +178,24 @@ def test_dp_matches_bruteforce_antichain(seed, k):
 def test_selected_points_pf_clears_dp_value_over_80(seed):
     k = 4
     ps = random_euclidean(1150 + seed, 13)
-    metric, _ = rescale_and_clamp(ps, k)
+    metric = rescale_and_clamp(ps, k)
     tree = build_net_tree(metric)
-    table, nodes = dp_antichain(tree, k)
+    value, nodes = dp_antichain(tree, k)
     dp_value = sum(5.0 ** (-lvl) for lvl, _ in nodes)
     clamped = PointSet.from_matrix(metric.distance_matrix(), validate=False)
     points = sorted(p for _, p in nodes)
     assert pf_cost(clamped, points, with_witness=False).value >= dp_value / 80.0 - 1e-12
-    # picks stored along the optimal path re-evaluate to their table values
-    root = tree.root
-    picked = table.picks[(root, k)]
-    assert sum(5.0 ** (-lvl) for lvl, _ in picked) == pytest.approx(table.values[(root, k)])
+    # the selected nodes re-evaluate to the returned root value
+    assert dp_value == pytest.approx(value)
 
 
 def test_dp_matches_bruteforce_on_larger_tree():
     ps = random_euclidean(1199, 45)
-    metric, _ = rescale_and_clamp(ps, 3)
+    metric = rescale_and_clamp(ps, 3)
     tree = build_net_tree(metric)
     node_count = sum(len(members) for members in tree.levels)
     assert node_count >= 100  # a tree big enough to stress the fold
-    _table, nodes = dp_antichain(tree, 3)
+    _value, nodes = dp_antichain(tree, 3)
     dp_value = sum(5.0 ** (-lvl) for lvl, _ in nodes)
     assert dp_value == pytest.approx(max_antichain_value(tree, 3), rel=1e-12)
 
@@ -202,14 +204,14 @@ def test_dp_matches_bruteforce_on_larger_tree():
 
 def test_pf_offline_k_equals_n():
     ps = random_euclidean(7, 6)
-    solution = pf_offline(ps, 6)
+    solution, _tree = pf_offline(ps, 6)
     assert solution.indices == list(range(6))
     assert solution.value == pytest.approx(pf_cost(ps, range(6)).value)
 
 
 def test_pf_offline_two_far_clusters():
     ps = two_clusters(31, 8, separation=1000.0, width=1.0)
-    solution = pf_offline(ps, 4)
+    solution, _tree = pf_offline(ps, 4)
     oracle = brute_force_diversity(ps, 4, Objective.REMOTE_PSEUDOFOREST)
     assert solution.value >= oracle.value / 80.0
     # with two huge clusters the solver should find a cross-cluster spread
@@ -227,7 +229,7 @@ def test_pf_offline_rejects_bad_k():
 def test_pf_offline_small_n_with_coincident_points():
     # n < 2k and a coincident pair: the floor is forced to keep depth finite
     ps = line_pointset([0.0, 0.0, 1.0, 2.0, 7.0])
-    solution = pf_offline(ps, 4)
+    solution, _tree = pf_offline(ps, 4)
     assert len(set(solution.indices)) == 4
     oracle = brute_force_diversity(ps, 4, Objective.REMOTE_PSEUDOFOREST)
     assert solution.value >= oracle.value / 80.0
@@ -239,7 +241,7 @@ def test_pf_offline_guarantee_on_randoms(seed):
     n = int(rng.integers(5, 15))
     k = int(rng.integers(2, min(6, n) + 1))
     ps = random_euclidean(1300 + seed, n)
-    solution = pf_offline(ps, k)
+    solution, _tree = pf_offline(ps, k)
     oracle = brute_force_diversity(ps, k, Objective.REMOTE_PSEUDOFOREST)
     assert solution.value >= oracle.value / 80.0 - 1e-12
 
@@ -251,12 +253,12 @@ def test_histogram_value_brackets_dp_value(seed):
     # dominates that sum.
     k = 4
     ps = random_euclidean(1400 + seed, 12)
-    metric, _ = rescale_and_clamp(ps, k)
+    metric = rescale_and_clamp(ps, k)
     clamped = PointSet.from_matrix(metric.distance_matrix(), validate=False)
     oracle = brute_force_diversity(clamped, k, Objective.REMOTE_PSEUDOFOREST)
     report = pf_cost(clamped, oracle.indices)
     tree = build_net_tree(metric)
-    _table, nodes = dp_antichain(tree, k)
+    _value, nodes = dp_antichain(tree, k)
     dp_value = sum(5.0 ** (-lvl) for lvl, _ in nodes)
     histogram_value = 0.0
     for a, b in report.witness:
