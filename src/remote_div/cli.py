@@ -32,7 +32,7 @@ from .nets import pf_offline
 from .rng import START_POINT_STREAM, stream_rng
 
 SCHEMA_VERSION = 1
-TIMING_KEYS = ("timings", "elapsed", "elapsed_seconds")
+TIMING_KEYS = ("timings", "elapsed")
 
 
 class _Parser(argparse.ArgumentParser):

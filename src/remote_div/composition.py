@@ -13,8 +13,6 @@ import math
 import time
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from . import costs
 from .coresets import Coreset, mwm_coreset, pf_coreset
 from .errors import InternalInvariantError, PreconditionError
@@ -157,7 +155,6 @@ def brute_force_diversity(
     candidates: list[int] | None = None,
     enumeration_cap: int = ENUMERATION_CAP,
     order_seed: int | None = None,
-    dmat: np.ndarray | None = None,
 ) -> DiversitySolution:
     """Exact optimum by exhaustive k-subset enumeration.
 
@@ -182,10 +179,7 @@ def brute_force_diversity(
             f"C({m},{k}) = {total} subsets exceeds the enumeration cap {enumeration_cap}"
         )
 
-    started = time.perf_counter()
-    if dmat is None:
-        dmat = ps.distance_matrix()
-    rows = [[float(dmat[a, b]) for b in cand] for a in cand]
+    rows = ps.restrict(cand).distance_matrix().tolist()
     if objective is Objective.REMOTE_MATCHING:
         evaluate = _matching_sum
     else:
@@ -215,7 +209,6 @@ def brute_force_diversity(
         objective=objective.value,
         algorithm="brute-force",
         seed=order_seed,
-        elapsed_seconds=time.perf_counter() - started,
     )
 
 

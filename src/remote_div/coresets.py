@@ -68,8 +68,8 @@ def k_outlier_radius(ps: PointSet, k: int, *, dmat: np.ndarray | None = None) ->
     if dmat is None:
         dmat = ps.distance_matrix()
     # (k+1)-th largest of each row = the element at position n-k-1 ascending.
-    partitioned = np.partition(dmat, n - k - 1, axis=1)
-    radii = partitioned[:, n - k - 1]
+    # One row at a time: partitioning the whole matrix would copy it.
+    radii = np.array([np.partition(row, n - k - 1)[n - k - 1] for row in dmat])
     center = int(np.argmin(radii))
     return center, float(radii[center])
 

@@ -8,16 +8,16 @@ plus the threshold-graph component counter and the dyadic component sum
 that brackets the MST cost. Each cost has one evaluator over distance rows
 (`matching_table`, `mst_value_and_edges`, `pf_sum`), shared by the subset
 reports and the brute-force search. All evaluators are pure functions over
-an immutable point set and an index subset; each returns a
-`SubsetCostReport` whose witness re-evaluates to exactly the reported value.
+an immutable point set and an index subset; they read the subset's
+distances through `ps.restrict(subset)`, never through the whole dataset's
+matrix, and each returns a `SubsetCostReport` whose witness re-evaluates to
+exactly the reported value.
 """
 from __future__ import annotations
 
 import bisect
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import InternalInvariantError, PreconditionError
 from .metric import PointSet
@@ -81,18 +81,9 @@ def _as_subset(subset, n: int) -> list[int]:
     return idx
 
 
-def _subset_rows(ps: PointSet, subset: list[int], dmat: np.ndarray | None) -> list[list[float]]:
+def _subset_rows(ps: PointSet, subset: list[int]) -> list[list[float]]:
     """Pairwise distances among `subset`, as plain float rows for fast lookup."""
-    if dmat is not None:
-        return [[float(dmat[i, j]) for j in subset] for i in subset]
-    if ps.kind == "matrix":
-        m = ps.distance_matrix()
-        return [[float(m[i, j]) for j in subset] for i in subset]
-    rows = []
-    for i in subset:
-        d = ps.distances_from(i)
-        rows.append([float(d[j]) for j in subset])
-    return rows
+    return ps.restrict(subset).distance_matrix().tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -155,13 +146,7 @@ def matching_value(rows: list[list[float]]) -> float:
     return matching_table(rows)[(1 << len(rows)) - 1]
 
 
-def mwm_exact(
-    ps: PointSet,
-    subset,
-    *,
-    dmat: np.ndarray | None = None,
-    with_witness: bool = True,
-) -> SubsetCostReport:
+def mwm_exact(ps: PointSet, subset, *, with_witness: bool = True) -> SubsetCostReport:
     """Exact minimum-weight perfect matching cost of an even subset.
 
     Raises on odd subsets and on subsets above MATCHING_EXACT_CAP, which
@@ -176,7 +161,7 @@ def mwm_exact(
         )
     if len(idx) == 0:
         return SubsetCostReport(idx, "mwm", 0.0, [] if with_witness else None)
-    rows = _subset_rows(ps, idx, dmat)
+    rows = _subset_rows(ps, idx)
     table = matching_table(rows)
     value = table[(1 << len(idx)) - 1]
     witness = None
@@ -223,18 +208,12 @@ def mst_value_and_edges(rows: list[list[float]]) -> tuple[float, list[tuple[int,
     return total, edges
 
 
-def mst_cost(
-    ps: PointSet,
-    subset,
-    *,
-    dmat: np.ndarray | None = None,
-    with_witness: bool = True,
-) -> SubsetCostReport:
+def mst_cost(ps: PointSet, subset, *, with_witness: bool = True) -> SubsetCostReport:
     """Minimum spanning tree weight over the induced complete graph."""
     idx = _as_subset(subset, ps.n)
     if len(idx) < 1:
         raise PreconditionError("mst needs a nonempty subset")
-    rows = _subset_rows(ps, idx, dmat)
+    rows = _subset_rows(ps, idx)
     value, edges = mst_value_and_edges(rows)
     witness = None
     if with_witness:
@@ -263,18 +242,12 @@ def pf_sum(rows: list[list[float]], members) -> float:
     return total
 
 
-def pf_cost(
-    ps: PointSet,
-    subset,
-    *,
-    dmat: np.ndarray | None = None,
-    with_witness: bool = True,
-) -> SubsetCostReport:
+def pf_cost(ps: PointSet, subset, *, with_witness: bool = True) -> SubsetCostReport:
     """Sum over subset members of the distance to the nearest other member."""
     idx = _as_subset(subset, ps.n)
     if len(idx) < 2:
         raise PreconditionError("pseudoforest cost needs at least 2 points")
-    rows = _subset_rows(ps, idx, dmat)
+    rows = _subset_rows(ps, idx)
     members = range(len(idx))
     witness = None
     if with_witness:
@@ -290,13 +263,7 @@ def pf_cost(
 # Threshold graphs
 # ---------------------------------------------------------------------------
 
-def threshold_components(
-    ps: PointSet,
-    subset,
-    r: float,
-    *,
-    dmat: np.ndarray | None = None,
-) -> ThresholdComponents:
+def threshold_components(ps: PointSet, subset, r: float) -> ThresholdComponents:
     """Connected components of the graph joining pairs at distance <= r.
 
     Component ids are the smallest member index of each component.
@@ -306,7 +273,7 @@ def threshold_components(
         raise PreconditionError("need at least one point")
     if r < 0:
         raise PreconditionError("radius must be nonnegative")
-    rows = _subset_rows(ps, idx, dmat)
+    rows = _subset_rows(ps, idx)
     uf = UnionFind(len(idx))
     for a in range(len(idx)):
         row = rows[a]
@@ -322,7 +289,7 @@ def threshold_components(
     return ThresholdComponents(float(r), component_of, len(smallest))
 
 
-def mst_component_sum(ps: PointSet, subset, *, dmat: np.ndarray | None = None) -> float:
+def mst_component_sum(ps: PointSet, subset) -> float:
     """Sum over dyadic radii 2^i of 2^i * (components(2^i) - 1).
 
     The threshold graph at radius r has s - #{MST edges <= r} components,
@@ -336,7 +303,7 @@ def mst_component_sum(ps: PointSet, subset, *, dmat: np.ndarray | None = None) -
     idx = _as_subset(subset, ps.n)
     if len(idx) < 2:
         raise PreconditionError("component sum needs at least 2 points")
-    rows = _subset_rows(ps, idx, dmat)
+    rows = _subset_rows(ps, idx)
     s = len(idx)
     _value, edges = mst_value_and_edges(rows)
     weights = sorted(rows[a][b] for a, b in edges)

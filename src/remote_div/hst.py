@@ -69,14 +69,9 @@ def build_hst(ps: PointSet, subset, d: int) -> Hst:
     members = sorted(int(i) for i in subset)
     if not members:
         raise PreconditionError("subset must be nonempty")
-    dmat = ps.distance_matrix()
-    sub = dmat[np.ix_(members, members)]
-    if len(members) > 1 and float(sub.max()) > 1.0:
+    if float(ps.restrict(members).distance_matrix().max()) > 1.0:
         raise PreconditionError("subset diameter exceeds 1; rescale before embedding")
-    component_of = []
-    for t in range(d + 1):
-        comp = threshold_components(ps, members, 2.0 ** (-t), dmat=dmat)
-        component_of.append(comp.component_of)
+    component_of = [threshold_components(ps, members, 2.0 ** (-t)).component_of for t in range(d + 1)]
     return Hst(depth=d, points=members, component_of=component_of)
 
 
@@ -89,8 +84,7 @@ def embed_subset(ps: PointSet, subset, d: int = DEFAULT_DEPTH) -> tuple[Hst, Poi
     members = sorted(int(i) for i in subset)
     if len(members) < 2:
         raise PreconditionError("need at least 2 points to embed")
-    dmat = ps.distance_matrix()
-    sub = dmat[np.ix_(members, members)]
+    sub = ps.restrict(members).distance_matrix()
     diam = float(sub.max())
     if diam <= 0.0:
         scaled = PointSet.from_matrix(sub, validate=False)
@@ -168,8 +162,7 @@ def verify_random_subset_bound(
         raise PreconditionError("member set capped at 14 for the even-subset brute force")
     if trials < 100:
         raise PreconditionError("need at least 100 trials for a stable mean")
-    dmat = ps.distance_matrix()
-    rows = [[float(dmat[i, j]) for j in mem] for i in mem]
+    rows = ps.restrict(mem).distance_matrix().tolist()
     table = matching_table(rows)
     best = max(v for v in table if v != math.inf)
     pos = {p: i for i, p in enumerate(mem)}

@@ -14,7 +14,6 @@ keeps the best candidate seen.
 """
 from __future__ import annotations
 
-import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -120,7 +119,6 @@ def mwm_offline(
     if k > MATCHING_EXACT_CAP:
         raise PreconditionError(f"k={k} above exact matching cap {MATCHING_EXACT_CAP}")
 
-    started = time.perf_counter()
     g = gmm(ps, k, gmm_start)
     partition = voronoi_partition(ps, g.centers)
     y_sorted = sorted(g.centers)
@@ -162,6 +160,5 @@ def mwm_offline(
         objective="matching",
         algorithm="mwm-offline",
         seed=cfg.seed,
-        elapsed_seconds=time.perf_counter() - started,
     )
     return solution, trace

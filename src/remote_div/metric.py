@@ -3,14 +3,17 @@
 A `PointSet` is either a set of coordinate vectors under the Euclidean
 distance or an explicit symmetric distance matrix. Matrix inputs are
 validated on load (symmetry, zero diagonal, nonnegativity, triangle
-inequality) with an absolute tolerance of 1e-9; algorithms themselves
-compare distances exactly, since they only need a consistent total order.
+inequality) within 1e-9 times the largest entry, so the tolerance follows
+the data's scale; algorithms themselves compare distances exactly, since
+they only need a consistent total order.
 Every Euclidean distance, single or in rows, comes from one kernel
 (`_euclidean`), so the same pair always gets the same bits.
 
 Point identity is by index into the original dataset. Every subset that
 the algorithms pass around is a list of indices, never a copy of the
-coordinates, so coresets can be composed across dataset parts.
+coordinates, so coresets can be composed across dataset parts. Distances
+among a subset have one route, `ps.restrict(indices).distance_matrix()`,
+which gives exactly the bits of the whole dataset's matrix at those indices.
 """
 from __future__ import annotations
 
@@ -24,7 +27,7 @@ import numpy as np
 
 from .errors import PreconditionError
 
-VALIDATION_ATOL = 1e-9
+VALIDATION_RTOL = 1e-9
 
 
 class Objective(enum.Enum):
@@ -43,9 +46,10 @@ class PointSet:
     """An immutable finite metric space over points 0..n-1.
 
     Construct through `from_coords` (Euclidean) or `from_matrix` (explicit
-    distances). Euclidean distances are computed on demand; call
-    `distance_matrix()` once and reuse it when an algorithm needs repeated
-    all-pairs access.
+    distances). Euclidean distances are computed on demand, one row at a
+    time by `distances_from`; a reduction over all pairs scans those rows.
+    Distances among a subset come from `restrict(indices).distance_matrix()`,
+    never from a slice of the whole dataset's matrix.
     """
 
     __slots__ = ("kind", "n", "dim", "_coords", "_matrix")
@@ -207,19 +211,19 @@ class RunConfig:
 
 def diameter(ps) -> float:
     """Maximum pairwise distance; 0 for a single point."""
-    if ps.n == 1:
-        return 0.0
-    dmat = ps.distance_matrix()
-    return float(dmat.max())
+    return max(float(ps.distances_from(i).max()) for i in range(ps.n))
 
 
 def min_offdiag_distance(ps) -> float:
     """Smallest distance between two distinct points."""
     if ps.n < 2:
         raise PreconditionError("need at least 2 points")
-    dmat = np.array(ps.distance_matrix(), copy=True)
-    np.fill_diagonal(dmat, np.inf)
-    return float(dmat.min())
+    best = math.inf
+    for i in range(ps.n):
+        row = ps.distances_from(i)  # a fresh array
+        row[i] = math.inf
+        best = min(best, float(row.min()))
+    return best
 
 
 # ---------------------------------------------------------------------------
@@ -333,19 +337,20 @@ def _validate_matrix(arr: np.ndarray) -> np.ndarray:
     n = arr.shape[0]
     if not np.all(np.isfinite(arr)):
         raise PreconditionError("distance matrix entries must be finite")
-    bad = np.argwhere(arr < -VALIDATION_ATOL)
+    tol = VALIDATION_RTOL * float(np.abs(arr).max())
+    bad = np.argwhere(arr < -tol)
     if bad.size:
         i, j = (int(v) for v in bad[0])
         raise PreconditionError(f"negative distance at ({i},{j}): {arr[i, j]}")
     asym = np.abs(arr - arr.T)
-    bad = np.argwhere(asym > VALIDATION_ATOL)
+    bad = np.argwhere(asym > tol)
     if bad.size:
         i, j = sorted(int(v) for v in bad[0])
         raise PreconditionError(
             f"asymmetric distances at ({i},{j}): {arr[i, j]} vs {arr[j, i]}"
         )
     diag = np.abs(np.diagonal(arr))
-    if diag.max(initial=0.0) > VALIDATION_ATOL:
+    if diag.max(initial=0.0) > tol:
         i = int(np.argmax(diag))
         raise PreconditionError(f"nonzero diagonal at ({i},{i}): {arr[i, i]}")
     # Normalize round-trip noise, then check the triangle inequality exactly
@@ -354,7 +359,7 @@ def _validate_matrix(arr: np.ndarray) -> np.ndarray:
     np.fill_diagonal(arr, 0.0)
     for j in range(n):
         slack = arr - (arr[:, j][:, None] + arr[None, j, :])
-        bad = np.argwhere(slack > VALIDATION_ATOL)
+        bad = np.argwhere(slack > tol)
         if bad.size:
             i, l = (int(v) for v in bad[0])
             raise PreconditionError(

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import json
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +33,7 @@ from .results import DiversitySolution
 
 CLAMP_CONSTANT = 1.0 / 160.0
 TARGET_DIAMETER = 1.0 / 20.0
+_MAX_DEPTH = 441  # the largest d with float(5 ** d) finite
 
 Node = tuple[int, int]  # (level, point index)
 
@@ -101,8 +101,14 @@ def build_net_tree(metric: ClampedMetric, root: int = 0) -> NetTree:
     if min_dist <= 0.0:
         raise PreconditionError("net tree needs all pairwise distances positive (clamp first)")
     # Every point is at least min_dist >= 5^-depth from every other, so
-    # level `depth` (separation 5^-depth/20) holds all of them.
-    depth = max(0, math.ceil(math.log(1.0 / min_dist, 5)))
+    # level `depth` (separation 5^-depth/20) holds all of them. The log of
+    # min_dist stays finite where 1/min_dist overflows (subnormal distances);
+    # dp_antichain divides by float(5 ** depth), which must stay finite too.
+    depth = max(0, math.ceil(-math.log(min_dist, 5)))
+    if depth > _MAX_DEPTH:
+        raise PreconditionError(
+            f"smallest scaled distance {min_dist!r} needs more than {_MAX_DEPTH} net levels"
+        )
 
     in_net = np.zeros(n, dtype=bool)
     in_net[root] = True
@@ -222,7 +228,6 @@ def pf_offline(ps: PointSet, k: int, root: int = 0) -> tuple[DiversitySolution, 
     n = ps.n
     if not (2 <= k <= n):
         raise PreconditionError(f"need 2 <= k <= n; got k={k}, n={n}")
-    started = time.perf_counter()
     tree = build_net_tree(rescale_and_clamp(ps, k), root)
     _value, nodes = dp_antichain(tree, k)
     points = sorted(p for _lvl, p in nodes)
@@ -235,6 +240,5 @@ def pf_offline(ps: PointSet, k: int, root: int = 0) -> tuple[DiversitySolution, 
         objective="pseudoforest",
         algorithm="nets",
         seed=None,
-        elapsed_seconds=time.perf_counter() - started,
     )
     return solution, tree

@@ -13,14 +13,3 @@ class DiversitySolution:
     objective: str
     algorithm: str
     seed: int | None = None
-    elapsed_seconds: float = 0.0
-
-    def to_dict(self) -> dict:
-        return {
-            "indices": list(self.indices),
-            "value": self.value,
-            "objective": self.objective,
-            "algorithm": self.algorithm,
-            "seed": self.seed,
-            "elapsed_seconds": self.elapsed_seconds,
-        }

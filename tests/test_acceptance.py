@@ -212,14 +212,13 @@ def test_criterion_7_structural_identities():
     for i in range(25):
         rng = stream_rng(709, i)
         ps = PointSet.from_coords(rng.random((8, 2)))
-        dmat = ps.distance_matrix()
         mst_full = mst_cost(ps, range(8), with_witness=False).value
         for size in range(2, 9):
             for subset in combinations(range(8), size):
-                sub_mst = mst_cost(ps, subset, with_witness=False, dmat=dmat).value
+                sub_mst = mst_cost(ps, subset, with_witness=False).value
                 assert sub_mst <= 2.0 * mst_full * (1.0 + 1e-9)
                 if size % 2 == 0:
-                    sub_mwm = mwm_exact(ps, subset, with_witness=False, dmat=dmat).value
+                    sub_mwm = mwm_exact(ps, subset, with_witness=False).value
                     assert sub_mwm <= sub_mst * (1.0 + 1e-9)
     _report(7, "MST bracket, odd-count identity, and matching/MST inequalities hold")
 

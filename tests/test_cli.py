@@ -146,6 +146,20 @@ def test_solve_overflowing_coordinates_exit_one(tmp_path, capsys):
     assert "overflow" in capsys.readouterr().err
 
 
+def test_solve_subnormal_net_distance_exit_one(tmp_path, capsys):
+    # n < 2k keeps floor 0, so the smallest scaled distance (~5e-312) is
+    # subnormal: more net levels than float(5 ** depth) can hold.
+    data = tmp_path / "subnormal.json"
+    data.write_text(json.dumps({"dim": 1, "points": [[0.0], [1e-160], [1e150]]}))
+    code = run_cli(["solve", "--objective", "pseudoforest", "--k", "2", "--input", str(data)])
+    assert code == 1
+    assert "net levels" in capsys.readouterr().err
+    # ~5e-306 still fits (437 levels).
+    data.write_text(json.dumps({"dim": 1, "points": [[0.0], [1e-154], [1e150]]}))
+    code = run_cli(["solve", "--objective", "pseudoforest", "--k", "2", "--input", str(data)])
+    assert code == 0
+
+
 def test_emit_refuses_non_finite_numbers(tmp_path):
     args = argparse.Namespace(command="eval", output=str(tmp_path / "report.json"))
     with pytest.raises(InternalInvariantError, match="non-finite"):

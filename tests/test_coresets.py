@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -82,6 +84,23 @@ def test_outlier_radius_ball_guarantee():
         assert strictly_outside <= k
         # every point keeps at least k points at distance >= radius
         assert int((dmat >= radius).sum(axis=1).min()) >= k
+
+
+def test_outlier_radius_partitions_one_row_at_a_time():
+    # The radii are the rows' order statistics, and the scan never copies
+    # the whole matrix.
+    ps = random_euclidean(1520, 400)
+    k = 7
+    dmat = ps.distance_matrix()
+    radii = np.sort(dmat, axis=1)[:, ps.n - k - 1]
+    tracemalloc.start()
+    try:
+        center, radius = k_outlier_radius(ps, k, dmat=dmat)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (center, radius) == (int(np.argmin(radii)), float(radii.min()))
+    assert peak < ps.n * ps.n * 8 / 10
 
 
 # -- find_separated_sets -----------------------------------------------------------

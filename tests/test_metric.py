@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from remote_div import (
     load_pointset,
     pf_cost,
 )
+from remote_div.metric import min_offdiag_distance
 from conftest import line_pointset, random_euclidean, random_matrix_metric
 
 
@@ -162,6 +165,52 @@ def test_single_distances_match_rows_bit_for_bit():
     cm = ClampedMetric(ps, 1.2, 1.0 / 3.0)
     cmat = cm.distance_matrix()
     assert all(cm.distance(i, j) == cmat[i, j] for i in range(ps.n) for j in range(ps.n))
+    # Distances among a subset are exactly the whole matrix's entries.
+    full = ps.distance_matrix()
+    for idx in ([5], [7, 3], list(range(0, 200, 7)), list(range(199, -1, -3))):
+        assert np.array_equal(ps.restrict(idx).distance_matrix(), full[np.ix_(idx, idx)])
+
+
+def test_diameter_and_min_distance_allocate_no_square_matrix():
+    # Row reductions: same bits as the dense matrix's max and off-diagonal
+    # min, with a peak far below one n-by-n matrix.
+    ps = random_euclidean(31, 500)
+    dmat = ps.distance_matrix()
+    diam = float(dmat.max())
+    np.fill_diagonal(dmat, np.inf)
+    expected = (diam, float(dmat.min()))
+    del dmat
+    tracemalloc.start()
+    try:
+        got = (diameter(ps), min_offdiag_distance(ps))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == expected
+    assert peak < ps.n * ps.n * 8 / 10
+
+
+def test_matrix_validation_accepts_large_scale_rounding():
+    # 40 collinear points at scale 1e9: the rounding slack of |x_i - x_j|
+    # exceeds an absolute 1e-9 but is no triangle violation.
+    x = np.sort(np.random.default_rng(3).random(40)) * 1e9
+    ps = PointSet.from_matrix(np.abs(x[:, None] - x[None, :]))
+    assert ps.distance(0, 39) == x[39] - x[0]
+
+
+@pytest.mark.parametrize(
+    "matrix, message",
+    [
+        ([[0.0, 1e-10, 7e-10], [1e-10, 0.0, 1e-10], [7e-10, 1e-10, 0.0]], "triangle"),
+        ([[0.0, 1e-10], [5e-10, 0.0]], "asymmetric"),
+        ([[0.0, -5e-10], [-5e-10, 0.0]], "negative"),
+        ([[5e-10, 1e-10], [1e-10, 0.0]], "diagonal"),
+    ],
+)
+def test_matrix_validation_rejects_small_scale_defects(matrix, message):
+    # Each defect is below an absolute 1e-9 but large against the entries.
+    with pytest.raises(PreconditionError, match=message):
+        PointSet.from_matrix(matrix)
 
 
 def test_coords_whose_distances_overflow_are_rejected():
