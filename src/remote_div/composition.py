@@ -13,6 +13,8 @@ import math
 import time
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from . import costs
 from .coresets import Coreset, mwm_coreset, pf_coreset
 from .errors import InternalInvariantError, PreconditionError
@@ -24,6 +26,7 @@ from .results import DiversitySolution
 from .rng import SPLIT_STREAM, stream_rng
 
 ENUMERATION_CAP = 5_000_000
+BLOCK_ENTRIES = 1 << 16
 SHUFFLE_CAP = 250_000
 
 STRATEGIES = ("round_robin", "random", "file")
@@ -179,11 +182,14 @@ def brute_force_diversity(
             f"C({m},{k}) = {total} subsets exceeds the enumeration cap {enumeration_cap}"
         )
 
-    rows = ps.restrict(cand).distance_matrix().tolist()
+    dmat = ps.restrict(cand).distance_matrix()
     if objective is Objective.REMOTE_MATCHING:
-        evaluate = _matching_sum
+        def evaluate(d):
+            return costs.matching_tables(d)[:, -1]
+        entries = 1 << k  # the DP table; at least the k*k distances
     else:
         evaluate = costs.pf_sum
+        entries = k * k
 
     combos = itertools.combinations(range(m), k)
     if order_seed is not None:
@@ -195,12 +201,23 @@ def brute_force_diversity(
         stream_rng(order_seed, SPLIT_STREAM).shuffle(pool)
         combos = iter(pool)
 
+    # Score subsets in blocks whose distances and DP tables stay within
+    # BLOCK_ENTRIES floats; each block keeps its best value and, among its
+    # ties, its lexicographically first subset.
+    block = max(1, BLOCK_ENTRIES // entries)
     best_value = -math.inf
     best_combo: tuple[int, ...] | None = None
-    for combo in combos:
-        value = evaluate(rows, combo)
-        if value > best_value or (value == best_value and combo < best_combo):
-            best_value = value
+    while True:
+        flat = itertools.chain.from_iterable(itertools.islice(combos, block))
+        subsets = np.fromiter(flat, dtype=np.intp).reshape(-1, k)
+        if subsets.shape[0] == 0:
+            break
+        values = evaluate(dmat[subsets[:, :, None], subsets[:, None, :]])
+        top = values.max()
+        tied = subsets[values == top]
+        combo = tuple(int(p) for p in tied[np.lexsort(tied.T[::-1])[0]])
+        if top > best_value or (top == best_value and combo < best_combo):
+            best_value = float(top)
             best_combo = combo
     assert best_combo is not None
     return DiversitySolution(
@@ -210,10 +227,6 @@ def brute_force_diversity(
         algorithm="brute-force",
         seed=order_seed,
     )
-
-
-def _matching_sum(rows: list[list[float]], members: tuple[int, ...]) -> float:
-    return costs.matching_value([[rows[a][b] for b in members] for a in members])
 
 
 def run_pipeline(

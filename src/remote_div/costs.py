@@ -1,23 +1,27 @@
 """Exact evaluators for the three subset cost functions.
 
-* minimum-weight perfect matching, via a bitmask dynamic program,
+* minimum-weight perfect matching, via a bitmask dynamic program that numpy
+  fills one even popcount layer at a time, for a batch of instances at once,
 * minimum spanning tree, via a dense Prim scan,
-* pseudoforest cost (sum of nearest-neighbor distances),
+* pseudoforest cost (sum of nearest-neighbor distances), batched likewise,
 
 plus the threshold-graph component counter and the dyadic component sum
-that brackets the MST cost. Each cost has one evaluator over distance rows
-(`matching_table`, `mst_value_and_edges`, `pf_sum`), shared by the subset
-reports and the brute-force search. All evaluators are pure functions over
-an immutable point set and an index subset; they read the subset's
-distances through `ps.restrict(subset)`, never through the whole dataset's
-matrix, and each returns a `SubsetCostReport` whose witness re-evaluates to
-exactly the reported value.
+that brackets the MST cost. Each cost has one evaluator over distances
+(`matching_tables`, `mst_value_and_edges`, `pf_sum`), shared by the subset
+reports and the brute-force search, which scores blocks of subsets with
+the batched ones. All evaluators are pure functions over an immutable point
+set and an index subset; they read the subset's distances through
+`ps.restrict(subset)`, never through the whole dataset's matrix, and each
+returns a `SubsetCostReport` whose witness re-evaluates to exactly the
+reported value.
 """
 from __future__ import annotations
 
 import bisect
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import InternalInvariantError, PreconditionError
 from .metric import PointSet
@@ -90,36 +94,41 @@ def _subset_rows(ps: PointSet, subset: list[int]) -> list[list[float]]:
 # Minimum-weight perfect matching
 # ---------------------------------------------------------------------------
 
-def matching_table(rows: list[list[float]]) -> list[float]:
-    """DP table over vertex masks: table[mask] = min perfect-matching weight
-    of the points selected by `mask`. Odd-popcount masks stay at +inf.
+def matching_tables(d: np.ndarray) -> np.ndarray:
+    """Batched DP over vertex masks: for distances `d` of shape (B, s, s),
+    tables[b, mask] = min perfect-matching weight of the points of instance
+    b selected by `mask`. Odd-popcount masks stay at +inf.
+
+    Masks are filled one even popcount at a time: the lowest point of each
+    mask is paired with every other point j of the mask, and the candidate
+    d[low, j] + table[rest ^ (1 << j)] is folded in by elementwise minimum.
+    Each candidate is one float addition and min is exact, so every entry
+    is the same float whatever order the candidates are visited in.
     """
-    s = len(rows)
-    full = 1 << s
-    inf = math.inf
-    table = [inf] * full
-    table[0] = 0.0
-    for mask in range(1, full):
-        if mask.bit_count() % 2 == 1:
-            continue
-        i = (mask & -mask).bit_length() - 1
-        rest = mask ^ (1 << i)
-        row = rows[i]
-        best = inf
-        sub = rest
-        while sub:
-            j = (sub & -sub).bit_length() - 1
-            sub ^= 1 << j
-            cand = row[j] + table[rest ^ (1 << j)]
-            if cand < best:
-                best = cand
-        table[mask] = best
-    return table
+    batch, s = d.shape[0], d.shape[-1]
+    tables = np.full((batch, 1 << s), np.inf)
+    tables[:, 0] = 0.0
+    masks = np.arange(1 << s, dtype=np.int32)
+    popcount = np.zeros(1 << s, dtype=np.int8)
+    for b in range(s):
+        popcount[1 << b : 2 << b] = popcount[: 1 << b] + 1
+    for size in range(2, s + 1, 2):
+        layer = masks[popcount == size]
+        lowbit = layer & -layer
+        rest = layer ^ lowbit
+        low = popcount[lowbit - 1]
+        best = np.full((batch, layer.size), np.inf)
+        for j in range(1, s):
+            sel = np.flatnonzero((rest >> j) & 1)
+            cand = d[:, low[sel], j] + tables[:, rest[sel] ^ (1 << j)]
+            best[:, sel] = np.minimum(best[:, sel], cand)
+        tables[:, layer] = best
+    return tables
 
 
-def _matching_witness(rows: list[list[float]], table: list[float]) -> list[tuple[int, int]]:
+def _matching_witness(d: np.ndarray, table: np.ndarray) -> list[tuple[int, int]]:
     """Recover one optimal pairing (local indices) by replaying the DP."""
-    s = len(rows)
+    s = d.shape[0]
     mask = (1 << s) - 1
     pairs = []
     while mask:
@@ -130,7 +139,7 @@ def _matching_witness(rows: list[list[float]], table: list[float]) -> list[tuple
         while sub:
             j = (sub & -sub).bit_length() - 1
             sub ^= 1 << j
-            if rows[i][j] + table[rest ^ (1 << j)] == table[mask]:
+            if d[i, j] + table[rest ^ (1 << j)] == table[mask]:
                 chosen = j
                 break
         if chosen < 0:
@@ -140,10 +149,10 @@ def _matching_witness(rows: list[list[float]], table: list[float]) -> list[tuple
     return pairs
 
 
-def matching_value(rows: list[list[float]]) -> float:
-    if len(rows) == 0:
-        return 0.0
-    return matching_table(rows)[(1 << len(rows)) - 1]
+def matching_value(rows) -> float:
+    """Min perfect-matching weight of the points whose distance rows are given."""
+    s = len(rows)
+    return float(matching_tables(np.asarray(rows, dtype=np.float64).reshape(1, s, s))[0, -1])
 
 
 def mwm_exact(ps: PointSet, subset, *, with_witness: bool = True) -> SubsetCostReport:
@@ -161,15 +170,14 @@ def mwm_exact(ps: PointSet, subset, *, with_witness: bool = True) -> SubsetCostR
         )
     if len(idx) == 0:
         return SubsetCostReport(idx, "mwm", 0.0, [] if with_witness else None)
-    rows = _subset_rows(ps, idx)
-    table = matching_table(rows)
-    value = table[(1 << len(idx)) - 1]
+    d = ps.restrict(idx).distance_matrix()
+    table = matching_tables(d[None])[0]
     witness = None
     if with_witness:
         witness = sorted(
-            tuple(sorted((idx[a], idx[b]))) for a, b in _matching_witness(rows, table)
+            tuple(sorted((idx[a], idx[b]))) for a, b in _matching_witness(d, table)
         )
-    return SubsetCostReport(idx, "mwm", value, witness)
+    return SubsetCostReport(idx, "mwm", float(table[-1]), witness)
 
 
 # ---------------------------------------------------------------------------
@@ -225,20 +233,18 @@ def mst_cost(ps: PointSet, subset, *, with_witness: bool = True) -> SubsetCostRe
 # Pseudoforest cost
 # ---------------------------------------------------------------------------
 
-def pf_sum(rows: list[list[float]], members) -> float:
-    """Sum over `members` (positions into `rows`) of the distance to the
-    nearest other member."""
-    inf = math.inf
-    total = 0.0
-    for a in members:
-        row = rows[a]
-        nn = inf
-        for b in members:
-            if b != a:
-                d = row[b]
-                if d < nn:
-                    nn = d
-        total += nn
+def pf_sum(d: np.ndarray) -> np.ndarray:
+    """Batched pseudoforest cost: for distances `d` of shape (B, s, s), the
+    sum over each instance's points of the distance to its nearest other
+    point. Columns are added left to right, one float addition each."""
+    s = d.shape[1]
+    others = np.where(np.eye(s, dtype=bool), np.inf, d)
+    nearest = others[:, :, 0]
+    for b in range(1, s):
+        nearest = np.minimum(nearest, others[:, :, b])
+    total = np.zeros(d.shape[0])
+    for a in range(s):
+        total += nearest[:, a]
     return total
 
 
@@ -247,16 +253,13 @@ def pf_cost(ps: PointSet, subset, *, with_witness: bool = True) -> SubsetCostRep
     idx = _as_subset(subset, ps.n)
     if len(idx) < 2:
         raise PreconditionError("pseudoforest cost needs at least 2 points")
-    rows = _subset_rows(ps, idx)
-    members = range(len(idx))
+    d = ps.restrict(idx).distance_matrix()
     witness = None
     if with_witness:
-        # The nearest other member, lowest position on ties, as in pf_sum.
-        witness = [
-            (idx[a], idx[min((b for b in members if b != a), key=rows[a].__getitem__)])
-            for a in members
-        ]
-    return SubsetCostReport(idx, "pf", pf_sum(rows, members), witness)
+        # The nearest other member, lowest position on ties.
+        others = np.where(np.eye(len(idx), dtype=bool), np.inf, d)
+        witness = [(idx[a], idx[int(b)]) for a, b in enumerate(others.argmin(axis=1))]
+    return SubsetCostReport(idx, "pf", float(pf_sum(d[None])[0]), witness)
 
 
 # ---------------------------------------------------------------------------

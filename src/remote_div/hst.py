@@ -20,11 +20,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .costs import matching_table, threshold_components
+from .costs import UnionFind, matching_tables, mst_value_and_edges
 from .errors import PreconditionError
 from .matching import random_even_subset
 from .metric import PointSet
-from .rng import stream_rng
+from .rng import restart_stream, stream_rng
 
 DEFAULT_DEPTH = 40
 EMBED_DIAMETER = 1.0 - 1e-12
@@ -69,9 +69,21 @@ def build_hst(ps: PointSet, subset, d: int) -> Hst:
     members = sorted(int(i) for i in subset)
     if not members:
         raise PreconditionError("subset must be nonempty")
-    if float(ps.restrict(members).distance_matrix().max()) > 1.0:
+    dmat = ps.restrict(members).distance_matrix()
+    if float(dmat.max()) > 1.0:
         raise PreconditionError("subset diameter exceeds 1; rescale before embedding")
-    component_of = [threshold_components(ps, members, 2.0 ** (-t)).component_of for t in range(d + 1)]
+    # The graph joining pairs at distance <= r has the components of the MST
+    # edges <= r, so one MST, merged in order of weight, gives every level.
+    _value, edges = mst_value_and_edges(dmat.tolist())
+    edges.sort(key=lambda e: dmat[e])
+    uf = UnionFind(len(members))
+    component_of = []
+    for t in range(d, -1, -1):
+        while edges and dmat[edges[0]] <= 2.0 ** (-t):
+            uf.union(*edges.pop(0))
+        # union() keeps the smaller local index as root: the smallest member.
+        component_of.append({p: members[uf.find(a)] for a, p in enumerate(members)})
+    component_of.reverse()
     return Hst(depth=d, points=members, component_of=component_of)
 
 
@@ -162,15 +174,14 @@ def verify_random_subset_bound(
         raise PreconditionError("member set capped at 14 for the even-subset brute force")
     if trials < 100:
         raise PreconditionError("need at least 100 trials for a stable mean")
-    rows = ps.restrict(mem).distance_matrix().tolist()
-    table = matching_table(rows)
-    best = max(v for v in table if v != math.inf)
+    table = matching_tables(ps.restrict(mem).distance_matrix()[None])[0]
+    best = float(table[table != math.inf].max())
     pos = {p: i for i, p in enumerate(mem)}
 
     values = np.empty(trials, dtype=np.float64)
+    rng = stream_rng(seed, 0)
     for t in range(trials):
-        rng = stream_rng(seed, t)
-        z = random_even_subset(mem, rng)
+        z = random_even_subset(mem, restart_stream(rng, seed, t))
         mask = 0
         for p in z:
             mask |= 1 << pos[p]

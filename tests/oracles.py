@@ -3,6 +3,10 @@
 These deliberately use different algorithms from the library code: perfect
 matchings are enumerated pairing by pairing, spanning trees come from
 Prüfer sequences, and antichain selection is a pruned exhaustive search.
+The per-mask matching DP, the per-subset pseudoforest sum and the
+per-subset brute force are the pure-Python loops the batched evaluators
+replaced; they do the same float additions, so results must agree bit for
+bit.
 """
 from __future__ import annotations
 
@@ -30,6 +34,57 @@ def mwm_by_pairings(rows: list[list[float]]) -> float:
         return best
 
     return recurse(tuple(points))
+
+
+def matching_table(rows: list[list[float]]) -> list[float]:
+    """Matching DP one mask at a time: table[mask] = min perfect-matching
+    weight of the points selected by `mask`; odd-popcount masks stay +inf."""
+    s = len(rows)
+    table = [math.inf] * (1 << s)
+    table[0] = 0.0
+    for mask in range(1, 1 << s):
+        if mask.bit_count() % 2 == 1:
+            continue
+        i = (mask & -mask).bit_length() - 1
+        rest = mask ^ (1 << i)
+        best = math.inf
+        sub = rest
+        while sub:
+            j = (sub & -sub).bit_length() - 1
+            sub ^= 1 << j
+            cand = rows[i][j] + table[rest ^ (1 << j)]
+            if cand < best:
+                best = cand
+        table[mask] = best
+    return table
+
+
+def pf_sum_loop(rows: list[list[float]], members) -> float:
+    """Sum over `members` of the distance to the nearest other member."""
+    total = 0.0
+    for a in members:
+        nn = math.inf
+        for b in members:
+            if b != a and rows[a][b] < nn:
+                nn = rows[a][b]
+        total += nn
+    return total
+
+
+def brute_force_loop(rows: list[list[float]], k: int, objective: str) -> tuple[list[int], float, int]:
+    """Best k-subset (positions into `rows`) by scoring one subset at a
+    time; ties go to the lexicographically first subset. Also returns how
+    many subsets attain the best value."""
+    best_value, best_combo, ties = -math.inf, None, 0
+    for combo in itertools.combinations(range(len(rows)), k):
+        if objective == "matching":
+            value = matching_table([[rows[a][b] for b in combo] for a in combo])[-1]
+        else:
+            value = pf_sum_loop(rows, combo)
+        if value > best_value:
+            best_value, best_combo, ties = value, combo, 0
+        ties += value == best_value
+    return list(best_combo), best_value, ties
 
 
 def mst_by_pruefer(rows: list[list[float]]) -> float:

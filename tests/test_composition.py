@@ -1,5 +1,9 @@
 from __future__ import annotations
 
+import itertools
+import math
+import tracemalloc
+
 import pytest
 
 from remote_div import (
@@ -12,6 +16,8 @@ from remote_div import (
     split_dataset,
 )
 from conftest import line_pointset, random_euclidean, two_clusters
+from oracles import brute_force_loop
+from remote_div import composition, costs
 from remote_div.composition import build_part_coreset
 
 
@@ -121,6 +127,37 @@ def test_brute_invariant_under_shuffled_order(seed):
         shuffled = brute_force_diversity(ps, k, objective, order_seed=seed)
         assert plain.indices == shuffled.indices
         assert plain.value == shuffled.value
+
+
+@pytest.mark.parametrize("order_seed", [None, 3])
+@pytest.mark.parametrize("objective, k", [(Objective.REMOTE_MATCHING, 4), (Objective.REMOTE_PSEUDOFOREST, 3)])
+def test_brute_blocks_agree_with_a_per_subset_loop(monkeypatch, objective, k, order_seed):
+    # Blocks of 6 (matching) or 10 (pseudoforest) subsets: neither divides
+    # the subset count, and the first of several tied optima lies past the
+    # first block.
+    ps = line_pointset([5.0, 5.0, 5.0, 5.0, 0.0, 0.0, 20.0, 20.0])
+    monkeypatch.setattr(composition, "BLOCK_ENTRIES", 96)
+    sizes = []
+    for name in ("matching_tables", "pf_sum"):
+        evaluate = getattr(costs, name)
+        monkeypatch.setattr(costs, name, lambda d, evaluate=evaluate: sizes.append(len(d)) or evaluate(d))
+    sol = brute_force_diversity(ps, k, objective, order_seed=order_seed)
+    indices, value, ties = brute_force_loop(ps.distance_matrix().tolist(), k, objective.value)
+    assert (sol.indices, sol.value.hex()) == (indices, value.hex())
+    assert sum(sizes) == math.comb(ps.n, k) and sizes[-1] < sizes[0]
+    assert ties > 1
+    assert list(itertools.combinations(range(ps.n), k)).index(tuple(indices)) >= sizes[0]
+
+
+def test_brute_matching_k6_on_22_points_peaks_below_4_mb():
+    ps = random_euclidean(41, 22)
+    tracemalloc.start()
+    try:
+        brute_force_diversity(ps, 6, Objective.REMOTE_MATCHING)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 def test_brute_candidates_restriction():

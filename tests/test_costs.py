@@ -1,9 +1,13 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 from itertools import combinations
 
+import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from remote_div import (
     PointSet,
@@ -14,9 +18,10 @@ from remote_div import (
     pf_cost,
     threshold_components,
 )
-from remote_div.costs import MATCHING_EXACT_CAP
+from remote_div.costs import MATCHING_EXACT_CAP, matching_tables, pf_sum
+from remote_div.rng import stream_rng
 from conftest import line_pointset, random_euclidean, random_matrix_metric
-from oracles import mst_by_pruefer, mwm_by_pairings
+from oracles import matching_table, mst_by_pruefer, mwm_by_pairings, pf_sum_loop
 
 
 # -- matching ---------------------------------------------------------------
@@ -78,6 +83,47 @@ def test_mwm_coincident_twin_pair_is_free(twin_at):
     base = mwm_exact(ps, [0, 1, 2, 3]).value
     with_twins = mwm_exact(ps, [0, 1, 2, 3, 4, 5]).value
     assert with_twins == pytest.approx(base, abs=1e-12)
+
+
+@st.composite
+def distance_batches(draw, sizes):
+    """1-3 Euclidean distance matrices of one size, each over a few random
+    points (so coincident points are common) at a scale in 2^-500 .. 2^500."""
+    s = draw(sizes)
+    batch = []
+    for _ in range(draw(st.integers(1, 3))):
+        pool = stream_rng(draw(st.integers(0, 2**32)), 0).random((max(s, 1), 2))
+        picks = draw(st.lists(st.integers(0, draw(st.integers(0, max(s, 1) - 1))), min_size=s, max_size=s))
+        coords = pool[picks].reshape(s, 2) * 2.0 ** draw(st.integers(-500, 500))
+        batch.append(PointSet.from_coords(coords).distance_matrix() if s else np.zeros((0, 0)))
+    return np.stack(batch)
+
+
+@given(distance_batches(st.sampled_from(range(0, 13, 2))))
+@example(random_euclidean(5, 12).distance_matrix()[None])
+def test_matching_tables_equal_the_per_mask_dp_bit_for_bit(d):
+    tables = matching_tables(d)
+    assert tables.shape == (d.shape[0], 1 << d.shape[1])
+    for b in range(d.shape[0]):
+        assert tables[b].tobytes() == np.array(matching_table(d[b].tolist())).tobytes()
+
+
+@given(distance_batches(st.integers(2, 12)))
+@example(np.stack([random_euclidean(seed, 12).distance_matrix() for seed in range(3)]))
+def test_pf_sum_equals_the_per_member_loop_bit_for_bit(d):
+    expected = [pf_sum_loop(m.tolist(), range(d.shape[1])) for m in d]
+    assert pf_sum(d).tobytes() == np.array(expected).tobytes()
+
+
+def test_mwm_exact_at_16_points_peaks_below_4_mb():
+    ps = random_euclidean(31, 16)
+    tracemalloc.start()
+    try:
+        mwm_exact(ps, range(16))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 # -- mst ----------------------------------------------------------------------

@@ -11,6 +11,7 @@ from remote_div import (
     embed_subset,
     hst_distance,
     hst_mwm_odd_count,
+    threshold_components,
     verify_random_subset_bound,
 )
 from remote_div.costs import matching_value
@@ -44,6 +45,20 @@ def test_refinement_property():
     # sanity: level-(t+1) components partition each level-t component
     for t in range(hst.depth):
         assert sorted(i for ms in hst.components(t).values() for i in ms) == hst.points
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_levels_equal_per_level_threshold_components(seed):
+    rng = stream_rng(2400 + seed, 0)
+    n = int(rng.integers(2, 14))
+    # On a 1/16 grid many distances tie, some are 0, and many equal a level
+    # radius 2^-t exactly.
+    line = line_pointset(rng.integers(0, 17, n) / 16.0)
+    plane = PointSet.from_coords(rng.random((n, 2)) / 2.0)
+    for ps in (line, plane):
+        members = sorted(int(v) for v in rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False))
+        hst = build_hst(ps, members, 8)
+        assert hst.component_of == [threshold_components(ps, members, 2.0 ** (-t)).component_of for t in range(9)]
 
 
 def test_depth_check():
