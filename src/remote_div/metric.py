@@ -5,7 +5,10 @@ distance or an explicit symmetric distance matrix. Matrix inputs are
 validated on load (symmetry, zero diagonal, nonnegativity, triangle
 inequality) within 1e-9 times the largest entry, so the tolerance follows
 the data's scale; algorithms themselves compare distances exactly, since
-they only need a consistent total order.
+they only need a consistent total order. A matrix with an entry so large
+that twice it overflows is rejected. The triangle check walks the upper
+triangle in row blocks with a running minimum over pivots, deciding exactly
+as a per-pivot scan would.
 Every Euclidean distance, single or in rows, comes from one kernel
 (`_euclidean`), so the same pair always gets the same bits.
 
@@ -25,9 +28,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PreconditionError
+from .errors import InternalInvariantError, PreconditionError
 
 VALIDATION_RTOL = 1e-9
+_ROW_BLOCK = 64  # rows per block of the triangle check
 
 
 class Objective(enum.Enum):
@@ -316,33 +320,36 @@ def _load_csv(text: str) -> PointSet:
 
 
 def _load_matrix_csv(text: str) -> PointSet:
-    rows = []
+    rows = {}  # line number -> values
     for lineno, raw in enumerate(io.StringIO(text), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         try:
-            rows.append([float(fieldval) for fieldval in line.split(",")])
+            rows[lineno] = [float(fieldval) for fieldval in line.split(",")]
         except ValueError as exc:
             raise PreconditionError(f"matrix-csv line {lineno}: {exc}") from exc
     if not rows:
         raise PreconditionError("matrix-csv file contains no rows")
     n = len(rows)
-    if any(len(r) != n for r in rows):
-        raise PreconditionError(f"matrix-csv must be square; got {n} rows of widths {[len(r) for r in rows]}")
-    return PointSet.from_matrix(np.asarray(rows, dtype=np.float64))
+    for lineno, row in rows.items():
+        if len(row) != n:
+            raise PreconditionError(f"matrix-csv must be square; got {n} rows, but line {lineno} has {len(row)} fields")
+    return PointSet.from_matrix(np.asarray(list(rows.values()), dtype=np.float64))
 
 
 def _validate_matrix(arr: np.ndarray) -> np.ndarray:
     n = arr.shape[0]
     if not np.all(np.isfinite(arr)):
         raise PreconditionError("distance matrix entries must be finite")
-    tol = VALIDATION_RTOL * float(np.abs(arr).max())
+    top = float(arr.max())
+    tol = VALIDATION_RTOL * max(top, -float(arr.min()))
     bad = np.argwhere(arr < -tol)
     if bad.size:
         i, j = (int(v) for v in bad[0])
         raise PreconditionError(f"negative distance at ({i},{j}): {arr[i, j]}")
-    asym = np.abs(arr - arr.T)
+    asym = arr - arr.T
+    np.abs(asym, out=asym)
     bad = np.argwhere(asym > tol)
     if bad.size:
         i, j = sorted(int(v) for v in bad[0])
@@ -353,20 +360,50 @@ def _validate_matrix(arr: np.ndarray) -> np.ndarray:
     if diag.max(initial=0.0) > tol:
         i = int(np.argmax(diag))
         raise PreconditionError(f"nonzero diagonal at ({i},{i}): {arr[i, i]}")
+    # No entry is below -tol now, so if twice the largest is finite, so is
+    # every sum below: the cleaning's and each pivot sum of the triangle check.
+    if not math.isfinite(2.0 * top):
+        raise PreconditionError("distance matrix entries too large: sums of two distances overflow")
     # Normalize round-trip noise, then check the triangle inequality exactly
-    # once on the cleaned matrix.
-    arr = np.maximum((arr + arr.T) / 2.0, 0.0)
+    # once on the cleaned matrix, which is exactly symmetric.
+    arr = np.add(arr, arr.T, out=asym)
+    arr /= 2.0
+    np.maximum(arr, 0.0, out=arr)
     np.fill_diagonal(arr, 0.0)
-    for j in range(n):
-        slack = arr - (arr[:, j][:, None] + arr[None, j, :])
-        bad = np.argwhere(slack > tol)
-        if bad.size:
-            i, l = (int(v) for v in bad[0])
-            raise PreconditionError(
-                f"triangle inequality violated for ({i},{j},{l}): "
-                f"{arr[i, l]} > {arr[i, j]} + {arr[j, l]}"
-            )
+    if _violates_triangle(arr, tol):
+        for j in range(n):  # name the first violation: lowest j, then row-major (i, l)
+            bad = np.argwhere(arr - (arr[:, j, None] + arr[j]) > tol)
+            if bad.size:
+                i, l = (int(v) for v in bad[0])
+                raise PreconditionError(
+                    f"triangle inequality violated for ({i},{j},{l}): "
+                    f"{arr[i, l]} > {arr[i, j]} + {arr[j, l]}"
+                )
+        raise InternalInvariantError("blocked triangle check found a violation the pivot scan does not")
     return arr
+
+
+def _violates_triangle(arr: np.ndarray, tol: float) -> bool:
+    """Whether arr[i, l] - (arr[i, j] + arr[j, l]) > tol for some i, j, l.
+
+    `arr` is exactly symmetric, so (i, j, l) violates iff (l, j, i) does and
+    only pairs i <= l are checked, a block of rows at a time. Rounded
+    subtraction is monotone, so arr[i, l] minus the minimum over pivots j of
+    arr[i, j] + arr[j, l] exceeds tol exactly when one pivot's difference does.
+    """
+    n = arr.shape[0]
+    for s in range(0, n, _ROW_BLOCK):
+        rows = arr[s : s + _ROW_BLOCK]
+        block = rows[:, s:]
+        low = block.copy()
+        pivot_sum = np.empty_like(low)
+        for j in range(n):
+            np.add(rows[:, j, None], arr[j, s:], out=pivot_sum)
+            np.minimum(low, pivot_sum, out=low)
+        np.subtract(block, low, out=low)
+        if np.any(low > tol):
+            return True
+    return False
 
 
 def _euclidean(coords: np.ndarray, center: np.ndarray) -> np.ndarray:

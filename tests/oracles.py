@@ -6,12 +6,15 @@ Prüfer sequences, and antichain selection is a pruned exhaustive search.
 The per-mask matching DP, the per-subset pseudoforest sum and the
 per-subset brute force are the pure-Python loops the batched evaluators
 replaced; they do the same float additions, so results must agree bit for
-bit.
+bit. The triangle scan checks one pivot at a time over the whole matrix,
+as matrix validation did before it ran in row blocks.
 """
 from __future__ import annotations
 
 import itertools
 import math
+
+import numpy as np
 
 
 def mwm_by_pairings(rows: list[list[float]]) -> float:
@@ -176,3 +179,23 @@ def max_antichain_value(tree, k: int) -> float:
 
     recurse(0, [], 0.0)
     return best
+
+
+def symmetrized(a: np.ndarray) -> np.ndarray:
+    """The matrix validation checks and stores: each entry averaged with
+    its transpose, floored at 0, with a zero diagonal."""
+    out = np.maximum((a + a.T) / 2.0, 0.0)
+    np.fill_diagonal(out, 0.0)
+    return out
+
+
+def triangle_violation_scan(arr: np.ndarray, tol: float) -> tuple[int, int, int] | None:
+    """First (i, j, l) with arr[i, l] - (arr[i, j] + arr[j, l]) > tol, taking
+    pivots j in order and (i, l) row-major within one; None if none."""
+    for j in range(arr.shape[0]):
+        slack = arr - (arr[:, j][:, None] + arr[None, j, :])
+        bad = np.argwhere(slack > tol)
+        if bad.size:
+            i, l = (int(v) for v in bad[0])
+            return i, j, l
+    return None

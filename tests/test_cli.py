@@ -146,6 +146,16 @@ def test_solve_overflowing_coordinates_exit_one(tmp_path, capsys):
     assert "overflow" in capsys.readouterr().err
 
 
+def test_solve_overflowing_matrix_entries_exit_one(tmp_path, capsys):
+    data = tmp_path / "huge.csv"
+    data.write_text("0,1.5e308,1e308\n1.5e308,0,1e308\n1e308,1e308,0\n")
+    code = run_cli([
+        "solve", "--objective", "pseudoforest", "--k", "2", "--input", str(data), "--input-format", "matrix-csv",
+    ])
+    assert code == 1
+    assert "overflow" in capsys.readouterr().err
+
+
 def test_solve_subnormal_net_distance_exit_one(tmp_path, capsys):
     # n < 2k keeps floor 0, so the smallest scaled distance (~5e-312) is
     # subnormal: more net levels than float(5 ** depth) can hold.

@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from remote_div import (
     ClampedMetric,
@@ -16,8 +19,10 @@ from remote_div import (
     load_pointset,
     pf_cost,
 )
-from remote_div.metric import min_offdiag_distance
+from remote_div.metric import VALIDATION_RTOL, min_offdiag_distance
+from remote_div.rng import stream_rng
 from conftest import line_pointset, random_euclidean, random_matrix_metric
+from oracles import symmetrized, triangle_violation_scan
 
 
 def test_distance_345_triangle():
@@ -77,6 +82,12 @@ def test_load_matrix_triangle_error():
 def test_load_matrix_negative_entry():
     doc = "0,-1\n-1,0\n"
     with pytest.raises(PreconditionError, match="negative"):
+        load_pointset(doc, "matrix-csv")
+
+
+def test_load_matrix_not_square_names_the_first_odd_line():
+    doc = "# three points\n0,1,2\n1,0\n2,1,0,4\n"
+    with pytest.raises(PreconditionError, match=r"got 3 rows, but line 3 has 2 fields$"):
         load_pointset(doc, "matrix-csv")
 
 
@@ -211,6 +222,68 @@ def test_matrix_validation_rejects_small_scale_defects(matrix, message):
     # Each defect is below an absolute 1e-9 but large against the entries.
     with pytest.raises(PreconditionError, match=message):
         PointSet.from_matrix(matrix)
+
+
+def test_matrix_entries_whose_sums_overflow_are_rejected():
+    # Halving a sum of two entries would give inf, and the solvers NaN.
+    with pytest.raises(PreconditionError, match="overflow"):
+        PointSet.from_matrix([[0.0, 1.5e308, 1e308], [1.5e308, 0.0, 1e308], [1e308, 1e308, 0.0]])
+    with pytest.raises(PreconditionError, match="negative"):
+        PointSet.from_matrix([[0.0, -1e308], [-1e308, 0.0]])
+    ps = PointSet.from_matrix([[0.0, 8e307, 8e307], [8e307, 0.0, 8e307], [8e307, 8e307, 0.0]])
+    assert ps.distance(0, 2) == 8e307
+
+
+@st.composite
+def near_metrics(draw):
+    """Euclidean distance matrices of 1 to 150 points in 1-3 dimensions,
+    often with coincident points, at a scale in 2^-500 .. 2^500, so the
+    triangle check runs one or more row blocks, often a partial last one.
+    Optionally one pair is raised by a relative 1e-12 .. 1 past a pivot
+    put at its midpoint (the pair in the last two rows, the pivot last, or
+    anywhere), and optionally each entry gets round-trip noise of a
+    relative 1e-13, below the validation tolerance."""
+    n = draw(st.sampled_from([100, 66, 65, 64, 63, 3, 2, 1]) | st.integers(1, 150))
+    rng = stream_rng(draw(st.integers(0, 2**32)), 0)
+    coords = rng.random((n, draw(st.integers(1, 3))))
+    if draw(st.booleans()):
+        coords = coords[rng.integers(0, draw(st.integers(1, n)), n)]
+    where = draw(st.sampled_from(["last rows", "last pivot", "anywhere", None])) if n >= 3 else None
+    if where is not None:
+        i, j, l = {"last rows": (n - 2, 0, n - 1), "last pivot": (0, n - 1, 1)}.get(where, rng.permutation(n)[:3])
+        coords[j] = (coords[i] + coords[l]) / 2.0
+    d = PointSet.from_coords(coords * 2.0 ** draw(st.integers(-500, 500))).distance_matrix()
+    if where is not None:
+        d[i, l] = d[l, i] = d[i, l] * (1.0 + 10.0 ** draw(st.floats(-12.0, 0.0)))
+    if draw(st.booleans()):
+        d *= 1.0 + 1e-13 * rng.standard_normal(d.shape)
+    return d
+
+
+@given(near_metrics())
+def test_matrix_validation_decides_as_the_per_pivot_scan(d):
+    cleaned = symmetrized(d)
+    violation = triangle_violation_scan(cleaned, VALIDATION_RTOL * float(np.abs(d).max()))
+    if violation is None:
+        stored = PointSet.from_matrix(d).distance_matrix()
+        assert stored.tobytes() == cleaned.tobytes()
+    else:
+        triple = ",".join(str(v) for v in violation)
+        with pytest.raises(PreconditionError, match="^" + re.escape(f"triangle inequality violated for ({triple}):")):
+            PointSet.from_matrix(d)
+
+
+def test_matrix_validation_peaks_below_three_square_matrices():
+    # The caller's copy and the symmetrized matrix; the triangle check
+    # itself keeps only a few blocks of rows.
+    dmat = random_euclidean(37, 500, dim=32).distance_matrix()
+    tracemalloc.start()
+    try:
+        PointSet.from_matrix(dmat)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * dmat.nbytes
 
 
 def test_coords_whose_distances_overflow_are_rejected():
