@@ -25,7 +25,7 @@ from .coresets import mwm_coreset, pf_coreset
 from .costs import matching_value, mst_component_sum, mst_cost
 from .errors import InternalInvariantError, PreconditionError
 from .generators import KINDS, make_clusters, make_grid, make_line, make_uniform_cube
-from .hst import embed_subset, hst_distance, hst_distance_matrix, hst_mwm_odd_count, verify_random_subset_bound
+from .hst import embed_subset, hst_distance_matrix, hst_mwm_odd_count, verify_random_subset_bound
 from .matching import mwm_offline
 from .metric import Objective, PointSet, RunConfig, dump_pointset, load_pointset
 from .nets import pf_offline
@@ -152,7 +152,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gmm-start", default="0", help="start index for the farthest-point traversal, or 'random'")
     p.add_argument("--net-root", type=int, default=0, help="root point of the net hierarchy (pseudoforest)")
     p.add_argument("--dump-net-tree", default=None, help="write the net tree the solver used as JSON to this path")
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--input", required=True)
     p.add_argument("--input-format", default="json", choices=["json", "csv", "matrix-csv"])
     _common_flags(p)
@@ -304,7 +303,7 @@ def _cmd_solve(args) -> int:
             raise PreconditionError(f"remote-matching needs an even k; got k={args.k}")
         cfg = RunConfig(k=args.k, seed=args.seed, repeats=args.repeats, objective=objective)
         start = _resolve_start(args.gmm_start, ps.n, args.seed)
-        solution, trace = mwm_offline(ps, args.k, cfg, gmm_start=start, threads=args.threads)
+        solution, trace = mwm_offline(ps, args.k, cfg, gmm_start=start)
         trace_payload = {
             "chosen": trace.chosen,
             "trial": trace.trial,
@@ -388,13 +387,12 @@ def _suite_hst(seed: int, trials: int) -> dict:
         ps = PointSet.from_coords(rng.random((n, 2)))
         hst, scaled = embed_subset(ps, range(n), d=40)
         dmat = scaled.distance_matrix()
+        hmat = hst_distance_matrix(hst)
         for a in range(n):
             for b in range(a + 1, n):
-                dt = hst_distance(hst, a, b)
                 if dmat[a, b] > 0:
-                    worst_stretch = max(worst_stretch, dt / dmat[a, b])
+                    worst_stretch = max(worst_stretch, hmat[a, b] / dmat[a, b])
                 checked_pairs += 1
-        hmat = hst_distance_matrix(hst)
         size = min(n - n % 2, 8)
         members = sorted(int(v) for v in rng.choice(n, size=size, replace=False))
         formula = hst_mwm_odd_count(hst, members)

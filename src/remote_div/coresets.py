@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import InternalInvariantError, PreconditionError
 from .gmm import gmm, voronoi_partition
-from .matching import fill_same_cell_pairs
+from .matching import same_cell_pairs
 from .metric import PointSet
 
 PF_BLOCKS = ("P", "S", "T", "U", "Y")
@@ -224,13 +224,12 @@ def mwm_coreset(ps: PointSet, k: int, gmm_start: int = 0, part_id: int = 0) -> C
         )
     centers = gmm(ps, k, gmm_start).centers
     partition = voronoi_partition(ps, centers)
-    chosen = fill_same_cell_pairs(list(centers), set(centers), partition, 2 * k)
-    pairs = chosen[k:]
+    pairs = same_cell_pairs(partition, centers, k // 2)
     blocks = {
         "Y": sorted(centers),
         "pairs": sorted(pairs),
     }
-    indices = sorted(chosen)
+    indices = sorted(centers + pairs)
     if len(indices) != 2 * k:
         raise InternalInvariantError("matching coreset must have exactly 2k distinct points")
     return Coreset(

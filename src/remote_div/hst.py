@@ -98,10 +98,12 @@ def embed_subset(ps: PointSet, subset, d: int = DEFAULT_DEPTH) -> tuple[Hst, Poi
         raise PreconditionError("need at least 2 points to embed")
     sub = ps.restrict(members).distance_matrix()
     diam = float(sub.max())
-    if diam <= 0.0:
-        scaled = PointSet.from_matrix(sub, validate=False)
-    else:
-        scaled = PointSet.from_matrix(sub * (EMBED_DIAMETER / diam), validate=False)
+    if diam > 0.0:
+        sub = sub * (EMBED_DIAMETER / diam)
+    sub.flags.writeable = False
+    # A positive multiple of a metric is a metric, so it is not validated
+    # again: the subset's own scale could make the parent's rounding fail.
+    scaled = PointSet("matrix", None, sub)
     hst = build_hst(scaled, range(len(members)), d)
     return hst, scaled
 

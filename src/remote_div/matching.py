@@ -2,19 +2,20 @@
 
 The solver runs the farthest-point traversal to get k centers, partitions
 the data into their Voronoi cells, and then compares two candidates: the
-center set itself, and a set W built from a random even subset of the
-centers padded back up to k points by repeatedly appending two spare
-points that share a Voronoi cell. Padding with same-cell pairs keeps the
-parity of every cell's intersection with W unchanged, which is what makes
-the random subset's matching cost carry over to W.
+center set itself, and a set W built from a random even subset Z of the
+centers padded back up to k points with pairs of non-centers that share a
+Voronoi cell. Padding with same-cell pairs keeps the parity of every
+cell's intersection with W unchanged, which is what makes the random
+subset's matching cost carry over to W.
 
+The pairs never depend on Z, since every center is excluded from them:
+one solve computes the pair list once and each W takes a prefix of it.
 A single trial already achieves a constant fraction of the optimum with
 constant probability; the driver repeats with independent randomness and
 keeps the best candidate seen.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,52 +51,24 @@ def random_even_subset(centers: list[int], rng: np.random.Generator) -> list[int
     return sorted(drawn)
 
 
-def fill_same_cell_pairs(
-    selected: list[int],
-    blocked: set[int],
-    partition: VoronoiPartition,
-    target: int,
-) -> list[int]:
-    """Append same-cell pairs drawn from outside `blocked` until `selected`
-    reaches `target` points.
+def same_cell_pairs(partition: VoronoiPartition, centers: list[int], count: int) -> list[int]:
+    """The first `count` same-cell pairs of non-centers, flattened.
 
-    Cells are scanned in center-rank order and points in index order, so the
-    augmentation is deterministic. Each appended pair adds 2 to one cell's
-    count, leaving every cell parity unchanged.
+    Cells are scanned in center-rank order and each cell's non-centers in
+    index order, two at a time; a cell's odd leftover is never paired.
+    Appending any prefix of whole pairs to a set leaves every cell parity
+    unchanged.
     """
-    result = list(selected)
-    blocked = set(blocked) | set(result)
-    if (target - len(result)) % 2 != 0:
-        raise PreconditionError("parity mismatch: cannot reach target with pairs")
-    while len(result) < target:
-        pair = None
-        for members in partition.cells:
-            free = [i for i in members if i not in blocked]
-            if len(free) >= 2:
-                pair = free[:2]
-                break
-        if pair is None:
-            raise InternalInvariantError(
-                "no same-cell pair available; pigeonhole precondition violated"
-            )
-        result.extend(pair)
-        blocked.update(pair)
-    return result
-
-
-def _run_trial(
-    ps: PointSet,
-    k: int,
-    centers: list[int],
-    partition: VoronoiPartition,
-    seed: int,
-    trial: int,
-) -> tuple[float, list[int], list[int]]:
-    rng = stream_rng(seed, trial)
-    z = random_even_subset(centers, rng)
-    w = fill_same_cell_pairs(z, set(centers), partition, k)
-    value = mwm_exact(ps, w, with_witness=False).value
-    return value, z, sorted(w)
+    blocked = set(centers)
+    flat: list[int] = []
+    for members in partition.cells:
+        free = [i for i in members if i not in blocked]
+        flat.extend(free[: len(free) - len(free) % 2])
+    if len(flat) < 2 * count:
+        raise InternalInvariantError(
+            "no same-cell pair available; pigeonhole precondition violated"
+        )
+    return flat[: 2 * count]
 
 
 def mwm_offline(
@@ -103,7 +76,6 @@ def mwm_offline(
     k: int,
     cfg: RunConfig,
     gmm_start: int = 0,
-    threads: int = 1,
 ) -> tuple[DiversitySolution, MatchingOfflineTrace]:
     """Best-of-`cfg.repeats` randomized remote-matching solver.
 
@@ -124,20 +96,12 @@ def mwm_offline(
     y_sorted = sorted(g.centers)
     y_value = mwm_exact(ps, y_sorted, with_witness=False).value
 
-    def trial(t: int):
-        return _run_trial(ps, k, g.centers, partition, cfg.seed, t)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(trial, range(cfg.repeats)))
-    else:
-        outcomes = [trial(t) for t in range(cfg.repeats)]
-
-    best_trial = 0
-    best_value, best_z, best_w = outcomes[0]
-    for t in range(1, cfg.repeats):
-        value, z, w = outcomes[t]
-        if value > best_value:
+    pairs = same_cell_pairs(partition, g.centers, k // 2)
+    for t in range(cfg.repeats):
+        z = random_even_subset(g.centers, stream_rng(cfg.seed, t))
+        w = sorted(z + pairs[: k - len(z)])
+        value = mwm_exact(ps, w, with_witness=False).value
+        if t == 0 or value > best_value:
             best_trial, best_value, best_z, best_w = t, value, z, w
 
     if y_value >= best_value:

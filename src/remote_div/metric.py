@@ -91,14 +91,14 @@ class PointSet:
         return cls("euclidean", arr, None)
 
     @classmethod
-    def from_matrix(cls, matrix, validate: bool = True) -> "PointSet":
-        arr = np.asarray(matrix, dtype=np.float64).copy()
+    def from_matrix(cls, matrix) -> "PointSet":
+        arr = np.asarray(matrix, dtype=np.float64)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise PreconditionError("distance matrix must be square")
         if arr.shape[0] < 1:
             raise PreconditionError("need n >= 1 points")
-        if validate:
-            arr = _validate_matrix(arr)
+        # Validation only reads the caller's array and returns a fresh one.
+        arr = _validate_matrix(arr)
         arr.flags.writeable = False
         return cls("matrix", None, arr)
 

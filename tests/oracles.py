@@ -7,7 +7,8 @@ The per-mask matching DP, the per-subset pseudoforest sum and the
 per-subset brute force are the pure-Python loops the batched evaluators
 replaced; they do the same float additions, so results must agree bit for
 bit. The triangle scan checks one pivot at a time over the whole matrix,
-as matrix validation did before it ran in row blocks.
+as matrix validation did before it ran in row blocks. The same-cell
+padding is the greedy that rescans the cells for every pair it appends.
 """
 from __future__ import annotations
 
@@ -199,3 +200,25 @@ def triangle_violation_scan(arr: np.ndarray, tol: float) -> tuple[int, int, int]
             i, l = (int(v) for v in bad[0])
             return i, j, l
     return None
+
+
+def fill_same_cell_pairs(selected: list[int], blocked: set[int], cells: list[list[int]], target: int) -> list[int]:
+    """Append same-cell pairs from outside `blocked` until `selected` has
+    `target` points: each step rescans the cells in order and takes the two
+    lowest-index free points of the first cell that has two."""
+    result = list(selected)
+    blocked = set(blocked) | set(result)
+    if (target - len(result)) % 2 != 0:
+        raise ValueError("parity mismatch: cannot reach target with pairs")
+    while len(result) < target:
+        pair = None
+        for members in cells:
+            free = [i for i in members if i not in blocked]
+            if len(free) >= 2:
+                pair = free[:2]
+                break
+        if pair is None:
+            raise ValueError("no same-cell pair available")
+        result.extend(pair)
+        blocked.update(pair)
+    return result

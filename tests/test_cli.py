@@ -328,7 +328,7 @@ def test_no_command_prints_help(capsys):
     [
         ("gen", ["--kind", "--n", "--dim", "--seed", "--params", "--output"]),
         ("solve", ["--objective", "--k", "--seed", "--repeats", "--gmm-start",
-                   "--net-root", "--dump-net-tree", "--threads", "--input", "--output"]),
+                   "--net-root", "--dump-net-tree", "--input", "--output"]),
         ("coreset", ["--objective", "--k", "--epsilon", "--part-id", "--input", "--output"]),
         ("compose", ["--objective", "--k", "--epsilon", "--parts", "--strategy", "--seed",
                      "--oracle", "--input", "--output"]),

@@ -15,7 +15,7 @@ from remote_div import (
     voronoi_partition,
 )
 from remote_div.errors import InternalInvariantError
-from remote_div.matching import fill_same_cell_pairs
+from remote_div.matching import same_cell_pairs
 from conftest import random_euclidean, two_clusters
 
 
@@ -47,9 +47,8 @@ def test_random_even_subset_parity_fix_drops_highest_index():
 
 def test_fill_noop_when_already_at_target():
     ps = random_euclidean(1, 12)
-    part = voronoi_partition(ps, gmm(ps, 4).centers)
-    w = [0, 1, 2, 3]
-    assert fill_same_cell_pairs(w, set(w), part, 4) == w
+    centers = gmm(ps, 4).centers
+    assert same_cell_pairs(voronoi_partition(ps, centers), centers, 0) == []
 
 
 def test_fill_picks_lowest_index_pair_in_first_eligible_cell():
@@ -58,17 +57,18 @@ def test_fill_picks_lowest_index_pair_in_first_eligible_cell():
     # one center at 0; its cell holds everything
     ps = line_pointset([0.0, 1.0, 2.0, 3.0, 4.0, 5.0])
     part = voronoi_partition(ps, [0])
-    filled = fill_same_cell_pairs([], {0}, part, 2)
-    assert filled == [1, 2]
+    assert same_cell_pairs(part, [0], 1) == [1, 2]
 
 
 def test_fill_preserves_cell_parities_per_step():
     ps = random_euclidean(5, 24)
     centers = gmm(ps, 4).centers
     part = voronoi_partition(ps, centers)
-    filled = fill_same_cell_pairs([], set(centers), part, 6)
-    # every augmentation is one same-cell pair, so each step flips no parity
+    filled = same_cell_pairs(part, centers, 3)
+    # every augmentation is one same-cell pair of non-centers, so no step
+    # flips a parity
     assert len(filled) == 6
+    assert not set(filled) & set(centers)
     for at in range(0, 6, 2):
         a, b = filled[at], filled[at + 1]
         assert part.cell_of[a] == part.cell_of[b]
@@ -76,8 +76,8 @@ def test_fill_preserves_cell_parities_per_step():
     for i in filled:
         counts[part.cell_of[i]] = counts.get(part.cell_of[i], 0) + 1
     assert all(c % 2 == 0 for c in counts.values())
-    # prefixes agree: the procedure is truly incremental
-    assert fill_same_cell_pairs([], set(centers), part, 4) == filled[:4]
+    # prefixes agree: fewer pairs are a prefix of more
+    assert same_cell_pairs(part, centers, 2) == filled[:4]
 
 
 def test_fill_raises_when_no_pair_exists():
@@ -86,7 +86,7 @@ def test_fill_raises_when_no_pair_exists():
     ps = line_pointset([0.0, 1.0])
     part = voronoi_partition(ps, [0, 1])
     with pytest.raises(InternalInvariantError):
-        fill_same_cell_pairs([], {0, 1}, part, 2)
+        same_cell_pairs(part, [0, 1], 1)
 
 
 def test_mwm_offline_preconditions():
@@ -142,15 +142,6 @@ def test_mwm_offline_deterministic_given_seed():
     b, tb = mwm_offline(ps, 4, cfg)
     assert a.indices == b.indices and a.value == b.value
     assert ta.w_set == tb.w_set and ta.z_subset == tb.z_subset
-
-
-def test_mwm_offline_threads_match_serial():
-    ps = random_euclidean(23, 18)
-    cfg = RunConfig(k=4, seed=77, repeats=8)
-    serial, _ = mwm_offline(ps, 4, cfg, threads=1)
-    parallel, _ = mwm_offline(ps, 4, cfg, threads=4)
-    assert serial.indices == parallel.indices
-    assert serial.value == parallel.value
 
 
 @pytest.mark.parametrize("seed", range(25))

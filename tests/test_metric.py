@@ -134,7 +134,7 @@ def test_clamp_changes_pf_by_at_most_c():
     c = 0.02
     cm = ClampedMetric(ps, c / k)
     base = ps.distance_matrix()
-    clamped = PointSet.from_matrix(cm.distance_matrix(), validate=False)
+    clamped = PointSet.from_matrix(cm.distance_matrix())
     for subset in combinations(range(ps.n), k):
         before = pf_cost(ps, list(subset)).value
         after = pf_cost(clamped, list(subset)).value
@@ -273,9 +273,9 @@ def test_matrix_validation_decides_as_the_per_pivot_scan(d):
             PointSet.from_matrix(d)
 
 
-def test_matrix_validation_peaks_below_three_square_matrices():
-    # The caller's copy and the symmetrized matrix; the triangle check
-    # itself keeps only a few blocks of rows.
+def test_matrix_validation_peaks_below_two_square_matrices():
+    # The symmetrized matrix is the one new n-by-n array; the caller's is
+    # not copied, and the triangle check keeps only a few blocks of rows.
     dmat = random_euclidean(37, 500, dim=32).distance_matrix()
     tracemalloc.start()
     try:
@@ -283,7 +283,16 @@ def test_matrix_validation_peaks_below_three_square_matrices():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 3 * dmat.nbytes
+    assert peak < 2 * dmat.nbytes
+
+
+def test_from_matrix_is_unaffected_by_later_writes_to_the_input():
+    dmat = random_euclidean(38, 6).distance_matrix()
+    ps = PointSet.from_matrix(dmat)
+    before = ps.distance_matrix().copy()
+    dmat[0, 1] = dmat[1, 0] = 123.0
+    dmat[2] = 7.0
+    assert np.array_equal(ps.distance_matrix(), before)
 
 
 def test_coords_whose_distances_overflow_are_rejected():

@@ -64,8 +64,8 @@ def test_clamped_pf_within_c_of_scaled_pf_all_subsets():
     ps = random_euclidean(909, 10)
     k = 3
     metric = rescale_and_clamp(ps, k)
-    scaled = PointSet.from_matrix(ps.distance_matrix() * metric.scale, validate=False)
-    clamped = PointSet.from_matrix(metric.distance_matrix(), validate=False)
+    scaled = PointSet.from_matrix(ps.distance_matrix() * metric.scale)
+    clamped = PointSet.from_matrix(metric.distance_matrix())
     for subset in combinations(range(10), k):
         a = pf_cost(scaled, subset, with_witness=False).value
         b = pf_cost(clamped, subset, with_witness=False).value
@@ -76,21 +76,21 @@ def test_clamped_pf_within_c_of_scaled_pf_all_subsets():
 # -- build_net_tree --------------------------------------------------------------
 
 def test_two_points_at_exact_threshold_join_level_one():
-    base = PointSet.from_matrix(np.array([[0.0, 0.05], [0.05, 0.0]]), validate=False)
+    base = PointSet.from_matrix(np.array([[0.0, 0.05], [0.05, 0.0]]))
     tree = build_net_tree(ClampedMetric(base, 0.0))
     assert tree.levels[0] == [0]
     assert tree.levels[1] == [0, 1]
 
 
 def test_single_point_tree():
-    base = PointSet.from_matrix(np.array([[0.0]]), validate=False)
+    base = PointSet.from_matrix(np.array([[0.0]]))
     tree = build_net_tree(ClampedMetric(base, 0.0))
     assert tree.levels == [[0]]
     assert tree.depth == 0
 
 
 def test_tree_rejects_oversized_diameter():
-    base = PointSet.from_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]), validate=False)
+    base = PointSet.from_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
     with pytest.raises(PreconditionError):
         build_net_tree(ClampedMetric(base, 0.0))
 
@@ -182,7 +182,7 @@ def test_selected_points_pf_clears_dp_value_over_80(seed):
     tree = build_net_tree(metric)
     value, nodes = dp_antichain(tree, k)
     dp_value = sum(5.0 ** (-lvl) for lvl, _ in nodes)
-    clamped = PointSet.from_matrix(metric.distance_matrix(), validate=False)
+    clamped = PointSet.from_matrix(metric.distance_matrix())
     points = sorted(p for _, p in nodes)
     assert pf_cost(clamped, points, with_witness=False).value >= dp_value / 80.0 - 1e-12
     # the selected nodes re-evaluate to the returned root value
@@ -254,7 +254,7 @@ def test_histogram_value_brackets_dp_value(seed):
     k = 4
     ps = random_euclidean(1400 + seed, 12)
     metric = rescale_and_clamp(ps, k)
-    clamped = PointSet.from_matrix(metric.distance_matrix(), validate=False)
+    clamped = PointSet.from_matrix(metric.distance_matrix())
     oracle = brute_force_diversity(clamped, k, Objective.REMOTE_PSEUDOFOREST)
     report = pf_cost(clamped, oracle.indices)
     tree = build_net_tree(metric)

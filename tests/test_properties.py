@@ -1,13 +1,30 @@
 """Property tests: no solver, coreset or oracle may change what it selects
 when every coordinate is scaled by a power of two (exact in floating point),
-or when the same geometry is given as a distance matrix."""
+or when the same geometry is given as a distance matrix; and the matching
+solver's and coreset's same-cell padding is the greedy that rescans the
+cells for every pair."""
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from remote_div import Objective, PointSet, RunConfig, brute_force_diversity, mwm_offline, pf_coreset, pf_offline
+from remote_div import (
+    Objective,
+    PointSet,
+    RunConfig,
+    brute_force_diversity,
+    gmm,
+    mwm_coreset,
+    mwm_offline,
+    pf_coreset,
+    pf_offline,
+    voronoi_partition,
+)
+from remote_div.matching import same_cell_pairs
+from oracles import fill_same_cell_pairs
 
 
 @st.composite
@@ -47,3 +64,35 @@ def test_euclidean_and_matrix_kinds_select_alike(instance):
     ps = PointSet.from_coords(coords)
     as_matrix = PointSet.from_matrix(ps.distance_matrix())
     assert _selections(as_matrix, k) == _selections(ps, k)
+
+
+@st.composite
+def padding_instances(draw):
+    """n exactly 3k or 3k+1 on a grid of at most 16 locations, so points
+    coincide and, for larger k, several centers share a location."""
+    k = draw(st.sampled_from([2, 4, 6, 8]))
+    n = 3 * k + draw(st.integers(0, 1))
+    dim = draw(st.integers(1, 2))
+    point = st.lists(st.integers(0, 3), min_size=dim, max_size=dim)
+    points = draw(st.lists(point, min_size=n, max_size=n))
+    return np.asarray(points, dtype=np.float64), k, draw(st.integers(0, n - 1))
+
+
+@given(padding_instances())
+def test_same_cell_padding_matches_the_rescanning_greedy(instance):
+    coords, k, start = instance
+    ps = PointSet.from_coords(coords)
+    centers = gmm(ps, k, start).centers
+    part = voronoi_partition(ps, centers)
+    pairs = same_cell_pairs(part, centers, k // 2)
+    for size in range(0, k + 1, 2):
+        for z in itertools.combinations(sorted(centers), size):
+            expected = fill_same_cell_pairs(list(z), set(centers), part.cells, k)
+            assert sorted(list(z) + pairs[: k - size]) == sorted(expected)
+    _solution, trace = mwm_offline(ps, k, RunConfig(k=k, repeats=5), gmm_start=start)
+    assert trace.w_set == sorted(fill_same_cell_pairs(trace.z_subset, set(centers), part.cells, k))
+    core = mwm_coreset(ps, k, gmm_start=start)
+    assert core.passthrough == (ps.n == 3 * k)
+    if not core.passthrough:
+        expected = fill_same_cell_pairs(list(centers), set(centers), part.cells, 2 * k)[k:]
+        assert core.blocks["pairs"] == sorted(expected)
