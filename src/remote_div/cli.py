@@ -299,8 +299,6 @@ def _cmd_solve(args) -> int:
     ps = _read_pointset(args)
     objective = Objective.parse(args.objective)
     if objective is Objective.REMOTE_MATCHING:
-        if args.k % 2 != 0:
-            raise PreconditionError(f"remote-matching needs an even k; got k={args.k}")
         cfg = RunConfig(k=args.k, seed=args.seed, repeats=args.repeats, objective=objective)
         start = _resolve_start(args.gmm_start, ps.n, args.seed)
         solution, trace = mwm_offline(ps, args.k, cfg, gmm_start=start)

@@ -307,9 +307,11 @@ def _lower_bound_on_union(ps: PointSet, union: list[int], cfg: RunConfig) -> tup
     candidates: list[tuple[float, list[int]]] = []
     try:
         if cfg.objective is Objective.REMOTE_MATCHING:
+            # mwm_offline already keeps the better of its W and its Y, the
+            # same GMM centers the fallback below scores: its answer is final.
             sol, _trace = mwm_offline(sub, k, cfg)
-        else:
-            sol, _tree = pf_offline(sub, k)
+            return sol.value, sorted(union[i] for i in sol.indices)
+        sol, _tree = pf_offline(sub, k)
         candidates.append((sol.value, sorted(union[i] for i in sol.indices)))
     except PreconditionError:
         pass

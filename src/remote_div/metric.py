@@ -176,19 +176,23 @@ class ClampedMetric:
         return self.base.n
 
     def distance(self, i: int, j: int) -> float:
-        if i == j:
-            _check_index(i, self.n)
-            return 0.0
-        return max(self.base.distance(i, j) * self.scale, self.floor)
+        _check_index(j, self.n)
+        return float(self.distances_from(i)[j])
+
+    def distances_from(self, i: int) -> np.ndarray:
+        """All clamped distances from point i, as a fresh length-n array.
+        Scale and floor are applied here and nowhere else."""
+        row = self.base.distances_from(i)  # a fresh array
+        row *= self.scale
+        np.maximum(row, self.floor, out=row)
+        row[i] = 0.0
+        return row
 
     def distance_matrix(self) -> np.ndarray:
-        """A fresh dense matrix; scale and floor are applied in place."""
-        out = self.base.distance_matrix()
-        if self.base.kind == "matrix":  # the stored distances, not a copy
-            out = out.copy()
-        out *= self.scale
-        np.maximum(out, self.floor, out=out)
-        np.fill_diagonal(out, 0.0)
+        """A fresh dense matrix, one `distances_from` row at a time."""
+        out = np.empty((self.n, self.n), dtype=np.float64)
+        for i in range(self.n):
+            out[i] = self.distances_from(i)
         return out
 
 

@@ -11,8 +11,10 @@ most the constant.
 
 On the clamped metric we grow nested greedy nets: level l keeps a maximal
 set of points pairwise separated by 5^-l/20, each level extending the one
-above. Linking every net point to its closest point one level up gives a
-tree whose nodes are (point, level) pairs. Selecting k nodes that form an
+above, down to the first level that holds every point. Linking every net
+point to its closest point one level up gives a tree whose nodes are
+(point, level) pairs. Each point's clamped row is read once, when it joins
+a net, so no n-by-n matrix is formed. Selecting k nodes that form an
 antichain (no node an ancestor of another) and maximizing the sum of
 5^-level values is solved exactly by a knapsack-style dynamic program over
 children; the selected nodes map to k distinct points whose pseudoforest
@@ -21,7 +23,6 @@ cost is within a constant factor of the best possible.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,65 +81,59 @@ def rescale_and_clamp(ps: PointSet, k: int) -> ClampedMetric:
 
 def build_net_tree(metric: ClampedMetric, root: int = 0) -> NetTree:
     """Grow nested greedy nets and link each point to its closest coarser
-    net point.
+    net point, stopping at the first level that holds every point.
 
     Candidate points are scanned in ascending index order, and a point joins
     level l as soon as it is at distance >= 5^-l/20 from everything already
-    in the level. Parent ties break to the lowest index.
+    in the level. A point's clamped row is read once, when it joins: it
+    lowers every point's distance to the net and names the point's parent,
+    its closest member of the level above (ties to the lowest index).
     """
     n = metric.n
     if not (0 <= root < n):
         raise PreconditionError(f"root index {root} out of range for n={n}")
-    if n == 1:
-        return NetTree(levels=[[root]], parent={}, children={(0, root): []}, depth=0)
-    dmat = metric.distance_matrix()
-    if float(dmat.max()) > TARGET_DIAMETER * (1.0 + 1e-12):
-        raise PreconditionError("net tree expects a metric rescaled to diameter <= 1/20")
-
-    np.fill_diagonal(dmat, np.inf)
-    min_dist = float(dmat.min())
-    np.fill_diagonal(dmat, 0.0)
-    if min_dist <= 0.0:
-        raise PreconditionError("net tree needs all pairwise distances positive (clamp first)")
-    # Every point is at least min_dist >= 5^-depth from every other, so
-    # level `depth` (separation 5^-depth/20) holds all of them. The log of
-    # min_dist stays finite where 1/min_dist overflows (subnormal distances);
-    # dp_antichain divides by float(5 ** depth), which must stay finite too.
-    depth = max(0, math.ceil(-math.log(min_dist, 5)))
-    if depth > _MAX_DEPTH:
-        raise PreconditionError(
-            f"smallest scaled distance {min_dist!r} needs more than {_MAX_DEPTH} net levels"
-        )
-
     in_net = np.zeros(n, dtype=bool)
     in_net[root] = True
-    mind = dmat[root].copy()  # distance to the current net
+    mind = _net_row(metric, root)  # distance to the current net
     levels = [[root]]
-    for level in range(1, depth + 1):
-        sep = 5.0 ** (-level) / 20.0
-        for q in range(n):
-            if not in_net[q] and mind[q] >= sep:
-                in_net[q] = True
-                np.minimum(mind, dmat[q], out=mind)
-        levels.append([q for q in range(n) if in_net[q]])
-    if len(levels[-1]) < n:
-        raise InternalInvariantError("net tree failed to absorb all points")
-
     parent: dict[Node, Node] = {}
+    while len(levels[-1]) < n:
+        level = len(levels)
+        # dp_antichain divides by float(5 ** depth), which must stay finite.
+        if level > _MAX_DEPTH:
+            raise PreconditionError(
+                f"scaled distance {float(mind[~in_net].min())!r} needs more than {_MAX_DEPTH} net levels"
+            )
+        sep = 5.0 ** (-level) / 20.0
+        above = np.asarray(levels[-1])
+        for p in levels[-1]:
+            parent[(level, p)] = (level - 1, p)
+        # mind only falls, so no point outside this candidate list can join.
+        for q in np.flatnonzero(~in_net & (mind >= sep)).tolist():
+            if mind[q] >= sep:
+                row = _net_row(metric, q)
+                in_net[q] = True
+                np.minimum(mind, row, out=mind)
+                parent[(level, q)] = (level - 1, int(above[np.argmin(row[above])]))
+        levels.append(np.flatnonzero(in_net).tolist())
+
     children: dict[Node, list[Node]] = {(lvl, p): [] for lvl, members in enumerate(levels) for p in members}
-    for level in range(1, depth + 1):
-        prev = levels[level - 1]
-        prev_arr = np.asarray(prev)
-        prev_set = set(prev)
+    for level in range(1, len(levels)):
         for p in levels[level]:
-            if p in prev_set:
-                par = (level - 1, p)
-            else:
-                col = dmat[p, prev_arr]
-                par = (level - 1, int(prev_arr[int(np.argmin(col))]))
-            parent[(level, p)] = par
-            children[par].append((level, p))
-    return NetTree(levels=levels, parent=parent, children=children, depth=depth)
+            children[parent[(level, p)]].append((level, p))
+    return NetTree(levels=levels, parent=parent, children=children, depth=len(levels) - 1)
+
+
+def _net_row(metric: ClampedMetric, q: int) -> np.ndarray:
+    """Clamped distances from q with its own entry at +inf, after checking
+    the row against build_net_tree's preconditions."""
+    row = metric.distances_from(q)
+    if float(row.max()) > TARGET_DIAMETER * (1.0 + 1e-12):
+        raise PreconditionError("net tree expects a metric rescaled to diameter <= 1/20")
+    row[q] = np.inf
+    if float(row.min()) <= 0.0:
+        raise PreconditionError("net tree needs all pairwise distances positive (clamp first)")
+    return row
 
 
 def dp_antichain(tree: NetTree, k: int) -> tuple[float, list[Node]]:

@@ -9,6 +9,10 @@ replaced; they do the same float additions, so results must agree bit for
 bit. The triangle scan checks one pivot at a time over the whole matrix,
 as matrix validation did before it ran in row blocks. The same-cell
 padding is the greedy that rescans the cells for every pair it appends.
+The net tree is grown on the whole clamped matrix to a depth taken from the
+smallest distance, with a separate parent pass, as the solver grew it
+before it read one row per joining point and stopped at the first full
+level.
 """
 from __future__ import annotations
 
@@ -16,6 +20,9 @@ import itertools
 import math
 
 import numpy as np
+
+from remote_div.errors import InternalInvariantError, PreconditionError
+from remote_div.nets import _MAX_DEPTH, TARGET_DIAMETER, NetTree
 
 
 def mwm_by_pairings(rows: list[list[float]]) -> float:
@@ -222,3 +229,66 @@ def fill_same_cell_pairs(selected: list[int], blocked: set[int], cells: list[lis
         result.extend(pair)
         blocked.update(pair)
     return result
+
+
+def net_tree_by_matrix(metric, root: int = 0) -> NetTree:
+    """Nested greedy nets on the dense clamped matrix, down to level
+    ceil(-log5 of the smallest distance), which holds every point."""
+    n = metric.n
+    if not (0 <= root < n):
+        raise PreconditionError(f"root index {root} out of range for n={n}")
+    if n == 1:
+        return NetTree(levels=[[root]], parent={}, children={(0, root): []}, depth=0)
+    dmat = np.maximum(metric.base.distance_matrix() * metric.scale, metric.floor)
+    np.fill_diagonal(dmat, 0.0)
+    if float(dmat.max()) > TARGET_DIAMETER * (1.0 + 1e-12):
+        raise PreconditionError("net tree expects a metric rescaled to diameter <= 1/20")
+
+    np.fill_diagonal(dmat, np.inf)
+    min_dist = float(dmat.min())
+    np.fill_diagonal(dmat, 0.0)
+    if min_dist <= 0.0:
+        raise PreconditionError("net tree needs all pairwise distances positive (clamp first)")
+    depth = max(0, math.ceil(-math.log(min_dist, 5)))
+    if depth > _MAX_DEPTH:
+        raise PreconditionError(
+            f"smallest scaled distance {min_dist!r} needs more than {_MAX_DEPTH} net levels"
+        )
+
+    in_net = np.zeros(n, dtype=bool)
+    in_net[root] = True
+    mind = dmat[root].copy()
+    levels = [[root]]
+    for level in range(1, depth + 1):
+        sep = 5.0 ** (-level) / 20.0
+        for q in range(n):
+            if not in_net[q] and mind[q] >= sep:
+                in_net[q] = True
+                np.minimum(mind, dmat[q], out=mind)
+        levels.append([q for q in range(n) if in_net[q]])
+    if len(levels[-1]) < n:
+        raise InternalInvariantError("net tree failed to absorb all points")
+
+    parent = {}
+    children = {(lvl, p): [] for lvl, members in enumerate(levels) for p in members}
+    for level in range(1, depth + 1):
+        prev = levels[level - 1]
+        prev_arr = np.asarray(prev)
+        prev_set = set(prev)
+        for p in levels[level]:
+            if p in prev_set:
+                par = (level - 1, p)
+            else:
+                col = dmat[p, prev_arr]
+                par = (level - 1, int(prev_arr[int(np.argmin(col))]))
+            parent[(level, p)] = par
+            children[par].append((level, p))
+    return NetTree(levels=levels, parent=parent, children=children, depth=depth)
+
+
+def cut_net_tree(tree: NetTree, depth: int) -> NetTree:
+    """`tree` without its levels below `depth`."""
+    levels = tree.levels[: depth + 1]
+    parent = {node: par for node, par in tree.parent.items() if node[0] <= depth}
+    children = {node: (kids if node[0] < depth else []) for node, kids in tree.children.items() if node[0] <= depth}
+    return NetTree(levels=levels, parent=parent, children=children, depth=depth)

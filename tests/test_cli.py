@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -164,7 +166,7 @@ def test_solve_subnormal_net_distance_exit_one(tmp_path, capsys):
     code = run_cli(["solve", "--objective", "pseudoforest", "--k", "2", "--input", str(data)])
     assert code == 1
     assert "net levels" in capsys.readouterr().err
-    # ~5e-306 still fits (437 levels).
+    # ~5e-306 still fits (435 levels below the root).
     data.write_text(json.dumps({"dim": 1, "points": [[0.0], [1e-154], [1e150]]}))
     code = run_cli(["solve", "--objective", "pseudoforest", "--k", "2", "--input", str(data)])
     assert code == 0
@@ -344,3 +346,17 @@ def test_help_lists_documented_flags(command, flags, capsys):
     text = capsys.readouterr().out
     for flag in flags:
         assert flag in text, f"{command} help is missing {flag}"
+
+
+def test_bench_trace_targets_exist():
+    # The benchmark's tracer wraps src functions and methods by name, so a
+    # rename must fail here rather than in a `--trace 1` run.
+    path = Path(__file__).resolve().parent.parent / "bench" / "inproc.py"
+    spec = importlib.util.spec_from_file_location("bench_inproc", path)
+    inproc = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inproc)
+    for module, name, _span, _count in inproc.FUNCTIONS:
+        assert callable(getattr(importlib.import_module(f"remote_div.{module}"), name, None)), f"{module}.{name}"
+    metric = importlib.import_module("remote_div.metric")
+    for class_name, method, _span, _count in inproc.METHODS:
+        assert method in vars(getattr(metric, class_name)), f"{class_name}.{method}"

@@ -168,14 +168,18 @@ def test_clamped_matrix_leaves_stored_matrix_untouched():
 
 
 def test_single_distances_match_rows_bit_for_bit():
-    # One Euclidean kernel: a single distance is exactly its row entry, and
-    # a clamped distance is exactly its clamped-matrix entry.
+    # One Euclidean kernel: a single distance is exactly its row entry. A
+    # clamped row is exactly the whole matrix scaled and floored (about half
+    # of the entries here), and so are its single distances and its matrix.
     ps = PointSet.from_coords(np.random.default_rng(0).random((200, 37)))
-    rows = [ps.distances_from(i) for i in range(ps.n)]
-    assert all(ps.distance(i, j) == rows[i][j] for i in range(ps.n) for j in range(ps.n))
-    cm = ClampedMetric(ps, 1.2, 1.0 / 3.0)
-    cmat = cm.distance_matrix()
-    assert all(cm.distance(i, j) == cmat[i, j] for i in range(ps.n) for j in range(ps.n))
+    cm = ClampedMetric(ps, 0.83, 1.0 / 3.0)
+    clamped = np.maximum(ps.distance_matrix() * cm.scale, cm.floor)
+    np.fill_diagonal(clamped, 0.0)
+    for metric, expected in ((ps, ps.distance_matrix()), (cm, clamped)):
+        rows = [metric.distances_from(i) for i in range(ps.n)]
+        assert np.array_equal(rows, expected)
+        assert all(metric.distance(i, j) == rows[i][j] for i in range(ps.n) for j in range(ps.n))
+    assert np.array_equal(cm.distance_matrix(), clamped)
     # Distances among a subset are exactly the whole matrix's entries.
     full = ps.distance_matrix()
     for idx in ([5], [7, 3], list(range(0, 200, 7)), list(range(199, -1, -3))):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -190,7 +191,7 @@ def test_selected_points_pf_clears_dp_value_over_80(seed):
 
 
 def test_dp_matches_bruteforce_on_larger_tree():
-    ps = random_euclidean(1199, 45)
+    ps = random_euclidean(1199, 90)
     metric = rescale_and_clamp(ps, 3)
     tree = build_net_tree(metric)
     node_count = sum(len(members) for members in tree.levels)
@@ -233,6 +234,19 @@ def test_pf_offline_small_n_with_coincident_points():
     assert len(set(solution.indices)) == 4
     oracle = brute_force_diversity(ps, 4, Objective.REMOTE_PSEUDOFOREST)
     assert solution.value >= oracle.value / 80.0
+
+
+def test_pf_offline_peaks_below_a_tenth_of_one_square_matrix():
+    # The net tree reads one clamped row per joining point, never a matrix.
+    n = 2000
+    ps = random_euclidean(53, n)
+    tracemalloc.start()
+    try:
+        pf_offline(ps, 10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.1 * n * n * 8
 
 
 @pytest.mark.parametrize("seed", range(30))

@@ -2,7 +2,8 @@
 when every coordinate is scaled by a power of two (exact in floating point),
 or when the same geometry is given as a distance matrix; and the matching
 solver's and coreset's same-cell padding is the greedy that rescans the
-cells for every pair."""
+cells for every pair; and the net tree is the matrix-built tree cut at its
+first full level."""
 from __future__ import annotations
 
 import itertools
@@ -16,15 +17,19 @@ from remote_div import (
     PointSet,
     RunConfig,
     brute_force_diversity,
+    build_net_tree,
+    dp_antichain,
     gmm,
     mwm_coreset,
     mwm_offline,
     pf_coreset,
+    pf_cost,
     pf_offline,
+    rescale_and_clamp,
     voronoi_partition,
 )
 from remote_div.matching import same_cell_pairs
-from oracles import fill_same_cell_pairs
+from oracles import cut_net_tree, fill_same_cell_pairs, net_tree_by_matrix
 
 
 @st.composite
@@ -96,3 +101,36 @@ def test_same_cell_padding_matches_the_rescanning_greedy(instance):
     if not core.passthrough:
         expected = fill_same_cell_pairs(list(centers), set(centers), part.cells, 2 * k)[k:]
         assert core.blocks["pairs"] == sorted(expected)
+
+
+@st.composite
+def net_instances(draw):
+    """1-3-D points on a coarse grid (mostly coincident points) or a fine
+    one, scaled by a power of two; k on both sides of n/2, so the floor is
+    set by n >= 2k, by coincident points, or not at all."""
+    n = draw(st.integers(2, 30))
+    dim = draw(st.integers(1, 3))
+    cell = st.integers(0, draw(st.sampled_from([3, 1000])))
+    points = draw(st.lists(st.lists(cell, min_size=dim, max_size=dim), min_size=n, max_size=n))
+    coords = np.asarray(points, dtype=np.float64) * 2.0 ** draw(st.integers(-60, 60))
+    assume(np.ptp(coords, axis=0).max() > 0.0)
+    return PointSet.from_coords(coords), draw(st.integers(2, n)), draw(st.integers(0, n - 1))
+
+
+@given(net_instances())
+def test_net_tree_is_the_matrix_tree_cut_at_its_first_full_level(instance):
+    coords_ps, k, root = instance
+    for ps in (coords_ps, PointSet.from_matrix(coords_ps.distance_matrix())):
+        metric = rescale_and_clamp(ps, k)
+        tree = build_net_tree(metric, root)
+        full = net_tree_by_matrix(metric, root)
+        assert len(tree.levels[-1]) == ps.n
+        assert tree.depth == 0 or len(tree.levels[-2]) < ps.n
+        assert tree.depth <= full.depth
+        assert tree == cut_net_tree(full, tree.depth)
+        _value, nodes = dp_antichain(full, k)
+        points = sorted(p for _lvl, p in nodes)
+        solution, solved_on = pf_offline(ps, k, root)
+        assert solved_on == tree
+        assert solution.indices == points
+        assert solution.value.hex() == pf_cost(ps, points, with_witness=False).value.hex()
