@@ -54,24 +54,37 @@ class StPair:
     branch: str = "dense"  # which construction fired: "dense" or "peel"
 
 
-def k_outlier_radius(ps: PointSet, k: int, *, dmat: np.ndarray | None = None) -> tuple[int, float]:
+def k_outlier_radius(ps: PointSet, k: int, *, kth_largest: np.ndarray | None = None) -> tuple[int, float]:
     """Smallest radius (over all centers) of a ball that leaves at most k
     points strictly outside.
 
     For each candidate center the radius is its (k+1)-th largest distance,
     self-distance included; the minimizing center wins, lowest index on
-    ties. Returns (center index, radius).
+    ties. Returns (center index, radius). If `kth_largest` (length n) is
+    given, it receives each point's k-th largest distance from the same
+    pass, which `find_separated_sets` takes in place of its own.
     """
     n = ps.n
     if n < k + 1:
         raise PreconditionError(f"need n >= k+1 (n={n}, k={k})")
-    if dmat is None:
-        dmat = ps.distance_matrix()
-    # (k+1)-th largest of each row = the element at position n-k-1 ascending.
-    # One row at a time: partitioning the whole matrix would copy it.
-    radii = np.array([np.partition(row, n - k - 1)[n - k - 1] for row in dmat])
+    radii = np.empty(n)
+    if kth_largest is None:
+        kth_largest = np.empty(n)
+    _order_statistics(ps, k, radii, kth_largest)
     center = int(np.argmin(radii))
     return center, float(radii[center])
+
+
+def _order_statistics(ps: PointSet, k: int, radii: np.ndarray, kth_largest: np.ndarray) -> None:
+    """Fill each row's (k+1)-th and k-th largest distances in one blocked
+    pass. One partition per block at position n-k-1 (ascending) puts the
+    (k+1)-th largest there and the k largest after it."""
+    n = ps.n
+    for start, block in ps.row_blocks():
+        part = np.partition(block, n - k - 1, axis=1)
+        stop = start + len(block)
+        radii[start:stop] = part[:, n - k - 1]
+        kth_largest[start:stop] = part[:, n - k :].min(axis=1, initial=np.inf)  # inf for k=0
 
 
 def find_separated_sets(
@@ -80,7 +93,7 @@ def find_separated_sets(
     epsilon: float,
     radius: float,
     *,
-    dmat: np.ndarray | None = None,
+    kth_largest: np.ndarray | None = None,
 ) -> StPair:
     """Find disjoint S, T of k points each with cross distance >= epsilon*radius/2.
 
@@ -90,6 +103,8 @@ def find_separated_sets(
     points around that point already separate; otherwise annuli of width
     epsilon*radius/2 are peeled off, always cutting where the ball's growth
     ratio is small, which bounds how many points can sit near the peel.
+    `kth_largest` is each point's k-th largest distance, as
+    `k_outlier_radius` fills it; without it a pass of its own finds it.
     """
     n = ps.n
     if not (0.0 < epsilon <= 1.0):
@@ -99,10 +114,11 @@ def find_separated_sets(
     threshold = 2.0 * k ** (1.0 + epsilon) + k
     if n < threshold:
         raise PreconditionError(f"need n >= 2k^(1+eps)+k = {threshold}; got n={n}")
-    if dmat is None:
-        dmat = ps.distance_matrix()
-    far_counts = (dmat >= radius).sum(axis=1)
-    if int(far_counts.min()) < k:
+    if kth_largest is None:
+        kth_largest = np.empty(n)
+        _order_statistics(ps, k, np.empty(n), kth_largest)
+    # A row has >= k entries >= radius exactly when its k-th largest is.
+    if not float(kth_largest.min()) >= radius:
         raise PreconditionError(
             "radius guarantee violated: some point has fewer than k points at distance >= radius"
         )
@@ -110,15 +126,17 @@ def find_separated_sets(
     r_sep = epsilon * radius / 2.0
 
     # Dense branch: first point (index order) whose radius/2 ball holds >= k points.
-    for x in range(n):
-        near = np.nonzero(dmat[x] <= radius / 2.0)[0]
-        if len(near) >= k:
+    for start, block in ps.row_blocks():
+        dense = np.flatnonzero(np.count_nonzero(block <= radius / 2.0, axis=1) >= k)
+        if dense.size:
+            row = block[dense[0]]
+            near = np.nonzero(row <= radius / 2.0)[0]
             s = [int(i) for i in near[:k]]
             s_set = set(s)
-            t = [int(i) for i in np.nonzero(dmat[x] >= radius)[0] if int(i) not in s_set][:k]
+            t = [int(i) for i in np.nonzero(row >= radius)[0] if int(i) not in s_set][:k]
             if len(t) < k:
                 raise InternalInvariantError("far-point pool shrank below k in dense branch")
-            return StPair(sorted(s), sorted(t), _cross_separation(dmat, s, t), "dense")
+            return StPair(sorted(s), sorted(t), _cross_separation(ps, s, t), "dense")
 
     # Peeling branch.
     growth_cap = float(k) ** epsilon
@@ -130,7 +148,7 @@ def find_separated_sets(
         if len(alive_idx) == 0:
             raise InternalInvariantError("peeling exhausted the dataset before k points")
         pivot = int(alive_idx[0])
-        drow = dmat[pivot]
+        drow = ps.distances_from(pivot)
         counts = [
             int(np.count_nonzero(alive & (drow <= step * r_sep)))
             for step in range(max_step + 2)
@@ -149,22 +167,23 @@ def find_separated_sets(
             alive[i] = False
             peeled.append(int(i))
     s = peeled[:k]
-    s_arr = np.asarray(s)
-    min_to_s = dmat[:, s_arr].min(axis=1)
+    # Distances are bitwise symmetric, so S's rows give its columns.
+    min_to_s = np.min([ps.distances_from(i) for i in s], axis=0)
     s_set = set(s)
     t = [int(i) for i in np.nonzero(min_to_s >= r_sep)[0] if int(i) not in s_set][:k]
     if len(t) < k:
         raise InternalInvariantError("fewer than k points stayed clear of the peeled set")
-    return StPair(sorted(s), sorted(t), _cross_separation(dmat, s, t), "peel")
+    return StPair(sorted(s), sorted(t), _cross_separation(ps, s, t), "peel")
 
 
-def _cross_separation(dmat: np.ndarray, s: list[int], t: list[int]) -> float:
-    return float(dmat[np.ix_(s, t)].min())
+def _cross_separation(ps: PointSet, s: list[int], t: list[int]) -> float:
+    return min(float(ps.distances_from(i)[t].min()) for i in s)
 
 
 def pf_coreset(ps: PointSet, k: int, epsilon: float, gmm_start: int = 0, part_id: int = 0) -> Coreset:
     """Remote-pseudoforest coreset of at most 5k points (or the whole part
-    when it is smaller than 2k^(1+eps)+k)."""
+    when it is smaller than 2k^(1+eps)+k). Distances are read in blocks of
+    rows and single rows; no n-by-n matrix is built."""
     if k < 1:
         raise PreconditionError("k must be a positive integer")
     if not (0.0 < epsilon <= 1.0):
@@ -179,17 +198,18 @@ def pf_coreset(ps: PointSet, k: int, epsilon: float, gmm_start: int = 0, part_id
             k=k,
             passthrough=True,
         )
-    dmat = ps.distance_matrix()
     centers = gmm(ps, k, gmm_start).centers
-    x, radius = k_outlier_radius(ps, k, dmat=dmat)
+    kth_largest = np.empty(n)
+    x, radius = k_outlier_radius(ps, k, kth_largest=kth_largest)
+    row_x = ps.distances_from(x)
     # U: the k points furthest from x, ties to the lowest index.
-    order = np.lexsort((np.arange(n), -dmat[x]))
+    order = np.lexsort((np.arange(n), -row_x))
     u_block = sorted(int(i) for i in order[:k])
     # P: the k lowest-index points inside the ball.
-    p_block = [int(i) for i in np.nonzero(dmat[x] <= radius)[0][:k]]
+    p_block = [int(i) for i in np.nonzero(row_x <= radius)[0][:k]]
     if len(p_block) < k:
         raise InternalInvariantError("ball around the outlier center holds fewer than k points")
-    st = find_separated_sets(ps, k, epsilon, radius, dmat=dmat)
+    st = find_separated_sets(ps, k, epsilon, radius, kth_largest=kth_largest)
     blocks = {
         "P": p_block,
         "S": st.s,

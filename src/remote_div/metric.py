@@ -8,9 +8,16 @@ the data's scale; algorithms themselves compare distances exactly, since
 they only need a consistent total order. A matrix with an entry so large
 that twice it overflows is rejected. The triangle check walks the upper
 triangle in row blocks with a running minimum over pivots, deciding exactly
-as a per-pivot scan would.
-Every Euclidean distance, single or in rows, comes from one kernel
-(`_euclidean`), so the same pair always gets the same bits.
+as a per-pivot scan would. A matrix-csv file is parsed by `np.loadtxt`;
+a file it cannot take as a square matrix, or one with a '#' after a field,
+is parsed again line by line, which names the offending line.
+Every Euclidean distance, single, in a row or in a block of rows, comes
+from one kernel (`_euclidean`), so the same pair always gets the same bits;
+the kernel is bitwise symmetric, so a column read equals a row read.
+A reduction over all pairs (`diameter`, `min_offdiag_distance`, the
+coreset's radii and dense-ball scan) walks `PointSet.row_blocks`, whose
+largest temporary stays within `_BLOCK_ENTRIES` floats, so none builds an
+n-by-n matrix.
 
 Point identity is by index into the original dataset. Every subset that
 the algorithms pass around is a list of indices, never a copy of the
@@ -24,6 +31,8 @@ import enum
 import io
 import json
 import math
+import re
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +41,7 @@ from .errors import InternalInvariantError, PreconditionError
 
 VALIDATION_RTOL = 1e-9
 _ROW_BLOCK = 64  # rows per block of the triangle check
+_BLOCK_ENTRIES = 1 << 12  # floats in the largest temporary of one row block
 
 
 class Objective(enum.Enum):
@@ -50,10 +60,11 @@ class PointSet:
     """An immutable finite metric space over points 0..n-1.
 
     Construct through `from_coords` (Euclidean) or `from_matrix` (explicit
-    distances). Euclidean distances are computed on demand, one row at a
-    time by `distances_from`; a reduction over all pairs scans those rows.
-    Distances among a subset come from `restrict(indices).distance_matrix()`,
-    never from a slice of the whole dataset's matrix.
+    distances). Euclidean distances are computed on demand: one row by
+    `distances_from`, or consecutive blocks of rows by `row_blocks`, which
+    a reduction over all pairs scans. Distances among a subset come from
+    `restrict(indices).distance_matrix()`, never from a slice of the whole
+    dataset's matrix.
     """
 
     __slots__ = ("kind", "n", "dim", "_coords", "_matrix")
@@ -114,24 +125,41 @@ class PointSet:
         if i == j:
             return 0.0
         if self.kind == "euclidean":
-            return float(_euclidean(self._coords[j : j + 1], self._coords[i])[0])
+            return float(_euclidean(self._coords[j : j + 1], self._coords[i : i + 1])[0, 0])
         return float(self._matrix[i, j])
 
     def distances_from(self, i: int) -> np.ndarray:
         """All distances from point i, as a length-n array."""
         _check_index(i, self.n)
         if self.kind == "euclidean":
-            return _euclidean(self._coords, self._coords[i])
+            return _euclidean(self._coords, self._coords[i : i + 1])[0]
         return self._matrix[i].copy()
+
+    def row_blocks(self, *, upper: bool = False):
+        """Yield (start, block) for consecutive blocks of rows covering 0..n-1:
+        block[r] holds the distances from point start + r to every point, or,
+        when `upper`, to points start..n-1 only (the block's part of the upper
+        triangle, diagonal included). Each block holds as many rows as keep its
+        largest temporary within `_BLOCK_ENTRIES` floats, at least one.
+        Euclidean blocks are fresh arrays, bit for bit the rows
+        `distances_from` gives; a matrix kind's are read-only views of the
+        stored matrix."""
+        n = self.n
+        rows = max(1, _BLOCK_ENTRIES // (n * (self.dim or 1)))
+        for start in range(0, n, rows):
+            first = start if upper else 0
+            if self.kind == "euclidean":
+                yield start, _euclidean(self._coords[first:], self._coords[start : start + rows])
+            else:
+                yield start, self._matrix[start : start + rows, first:]
 
     def distance_matrix(self) -> np.ndarray:
         """Dense n-by-n distance matrix. O(n^2) memory; caller keeps it."""
         if self.kind == "matrix":
             return self._matrix
         out = np.empty((self.n, self.n), dtype=np.float64)
-        for i in range(self.n):
-            out[i] = self.distances_from(i)
-            out[i, i] = 0.0
+        for start, block in self.row_blocks():
+            out[start : start + len(block)] = block
         return out
 
     def restrict(self, indices: list[int]) -> "PointSet":
@@ -217,20 +245,23 @@ class RunConfig:
             raise PreconditionError("seed must fit in 64 unsigned bits")
 
 
-def diameter(ps) -> float:
-    """Maximum pairwise distance; 0 for a single point."""
-    return max(float(ps.distances_from(i).max()) for i in range(ps.n))
+def diameter(ps: PointSet) -> float:
+    """Maximum pairwise distance; 0 for a single point. Distances are
+    symmetric, so only the upper triangle is scanned."""
+    return max(float(block.max()) for _start, block in ps.row_blocks(upper=True))
 
 
-def min_offdiag_distance(ps) -> float:
-    """Smallest distance between two distinct points."""
+def min_offdiag_distance(ps: PointSet) -> float:
+    """Smallest distance between two distinct points, from the upper
+    triangle without its diagonal."""
     if ps.n < 2:
         raise PreconditionError("need at least 2 points")
     best = math.inf
-    for i in range(ps.n):
-        row = ps.distances_from(i)  # a fresh array
-        row[i] = math.inf
-        best = min(best, float(row.min()))
+    for _start, block in ps.row_blocks(upper=True):
+        # Column c of the block's row r is off the diagonal when c > r.
+        off_diagonal = block[np.arange(block.shape[1]) > np.arange(len(block))[:, None]]
+        if off_diagonal.size:
+            best = min(best, float(off_diagonal.min()))
     return best
 
 
@@ -324,6 +355,33 @@ def _load_csv(text: str) -> PointSet:
 
 
 def _load_matrix_csv(text: str) -> PointSet:
+    return PointSet.from_matrix(_parse_matrix_csv(text))
+
+
+# A '#' after a field on its line: `np.loadtxt` would drop the rest of the
+# line, where the line parser rejects the field.
+_INLINE_COMMENT = re.compile(r"[^\s#][^\S\n]*#")
+
+
+def _parse_matrix_csv(text: str) -> np.ndarray:
+    """The matrix a matrix-csv file holds, parsed by `np.loadtxt` (every
+    field converted as `float()` converts it). Whatever it cannot take as a
+    square matrix is parsed again line by line, to raise that parser's
+    message."""
+    if "#" not in text or not _INLINE_COMMENT.search(text):
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # a file with no rows
+                arr = np.loadtxt(io.StringIO(text), dtype=np.float64, delimiter=",", comments="#", ndmin=2)
+        except ValueError:
+            pass
+        else:
+            if arr.size and arr.shape[0] == arr.shape[1]:
+                return arr
+    return _parse_matrix_csv_lines(text)
+
+
+def _parse_matrix_csv_lines(text: str) -> np.ndarray:
     rows = {}  # line number -> values
     for lineno, raw in enumerate(io.StringIO(text), start=1):
         line = raw.strip()
@@ -339,7 +397,7 @@ def _load_matrix_csv(text: str) -> PointSet:
     for lineno, row in rows.items():
         if len(row) != n:
             raise PreconditionError(f"matrix-csv must be square; got {n} rows, but line {lineno} has {len(row)} fields")
-    return PointSet.from_matrix(np.asarray(list(rows.values()), dtype=np.float64))
+    return np.asarray(list(rows.values()), dtype=np.float64)
 
 
 def _validate_matrix(arr: np.ndarray) -> np.ndarray:
@@ -410,10 +468,13 @@ def _violates_triangle(arr: np.ndarray, tol: float) -> bool:
     return False
 
 
-def _euclidean(coords: np.ndarray, center: np.ndarray) -> np.ndarray:
-    """Distances from `center` to each row of `coords`."""
-    diff = coords - center
-    return np.sqrt(np.einsum("ij,ij->i", diff, diff))
+def _euclidean(coords: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Distances from each row of `centers` to each row of `coords`, as a
+    (len(centers), len(coords)) array. A row's bits do not depend on how
+    many centers share the call."""
+    diff = coords[None, :, :] - centers[:, None, :]
+    squares = np.einsum("bij,bij->bi", diff, diff)
+    return np.sqrt(squares, out=squares)
 
 
 def _check_index(i: int, n: int) -> None:

@@ -12,7 +12,11 @@ padding is the greedy that rescans the cells for every pair it appends.
 The net tree is grown on the whole clamped matrix to a depth taken from the
 smallest distance, with a separate parent pass, as the solver grew it
 before it read one row per joining point and stopped at the first full
-level.
+level. Euclidean rows come one at a time from the row kernel that blocks
+of rows replaced, and `diameter` and the smallest distance reduce over
+them. The pseudoforest coreset reads the whole n-by-n matrix: radii and
+far counts over its rows, the dense-ball scan row by row and the peel's
+distances to S as columns, as it did before it read blocks of rows.
 """
 from __future__ import annotations
 
@@ -21,7 +25,9 @@ import math
 
 import numpy as np
 
+from remote_div.coresets import Coreset, StPair
 from remote_div.errors import InternalInvariantError, PreconditionError
+from remote_div.gmm import gmm
 from remote_div.nets import _MAX_DEPTH, TARGET_DIAMETER, NetTree
 
 
@@ -292,3 +298,95 @@ def cut_net_tree(tree: NetTree, depth: int) -> NetTree:
     parent = {node: par for node, par in tree.parent.items() if node[0] <= depth}
     children = {node: (kids if node[0] < depth else []) for node, kids in tree.children.items() if node[0] <= depth}
     return NetTree(levels=levels, parent=parent, children=children, depth=depth)
+
+
+def euclidean_rows(coords: np.ndarray) -> np.ndarray:
+    """Every point's distance row, each from its own kernel call."""
+    rows = []
+    for center in coords:
+        diff = coords - center
+        rows.append(np.sqrt(np.einsum("ij,ij->i", diff, diff)))
+    return np.asarray(rows)
+
+
+def diameter_by_rows(ps) -> float:
+    return max(float(ps.distances_from(i).max()) for i in range(ps.n))
+
+
+def min_offdiag_by_rows(ps) -> float:
+    best = math.inf
+    for i in range(ps.n):
+        row = ps.distances_from(i)
+        row[i] = math.inf
+        best = min(best, float(row.min()))
+    return best
+
+
+def k_outlier_radius_by_matrix(dmat: np.ndarray, k: int) -> tuple[int, float]:
+    n = dmat.shape[0]
+    radii = np.array([np.partition(row, n - k - 1)[n - k - 1] for row in dmat])
+    center = int(np.argmin(radii))
+    return center, float(radii[center])
+
+
+def find_separated_sets_by_matrix(ps, k: int, epsilon: float, radius: float) -> StPair:
+    n = ps.n
+    dmat = ps.distance_matrix()
+    far_counts = (dmat >= radius).sum(axis=1)
+    if int(far_counts.min()) < k:
+        raise PreconditionError(
+            "radius guarantee violated: some point has fewer than k points at distance >= radius"
+        )
+    r_sep = epsilon * radius / 2.0
+    for x in range(n):
+        near = np.nonzero(dmat[x] <= radius / 2.0)[0]
+        if len(near) >= k:
+            s = [int(i) for i in near[:k]]
+            t = [int(i) for i in np.nonzero(dmat[x] >= radius)[0] if int(i) not in set(s)][:k]
+            if len(t) < k:
+                raise InternalInvariantError("far-point pool shrank below k in dense branch")
+            return StPair(sorted(s), sorted(t), float(dmat[np.ix_(s, t)].min()), "dense")
+    growth_cap = float(k) ** epsilon
+    max_step = int(np.floor(1.0 / epsilon + 1e-12))
+    alive = np.ones(n, dtype=bool)
+    peeled: list[int] = []
+    while len(peeled) < k:
+        alive_idx = np.nonzero(alive)[0]
+        if len(alive_idx) == 0:
+            raise InternalInvariantError("peeling exhausted the dataset before k points")
+        drow = dmat[int(alive_idx[0])]
+        counts = [int(np.count_nonzero(alive & (drow <= step * r_sep))) for step in range(max_step + 2)]
+        chosen_step = -1
+        for step in range(max_step + 1):
+            if counts[step + 1] <= growth_cap * counts[step]:
+                chosen_step = step
+                break
+        if chosen_step < 0:
+            raise InternalInvariantError("no annulus with bounded growth; peeling cannot proceed")
+        if counts[chosen_step] > k:
+            raise InternalInvariantError("annulus unexpectedly larger than k")
+        for i in np.nonzero(alive & (drow <= chosen_step * r_sep))[0]:
+            alive[i] = False
+            peeled.append(int(i))
+    s = peeled[:k]
+    min_to_s = dmat[:, np.asarray(s)].min(axis=1)
+    t = [int(i) for i in np.nonzero(min_to_s >= r_sep)[0] if int(i) not in set(s)][:k]
+    if len(t) < k:
+        raise InternalInvariantError("fewer than k points stayed clear of the peeled set")
+    return StPair(sorted(s), sorted(t), float(dmat[np.ix_(s, t)].min()), "peel")
+
+
+def pf_coreset_by_matrix(ps, k: int, epsilon: float, gmm_start: int = 0, part_id: int = 0) -> tuple[Coreset, StPair]:
+    """The coreset of a part at or above the size threshold, and its S/T pair."""
+    n = ps.n
+    dmat = ps.distance_matrix()
+    centers = gmm(ps, k, gmm_start).centers
+    x, radius = k_outlier_radius_by_matrix(dmat, k)
+    u_block = sorted(int(i) for i in np.lexsort((np.arange(n), -dmat[x]))[:k])
+    p_block = [int(i) for i in np.nonzero(dmat[x] <= radius)[0][:k]]
+    if len(p_block) < k:
+        raise InternalInvariantError("ball around the outlier center holds fewer than k points")
+    pair = find_separated_sets_by_matrix(ps, k, epsilon, radius)
+    blocks = {"P": p_block, "S": pair.s, "T": pair.t, "U": u_block, "Y": sorted(centers)}
+    indices = sorted(set().union(*blocks.values()))
+    return Coreset(part_id, indices, "pseudoforest", k, False, blocks), pair

@@ -87,15 +87,17 @@ def test_outlier_radius_ball_guarantee():
 
 
 def test_outlier_radius_partitions_one_row_at_a_time():
-    # The radii are the rows' order statistics, and the scan never copies
-    # the whole matrix.
-    ps = random_euclidean(1520, 400)
+    # The radii are the rows' order statistics, and the blocked pass never
+    # holds the whole matrix. At n=400 one block's temporaries already
+    # reach a tenth of the matrix, so n is larger.
+    ps = random_euclidean(1520, 800)
     k = 7
     dmat = ps.distance_matrix()
     radii = np.sort(dmat, axis=1)[:, ps.n - k - 1]
+    del dmat
     tracemalloc.start()
     try:
-        center, radius = k_outlier_radius(ps, k, dmat=dmat)
+        center, radius = k_outlier_radius(ps, k)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -226,6 +228,20 @@ def test_pf_coreset_counts_distinct_indices_once():
 def test_pf_coreset_determinism():
     ps = random_euclidean(12, 40)
     assert pf_coreset(ps, 3, 1.0) == pf_coreset(ps, 3, 1.0)
+
+
+def test_pf_coreset_peaks_below_a_tenth_of_one_square_matrix():
+    # Radii, far counts and the dense-ball scan read blocks of rows; P, U,
+    # the peel and the separation read single rows.
+    ps = random_euclidean(1530, 2000)
+    tracemalloc.start()
+    try:
+        core = pf_coreset(ps, 10, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not core.passthrough
+    assert peak < ps.n * ps.n * 8 / 10
 
 
 def test_pf_coreset_rejects_bad_epsilon():

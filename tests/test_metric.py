@@ -19,10 +19,17 @@ from remote_div import (
     load_pointset,
     pf_cost,
 )
+from remote_div import metric
 from remote_div.metric import VALIDATION_RTOL, min_offdiag_distance
 from remote_div.rng import stream_rng
 from conftest import line_pointset, random_euclidean, random_matrix_metric
-from oracles import symmetrized, triangle_violation_scan
+from oracles import (
+    diameter_by_rows,
+    euclidean_rows,
+    min_offdiag_by_rows,
+    symmetrized,
+    triangle_violation_scan,
+)
 
 
 def test_distance_345_triangle():
@@ -203,6 +210,116 @@ def test_diameter_and_min_distance_allocate_no_square_matrix():
         tracemalloc.stop()
     assert got == expected
     assert peak < ps.n * ps.n * 8 / 10
+
+
+@st.composite
+def block_instances(draw):
+    """Points in 1, 2, 3, 8 or 37 dimensions: n of 1, 2, one below, at or one
+    above the largest n whose rows fit one block, or up to three such
+    blocks' worth; coincident points in half the draws; scales 2^-500 ..
+    2^500."""
+    dim = draw(st.sampled_from([1, 2, 3, 8, 37]))
+    one_block = max(n for n in range(1, 200) if metric._BLOCK_ENTRIES // (n * dim) >= n)
+    n = draw(st.sampled_from([1, 2, one_block - 1, one_block, one_block + 1]) | st.integers(1, 3 * one_block))
+    rng = stream_rng(draw(st.integers(0, 2**32)), 0)
+    coords = rng.standard_normal((n, dim))
+    if draw(st.booleans()):
+        coords = coords[rng.integers(0, draw(st.integers(1, n)), n)]
+    return coords * 2.0 ** draw(st.integers(-500, 500))
+
+
+@given(block_instances())
+def test_row_blocks_are_the_rows_bit_for_bit(coords):
+    ps = PointSet.from_coords(coords)
+    rows = euclidean_rows(ps.coords)
+    assert np.array([ps.distances_from(i) for i in range(ps.n)]).tobytes() == rows.tobytes()
+    assert ps.distance_matrix().tobytes() == rows.tobytes()
+    as_matrix = PointSet.from_matrix(rows)
+    for points in (ps, as_matrix):
+        for upper in (False, True):
+            covered = 0
+            for start, block in points.row_blocks(upper=upper):
+                assert start == covered
+                expected = rows[start : start + len(block), start if upper else 0 :]
+                assert block.tobytes() == np.ascontiguousarray(expected).tobytes()
+                assert block.flags.writeable == (points is ps)
+                covered += len(block)
+            assert covered == ps.n
+        assert diameter(points).hex() == diameter_by_rows(points).hex()
+        if ps.n >= 2:
+            assert min_offdiag_distance(points).hex() == min_offdiag_by_rows(points).hex()
+
+
+_SUBNORMALS = st.sampled_from([5e-324, -5e-324, 1e-310, 2.225073858507201e-308, -0.0])
+
+
+@st.composite
+def matrix_csv_texts(draw):
+    """A square matrix-csv text: each double written as its repr, in
+    exponent form (either case) or with 3 or 17 significant digits, with an
+    optional sign and spaces or tabs around it; \\n or \\r\\n line ends,
+    comment and blank lines between rows. Returns (text, fields)."""
+    n = draw(st.integers(1, 6))
+    fields = []
+    for _ in range(n * n):
+        x = draw(st.floats() | _SUBNORMALS)
+        form = draw(st.sampled_from(["{!r}", "{:.17e}", "{:.17E}", "{:+.17g}", "{:.3g}", "{:+e}"]))
+        pad = st.sampled_from(["", " ", "\t", "  "])
+        fields.append(draw(pad) + form.format(x) + draw(pad))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    lines = []
+    for i in range(n):
+        lines.extend(draw(st.lists(st.sampled_from(["", "# dim=3", "#, 1, 2"]), max_size=2)))
+        lines.append(",".join(fields[i * n : (i + 1) * n]))
+    return newline.join(lines) + draw(st.sampled_from(["", newline])), fields
+
+
+@given(matrix_csv_texts())
+def test_matrix_csv_fields_parse_as_python_floats(instance):
+    text, fields = instance
+    n = int(len(fields) ** 0.5)
+    expected = np.array([float(f) for f in fields]).reshape(n, n)
+    assert metric._parse_matrix_csv(text).tobytes() == expected.tobytes()
+
+
+def _parsed_or_error(parse, text):
+    try:
+        arr = parse(text)
+    except PreconditionError as exc:
+        return str(exc)
+    return arr.shape, arr.tobytes()
+
+
+_NUMBERS = st.sampled_from(["0", "1.5", " 2e-3 ", "-0", "+.5", "inf", "nan", "1e999", "5e-324"])
+_ODD_FIELDS = st.sampled_from(["", " ", "\t", "\xa0", "1 # c", "1#", "x", "1_0", "0x1p3", "\u0661", "1 2"])
+
+
+@st.composite
+def messy_matrix_csv_texts(draw):
+    """Mostly square files of 1-3 rows, with odd fields, comments after a
+    row's last field, rows one field short or long (all of them or one),
+    comment lines (indented or not), lines of spaces, and \\n, \\r\\n or
+    lone \\r line ends."""
+    n = draw(st.integers(1, 3))
+    field = _NUMBERS | _NUMBERS | _NUMBERS | _ODD_FIELDS
+    width = max(1, n + draw(st.sampled_from([0, 0, 0, 1, -1])))
+    lines = []
+    for _ in range(n):
+        row_width = max(1, width + draw(st.sampled_from([0, 0, 0, 0, 0, 1, -1])))
+        line = ",".join(draw(st.lists(field, min_size=row_width, max_size=row_width)))
+        lines.append(line + draw(st.sampled_from(["", "", "", "", " # c", "#"])))
+    for line in draw(st.lists(st.sampled_from(["", "# c", "  # c", "   "]), max_size=2)):
+        lines.insert(draw(st.integers(0, len(lines))), line)
+    newline = st.sampled_from(["\n", "\n", "\r\n", "\r"])
+    return "".join(line + draw(newline) for line in lines)
+
+
+@given(messy_matrix_csv_texts())
+def test_matrix_csv_parse_agrees_with_the_line_parser(text):
+    # Whatever np.loadtxt would take differently (a comment after a field,
+    # a lone \r, a line of spaces, a ragged or non-square file) must end
+    # in the line parser's result or message.
+    assert _parsed_or_error(metric._parse_matrix_csv, text) == _parsed_or_error(metric._parse_matrix_csv_lines, text)
 
 
 def test_matrix_validation_accepts_large_scale_rounding():

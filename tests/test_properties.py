@@ -3,12 +3,15 @@ when every coordinate is scaled by a power of two (exact in floating point),
 or when the same geometry is given as a distance matrix; and the matching
 solver's and coreset's same-cell padding is the greedy that rescans the
 cells for every pair; and the net tree is the matrix-built tree cut at its
-first full level."""
+first full level; and the pseudoforest coreset read in blocks of rows is
+the one read from the whole matrix."""
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
+import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
@@ -16,9 +19,13 @@ from remote_div import (
     Objective,
     PointSet,
     RunConfig,
+    PreconditionError,
+    StPair,
     brute_force_diversity,
     build_net_tree,
     dp_antichain,
+    find_separated_sets,
+    k_outlier_radius,
     gmm,
     mwm_coreset,
     mwm_offline,
@@ -28,8 +35,17 @@ from remote_div import (
     rescale_and_clamp,
     voronoi_partition,
 )
+from remote_div.errors import InternalInvariantError
 from remote_div.matching import same_cell_pairs
-from oracles import cut_net_tree, fill_same_cell_pairs, net_tree_by_matrix
+from remote_div.rng import stream_rng
+from oracles import (
+    cut_net_tree,
+    fill_same_cell_pairs,
+    find_separated_sets_by_matrix,
+    k_outlier_radius_by_matrix,
+    net_tree_by_matrix,
+    pf_coreset_by_matrix,
+)
 
 
 @st.composite
@@ -134,3 +150,66 @@ def test_net_tree_is_the_matrix_tree_cut_at_its_first_full_level(instance):
         assert solved_on == tree
         assert solution.indices == points
         assert solution.value.hex() == pf_cost(ps, points, with_witness=False).value.hex()
+
+
+@st.composite
+def coreset_instances(draw):
+    """Parts at the coreset's size threshold 2k^(1+eps)+k (exactly, where it
+    is an integer) or a few points above it: 1-3-D grid points (the coarse
+    grid makes coincident points), or clumps of points at the corners of a
+    simplex or of a matrix of near-equal distances (no half-radius ball
+    holds k points, so the peel runs, cutting through a clump when S fills
+    up); a clump's points are of consecutive indices or scattered. Each
+    Euclidean part may come as its distance matrix."""
+    k = draw(st.sampled_from([3, 2, 4, 1]))
+    epsilon = draw(st.sampled_from([1.0, 0.5, 0.25]))
+    n = math.ceil(2.0 * k ** (1.0 + epsilon) + k) + draw(st.sampled_from([0, 0, 1, 5]))
+    rng = stream_rng(draw(st.integers(0, 2**32)), 0)
+    shape = draw(st.sampled_from(["grid", "simplex", "near-equal"]))
+    corner = np.arange(n) // draw(st.integers(1, max(1, k - 1)))  # clumps of under k points
+    if draw(st.booleans()):
+        corner = rng.permutation(corner)
+    if shape == "grid":
+        side = draw(st.sampled_from([3, 1000]))
+        coords = rng.integers(0, side + 1, (n, draw(st.integers(1, 3)))) * 2.0 ** draw(st.integers(-30, 30))
+        ps = PointSet.from_coords(coords)
+    elif shape == "simplex":
+        ps = PointSet.from_coords(np.eye(n)[corner] + rng.integers(0, 4, (n, n)) / 256.0)
+    else:
+        across = np.triu(1.0 + rng.integers(0, 21, (n, n)) / 100.0, 1)
+        across += across.T
+        dmat = np.where(corner[:, None] == corner[None, :], 0.01, across[np.ix_(corner, corner)])
+        np.fill_diagonal(dmat, 0.0)
+        ps = PointSet.from_matrix(dmat)
+    if ps.kind == "euclidean" and draw(st.booleans()):
+        ps = PointSet.from_matrix(ps.distance_matrix())
+    return ps, k, epsilon, draw(st.integers(0, n - 1))
+
+
+def _pair_or_error(find, *args):
+    try:
+        pair = find(*args)
+    except (PreconditionError, InternalInvariantError) as exc:
+        return type(exc).__name__, str(exc)
+    assert isinstance(pair, StPair)
+    return pair.s, pair.t, pair.separation.hex(), pair.branch
+
+
+@given(coreset_instances())
+def test_pf_coreset_is_the_coreset_read_from_the_whole_matrix(instance):
+    ps, k, epsilon, start = instance
+    expected, pair = pf_coreset_by_matrix(ps, k, epsilon, start, part_id=3)
+    assert pf_coreset(ps, k, epsilon, start, part_id=3).to_dict() == expected.to_dict()
+    dmat = ps.distance_matrix()
+    center, radius = k_outlier_radius(ps, k)
+    assert (center, radius) == k_outlier_radius_by_matrix(dmat, k)
+    assert _pair_or_error(find_separated_sets, ps, k, epsilon, radius) == (
+        pair.s, pair.t, pair.separation.hex(), pair.branch
+    )
+    # The largest radius every row's far count admits, the next double and NaN.
+    largest = float(np.sort(dmat, axis=1)[:, -k].min())
+    for r in (largest, float(np.nextafter(largest, np.inf)), math.nan):
+        got = _pair_or_error(find_separated_sets, ps, k, epsilon, r)
+        assert got == _pair_or_error(find_separated_sets_by_matrix, ps, k, epsilon, r)
+    with pytest.raises(PreconditionError, match="^radius guarantee violated"):
+        find_separated_sets(ps, k, epsilon, float(np.nextafter(largest, np.inf)))
