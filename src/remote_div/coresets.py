@@ -9,8 +9,11 @@ The pseudoforest coreset combines five blocks of at most k points each:
 the k points covering the dataset best (P, inside the smallest ball that
 excludes at most k outliers), the k outliers themselves (U), the greedy
 farthest-point centers (Y), and two well-separated sets S and T found by a
-density/peeling argument. The matching coreset is the farthest-point
-centers plus k/2 spare same-cell pairs.
+density/peeling argument. The radii, the far counts and the dense-ball
+scan reduce over every pair: in blocks of rows, or, on the cell grid of
+low-dimensional Euclidean input, over the candidate cells its bounds
+leave, reading the same distances bit for bit. The matching coreset is the
+farthest-point centers plus k/2 spare same-cell pairs.
 """
 from __future__ import annotations
 
@@ -21,7 +24,7 @@ import numpy as np
 from .errors import InternalInvariantError, PreconditionError
 from .gmm import gmm, voronoi_partition
 from .matching import same_cell_pairs
-from .metric import PointSet
+from .metric import PointSet, _CellGrid, _cell_grid
 
 PF_BLOCKS = ("P", "S", "T", "U", "Y")
 
@@ -76,15 +79,40 @@ def k_outlier_radius(ps: PointSet, k: int, *, kth_largest: np.ndarray | None = N
 
 
 def _order_statistics(ps: PointSet, k: int, radii: np.ndarray, kth_largest: np.ndarray) -> None:
-    """Fill each row's (k+1)-th and k-th largest distances in one blocked
-    pass. One partition per block at position n-k-1 (ascending) puts the
-    (k+1)-th largest there and the k largest after it."""
-    n = ps.n
-    for start, block in ps.row_blocks():
-        part = np.partition(block, n - k - 1, axis=1)
-        stop = start + len(block)
-        radii[start:stop] = part[:, n - k - 1]
-        kth_largest[start:stop] = part[:, n - k :].min(axis=1, initial=np.inf)  # inf for k=0
+    """Fill each row's (k+1)-th and k-th largest distances. One partition
+    per block of rows at position m-k-1 (ascending) of its m columns puts the
+    (k+1)-th largest there and the k largest after it.
+
+    Without a cell grid the blocks are whole rows. On a grid, a source
+    cell's rows need only the columns of cells whose upper bound reaches L:
+    the lower bounds of the farthest cells, taken in falling order until
+    their points number k+1, make L a lower bound on every one of its
+    rows' (k+1)-th largest distance, and no column left out reaches it."""
+    grid = _cell_grid(ps)
+    if grid is None:
+        blocks = ((slice(start, start + len(block)), block) for start, block in ps.row_blocks())
+    else:
+        blocks = _far_blocks(ps, grid, k)
+    for rows, block in blocks:
+        m = block.shape[1]
+        part = np.partition(block, m - k - 1, axis=1)
+        radii[rows] = part[:, m - k - 1]
+        kth_largest[rows] = part[:, m - k :].min(axis=1, initial=np.inf)  # inf for k=0
+
+
+def _far_blocks(ps: PointSet, grid: _CellGrid, k: int):
+    """Yield (rows, block) covering every point once: the distances from
+    `rows` (one source cell's points, or a slice of them) to every point
+    that can be among a row's k+1 largest."""
+    everything = np.arange(grid.size)
+    for c in range(grid.size):
+        lower, upper = grid.bounds(c)
+        top = everything if grid.size <= k + 1 else np.argpartition(-lower, k)[: k + 1]
+        top = top[np.argsort(-lower[top], kind="stable")]
+        enough = np.searchsorted(np.cumsum(grid.counts[top]), k + 1)
+        rows = grid.members(c)
+        for start, block in ps.blocks_between(rows, grid.gather(np.flatnonzero(upper >= lower[top[enough]]))):
+            yield rows[start : start + len(block)], block
 
 
 def find_separated_sets(
@@ -126,17 +154,16 @@ def find_separated_sets(
     r_sep = epsilon * radius / 2.0
 
     # Dense branch: first point (index order) whose radius/2 ball holds >= k points.
-    for start, block in ps.row_blocks():
-        dense = np.flatnonzero(np.count_nonzero(block <= radius / 2.0, axis=1) >= k)
-        if dense.size:
-            row = block[dense[0]]
-            near = np.nonzero(row <= radius / 2.0)[0]
-            s = [int(i) for i in near[:k]]
-            s_set = set(s)
-            t = [int(i) for i in np.nonzero(row >= radius)[0] if int(i) not in s_set][:k]
-            if len(t) < k:
-                raise InternalInvariantError("far-point pool shrank below k in dense branch")
-            return StPair(sorted(s), sorted(t), _cross_separation(ps, s, t), "dense")
+    dense = _first_dense(ps, k, radius / 2.0)
+    if dense is not None:
+        row = ps.distances_from(dense)
+        near = np.nonzero(row <= radius / 2.0)[0]
+        s = [int(i) for i in near[:k]]
+        s_set = set(s)
+        t = [int(i) for i in np.nonzero(row >= radius)[0] if int(i) not in s_set][:k]
+        if len(t) < k:
+            raise InternalInvariantError("far-point pool shrank below k in dense branch")
+        return StPair(sorted(s), sorted(t), _cross_separation(ps, s, t), "dense")
 
     # Peeling branch.
     growth_cap = float(k) ** epsilon
@@ -174,6 +201,38 @@ def find_separated_sets(
     if len(t) < k:
         raise InternalInvariantError("fewer than k points stayed clear of the peeled set")
     return StPair(sorted(s), sorted(t), _cross_separation(ps, s, t), "peel")
+
+
+def _first_dense(ps: PointSet, k: int, half: float) -> int | None:
+    """The lowest-index point with at least k points (itself included) at
+    distance <= half, or None.
+
+    Without a cell grid, blocks of rows are scanned in order. On a grid,
+    cells are taken in the order of their lowest point until that passes
+    the best found; a cell counts the points of cells wholly inside the
+    ball in full, skips cells wholly outside, and reads distances only to
+    the points of cells that straddle its boundary."""
+    grid = _cell_grid(ps)
+    if grid is None:
+        for start, block in ps.row_blocks():
+            dense = np.flatnonzero(np.count_nonzero(block <= half, axis=1) >= k)
+            if dense.size:
+                return start + int(dense[0])
+        return None
+    best = None
+    for c in np.argsort(grid.order[grid.starts[:-1]]).tolist():
+        rows = grid.members(c)
+        if best is not None and rows[0] > best:
+            break
+        lower, upper = grid.bounds(c)
+        inside = int(grid.counts[upper <= half].sum())
+        for start, block in ps.blocks_between(rows, grid.gather(np.flatnonzero((lower <= half) & (upper > half)))):
+            dense = np.flatnonzero(inside + np.count_nonzero(block <= half, axis=1) >= k)
+            if dense.size:
+                found = int(rows[start + dense[0]])
+                best = found if best is None else min(best, found)
+                break
+    return best
 
 
 def _cross_separation(ps: PointSet, s: list[int], t: list[int]) -> float:

@@ -15,9 +15,16 @@ Every Euclidean distance, single, in a row or in a block of rows, comes
 from one kernel (`_euclidean`), so the same pair always gets the same bits;
 the kernel is bitwise symmetric, so a column read equals a row read.
 A reduction over all pairs (`diameter`, `min_offdiag_distance`, the
-coreset's radii and dense-ball scan) walks `PointSet.row_blocks`, whose
-largest temporary stays within `_BLOCK_ENTRIES` floats, so none builds an
-n-by-n matrix.
+coreset's radii and dense-ball scan) builds no n-by-n matrix. On Euclidean
+input of at most `_GRID_MAX_DIM` dimensions it runs over a cell grid
+(`_CellGrid`): points bucketed by cell, each cell with the tight bounding
+box of its points, whose box-distance bounds, widened by a margin and
+computed one source cell at a time, only propose candidate cells; every
+distance a decision rests on comes from the kernel through
+`PointSet.blocks_between`, so the bits, and ties to the lowest index, are
+those of whole rows. Matrix input and higher dimensions walk
+`PointSet.row_blocks`. Every block's largest temporary stays within
+`_BLOCK_ENTRIES` floats.
 
 Point identity is by index into the original dataset. Every subset that
 the algorithms pass around is a list of indices, never a copy of the
@@ -42,6 +49,11 @@ from .errors import InternalInvariantError, PreconditionError
 VALIDATION_RTOL = 1e-9
 _ROW_BLOCK = 64  # rows per block of the triangle check
 _BLOCK_ENTRIES = 1 << 12  # floats in the largest temporary of one row block
+_GRID_MAX_DIM = 3  # Euclidean dimensions up to this one reduce over a cell grid
+# A cell-pair bound widens by this much, relative and absolute, so that it
+# also bounds the kernel's rounded distances, underflowed squares included.
+_BOUND_RTOL = 1e-9
+_BOUND_ATOL = 2.0**-530
 
 
 class Objective(enum.Enum):
@@ -153,6 +165,21 @@ class PointSet:
             else:
                 yield start, self._matrix[start : start + rows, first:]
 
+    def blocks_between(self, rows: np.ndarray, cols: np.ndarray):
+        """Yield (start, block) for consecutive slices of the index array
+        `rows`: block[r, j] is the distance from point rows[start + r] to
+        point cols[j], bit for bit the entry `distances_from` gives. Blocks
+        are fresh arrays, each holding as many rows as keep its largest
+        temporary within `_BLOCK_ENTRIES` floats, at least one."""
+        step = max(1, _BLOCK_ENTRIES // (max(1, len(cols)) * (self.dim or 1)))
+        points = self._coords[cols] if self.kind == "euclidean" else None
+        for start in range(0, len(rows), step):
+            chunk = rows[start : start + step]
+            if points is not None:
+                yield start, _euclidean(points, self._coords[chunk])
+            else:
+                yield start, self._matrix[np.ix_(chunk, cols)]
+
     def distance_matrix(self) -> np.ndarray:
         """Dense n-by-n distance matrix. O(n^2) memory; caller keeps it."""
         if self.kind == "matrix":
@@ -208,13 +235,23 @@ class ClampedMetric:
         return float(self.distances_from(i)[j])
 
     def distances_from(self, i: int) -> np.ndarray:
-        """All clamped distances from point i, as a fresh length-n array.
-        Scale and floor are applied here and nowhere else."""
-        row = self.base.distances_from(i)  # a fresh array
-        row *= self.scale
-        np.maximum(row, self.floor, out=row)
+        """All clamped distances from point i, as a fresh length-n array."""
+        row = self._clamp(self.base.distances_from(i))
         row[i] = 0.0
         return row
+
+    def blocks_between(self, rows: np.ndarray, cols: np.ndarray):
+        """`PointSet.blocks_between` of the clamped distances."""
+        for start, block in self.base.blocks_between(rows, cols):
+            block = self._clamp(block)
+            block[rows[start : start + len(block), None] == cols] = 0.0
+            yield start, block
+
+    def _clamp(self, distances: np.ndarray) -> np.ndarray:
+        """Scale and floor a fresh array of base distances in place: the one
+        place they are applied."""
+        distances *= self.scale
+        return np.maximum(distances, self.floor, out=distances)
 
     def distance_matrix(self) -> np.ndarray:
         """A fresh dense matrix, one `distances_from` row at a time."""
@@ -247,22 +284,136 @@ class RunConfig:
 
 def diameter(ps: PointSet) -> float:
     """Maximum pairwise distance; 0 for a single point. Distances are
-    symmetric, so only the upper triangle is scanned."""
-    return max(float(block.max()) for _start, block in ps.row_blocks(upper=True))
+    symmetric, so only the upper triangle is scanned, or, on a cell grid,
+    the cell pairs whose upper bound reaches the best distance so far."""
+    grid = _cell_grid(ps)
+    if grid is None:
+        return max(float(block.max()) for _start, block in ps.row_blocks(upper=True))
+    # The double sweep from point 0 gives a pair's distance to start from.
+    best, far = 0.0, 0
+    for _ in range(2):
+        row = ps.distances_from(far)
+        far = int(np.argmax(row))
+        best = max(best, float(row[far]))
+    cells = np.flatnonzero(grid.reach() >= best)
+    for pos, c in enumerate(cells.tolist()):
+        later = cells[pos:]
+        _lower, upper = grid.bounds(c, later)
+        for _start, block in ps.blocks_between(grid.members(c), grid.gather(later[upper >= best])):
+            best = float(block.max(initial=best))
+    return best
 
 
 def min_offdiag_distance(ps: PointSet) -> float:
     """Smallest distance between two distinct points, from the upper
-    triangle without its diagonal."""
+    triangle without its diagonal, or, on a cell grid, from the cell pairs
+    whose lower bound is within the best distance so far."""
     if ps.n < 2:
         raise PreconditionError("need at least 2 points")
     best = math.inf
-    for _start, block in ps.row_blocks(upper=True):
-        # Column c of the block's row r is off the diagonal when c > r.
-        off_diagonal = block[np.arange(block.shape[1]) > np.arange(len(block))[:, None]]
-        if off_diagonal.size:
-            best = min(best, float(off_diagonal.min()))
+    grid = _cell_grid(ps)
+    if grid is None:
+        for _start, block in ps.row_blocks(upper=True):
+            # Column c of the block's row r is off the diagonal when c > r.
+            off_diagonal = block[np.arange(block.shape[1]) > np.arange(len(block))[:, None]]
+            if off_diagonal.size:
+                best = min(best, float(off_diagonal.min()))
+        return best
+    for c in range(grid.size):
+        later = np.arange(c, grid.size)
+        lower, _upper = grid.bounds(c, later)
+        rows, cols = grid.members(c), grid.gather(later[lower <= best])
+        for start, block in ps.blocks_between(rows, cols):
+            block[rows[start : start + len(block), None] == cols] = math.inf
+            best = float(block.min(initial=best))
     return best
+
+
+class _CellGrid:
+    """Euclidean points bucketed by the cells of a regular grid, ascending
+    index within a cell; only occupied cells are kept, each with the tight
+    bounding box of its members.
+
+    Cells only propose candidates. Their bounds are widened to cover the
+    kernel's rounding, and every distance a caller decides on comes from
+    `PointSet.blocks_between`, so which cell a point lands in moves work,
+    never a result. The side is picked for about n^(1/3) points per cell,
+    which balances the callers' cells-squared bound work against the
+    distances they read from candidate cells, and halved while the points
+    fill under a quarter of that many cells (they lie near a line).
+    """
+
+    __slots__ = ("order", "starts", "counts", "lo", "hi")
+
+    def __init__(self, coords: np.ndarray):
+        n = coords.shape[0]
+        low = coords.min(axis=0)
+        extent = coords.max(axis=0) - low
+        wanted = max(1, round(n ** (2.0 / 3.0)))
+        spread = extent[extent > 0.0]
+        ids = np.zeros(n, dtype=np.int64)
+        if spread.size:
+            side = math.exp((float(np.log(spread).sum()) - math.log(wanted)) / spread.size)
+            while side > 0.0:
+                shape = np.floor(extent / side) + 1.0
+                if not float(np.prod(shape)) < 2.0**62:
+                    break
+                cell = np.minimum(np.floor((coords - low) / side), shape - 1.0).astype(np.int64)
+                ids = cell @ np.cumprod(np.concatenate(([1.0], shape[:-1]))).astype(np.int64)
+                if np.unique(ids).size * 4 >= wanted:
+                    break
+                side /= 2.0
+        self.order = np.argsort(ids, kind="stable")
+        first = np.concatenate(([0], np.flatnonzero(np.diff(ids[self.order])) + 1))
+        self.starts = np.append(first, n)
+        self.counts = np.diff(self.starts)
+        grouped = coords[self.order]
+        self.lo = np.minimum.reduceat(grouped, first, axis=0)
+        self.hi = np.maximum.reduceat(grouped, first, axis=0)
+
+    @property
+    def size(self) -> int:
+        return len(self.counts)
+
+    def members(self, c: int) -> np.ndarray:
+        """Cell c's points, ascending."""
+        return self.order[self.starts[c] : self.starts[c + 1]]
+
+    def gather(self, cells: np.ndarray) -> np.ndarray:
+        """The points of `cells`, ascending."""
+        lens = self.counts[cells]
+        shift = np.repeat(self.starts[cells] - (np.cumsum(lens) - lens), lens)
+        return np.sort(self.order[shift + np.arange(len(shift))])
+
+    def bounds(self, c: int, cells: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """Lower and upper bounds on the kernel's distance from a point of
+        cell c to a point of each of `cells` (of every cell by default)."""
+        lo, hi = (self.lo, self.hi) if cells is None else (self.lo[cells], self.hi[cells])
+        gap = np.maximum(lo - self.hi[c], self.lo[c] - hi)
+        np.maximum(gap, 0.0, out=gap)
+        far = np.maximum(hi - self.lo[c], self.hi[c] - lo)
+        return _widened(gap)[0], _widened(far)[1]
+
+    def reach(self) -> np.ndarray:
+        """An upper bound, per cell, on the distance from one of its points
+        to any point."""
+        far = np.maximum(self.hi.max(axis=0) - self.lo, self.hi - self.lo.min(axis=0))
+        return _widened(far)[1]
+
+
+def _widened(sides: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The norms of the rows of `sides`, less and more a margin that covers
+    the kernel's rounding and underflow on either side."""
+    norm = np.sqrt(np.einsum("ij,ij->i", sides, sides))
+    return norm * (1.0 - _BOUND_RTOL) - _BOUND_ATOL, norm * (1.0 + _BOUND_RTOL) + _BOUND_ATOL
+
+
+def _cell_grid(ps: PointSet) -> _CellGrid | None:
+    """The cell grid of a Euclidean point set of at most `_GRID_MAX_DIM`
+    dimensions; None for the others, whose reductions scan blocks of rows."""
+    if ps.kind != "euclidean" or ps.dim > _GRID_MAX_DIM:
+        return None
+    return _CellGrid(ps.coords)
 
 
 # ---------------------------------------------------------------------------

@@ -14,11 +14,14 @@ set of points pairwise separated by 5^-l/20, each level extending the one
 above, down to the first level that holds every point. Linking every net
 point to its closest point one level up gives a tree whose nodes are
 (point, level) pairs. Each point's clamped row is read once, when it joins
-a net, so no n-by-n matrix is formed. Selecting k nodes that form an
-antichain (no node an ancestor of another) and maximizing the sum of
-5^-level values is solved exactly by a knapsack-style dynamic program over
-children; the selected nodes map to k distinct points whose pseudoforest
-cost is within a constant factor of the best possible.
+a net, so no n-by-n matrix is formed; at a level whose separation is at
+most the floor every remaining point joins without reading its row, and
+its parent comes from blocks of distances to the level above. Selecting k
+nodes that form an antichain (no node an ancestor of another) and
+maximizing the sum of 5^-level values is solved exactly by a
+knapsack-style dynamic program over children; the selected nodes map to k
+distinct points whose pseudoforest cost is within a constant factor of the
+best possible.
 """
 from __future__ import annotations
 
@@ -71,7 +74,7 @@ def rescale_and_clamp(ps: PointSet, k: int) -> ClampedMetric:
         raise PreconditionError("need at least 2 points to rescale")
     diam = diameter(ps)
     if diam <= 0.0:
-        raise PreconditionError("all points coincide; diameter is zero")
+        raise PreconditionError("diameter is zero: all points coincide, or their squared differences underflow to zero")
     scale = TARGET_DIAMETER / diam
     # Scaling is monotone, so this is the smallest scaled distance.
     if ps.n >= 2 * k or min_offdiag_distance(ps) * scale <= 0.0:
@@ -87,11 +90,17 @@ def build_net_tree(metric: ClampedMetric, root: int = 0) -> NetTree:
     level l as soon as it is at distance >= 5^-l/20 from everything already
     in the level. A point's clamped row is read once, when it joins: it
     lowers every point's distance to the net and names the point's parent,
-    its closest member of the level above (ties to the lowest index).
+    its closest member of the level above (ties to the lowest index). At a
+    level whose separation is at most the floor, every clamped distance
+    clears it, so all remaining points join without reading their rows, and
+    their parents come from blocks of distances to the level above.
     """
     n = metric.n
     if not (0 <= root < n):
         raise PreconditionError(f"root index {root} out of range for n={n}")
+    # Clamping is monotone, so this is the largest entry of every row.
+    if n >= 2 and max(metric.scale * diameter(metric.base), metric.floor) > TARGET_DIAMETER * (1.0 + 1e-12):
+        raise PreconditionError("net tree expects a metric rescaled to diameter <= 1/20")
     in_net = np.zeros(n, dtype=bool)
     in_net[root] = True
     mind = _net_row(metric, root)  # distance to the current net
@@ -108,6 +117,14 @@ def build_net_tree(metric: ClampedMetric, root: int = 0) -> NetTree:
         above = np.asarray(levels[-1])
         for p in levels[-1]:
             parent[(level, p)] = (level - 1, p)
+        if sep <= metric.floor:
+            # Every clamped distance is at least the floor: all the rest join.
+            joining = np.flatnonzero(~in_net)
+            for start, block in metric.blocks_between(joining, above):
+                nearest = above[np.argmin(block, axis=1)].tolist()
+                for q, p in zip(joining[start : start + len(block)].tolist(), nearest):
+                    parent[(level, q)] = (level - 1, p)
+            in_net[:] = True
         # mind only falls, so no point outside this candidate list can join.
         for q in np.flatnonzero(~in_net & (mind >= sep)).tolist():
             if mind[q] >= sep:
@@ -126,10 +143,8 @@ def build_net_tree(metric: ClampedMetric, root: int = 0) -> NetTree:
 
 def _net_row(metric: ClampedMetric, q: int) -> np.ndarray:
     """Clamped distances from q with its own entry at +inf, after checking
-    the row against build_net_tree's preconditions."""
+    that they are positive."""
     row = metric.distances_from(q)
-    if float(row.max()) > TARGET_DIAMETER * (1.0 + 1e-12):
-        raise PreconditionError("net tree expects a metric rescaled to diameter <= 1/20")
     row[q] = np.inf
     if float(row.min()) <= 0.0:
         raise PreconditionError("net tree needs all pairwise distances positive (clamp first)")

@@ -14,12 +14,15 @@ from remote_div import (
     PreconditionError,
     brute_force_diversity,
     build_net_tree,
+    diameter,
     dp_antichain,
+    pf_coreset,
     pf_cost,
     pf_offline,
     rescale_and_clamp,
 )
 from remote_div.nets import CLAMP_CONSTANT, NetTree
+from remote_div.rng import stream_rng
 from conftest import line_pointset, random_euclidean, two_clusters
 from oracles import max_antichain_value
 
@@ -58,6 +61,16 @@ def test_rescale_clamp_floor():
 def test_rescale_rejects_coincident_everything():
     ps = line_pointset([2.0, 2.0])
     with pytest.raises(PreconditionError, match="diameter"):
+        rescale_and_clamp(ps, 2)
+
+
+def test_rescale_names_underflow_when_distinct_points_have_zero_diameter():
+    # 40 distinct points 1e-300 apart: every squared difference underflows,
+    # so every distance, and the diameter, is 0 without any two coinciding.
+    coords = stream_rng(58, 0).random((40, 2)) * 1e-300
+    ps = PointSet.from_coords(coords)
+    assert len(np.unique(coords, axis=0)) == 40 and diameter(ps) == 0.0
+    with pytest.raises(PreconditionError, match="^diameter is zero: all points coincide, or their squared differences underflow"):
         rescale_and_clamp(ps, 2)
 
 
@@ -247,6 +260,22 @@ def test_pf_offline_peaks_below_a_tenth_of_one_square_matrix():
     finally:
         tracemalloc.stop()
     assert peak < 0.1 * n * n * 8
+
+
+def test_pf_offline_and_pf_coreset_peak_below_a_hundredth_of_one_square_matrix():
+    # At n=20,000 in 2-D the grid's cell bounds, the candidate blocks and the
+    # last net level's parent blocks hold O(n) floats; the tree's own
+    # dictionaries set the peak.
+    n = 20000
+    ps = random_euclidean(54, n)
+    for run in (lambda: pf_offline(ps, 10), lambda: pf_coreset(ps, 10, 1.0)):
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.01 * n * n * 8
 
 
 @pytest.mark.parametrize("seed", range(30))

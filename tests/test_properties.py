@@ -4,7 +4,9 @@ or when the same geometry is given as a distance matrix; and the matching
 solver's and coreset's same-cell padding is the greedy that rescans the
 cells for every pair; and the net tree is the matrix-built tree cut at its
 first full level; and the pseudoforest coreset read in blocks of rows is
-the one read from the whole matrix."""
+the one read from the whole matrix; and every reduction over a cell grid
+gives the bits of the one over whole rows, at the n where the pseudoforest
+floor and the coreset's passthrough switch too."""
 from __future__ import annotations
 
 import itertools
@@ -23,6 +25,7 @@ from remote_div import (
     StPair,
     brute_force_diversity,
     build_net_tree,
+    diameter,
     dp_antichain,
     find_separated_sets,
     k_outlier_radius,
@@ -35,14 +38,18 @@ from remote_div import (
     rescale_and_clamp,
     voronoi_partition,
 )
+from remote_div import metric
 from remote_div.errors import InternalInvariantError
 from remote_div.matching import same_cell_pairs
+from remote_div.metric import min_offdiag_distance
 from remote_div.rng import stream_rng
 from oracles import (
     cut_net_tree,
+    diameter_by_rows,
     fill_same_cell_pairs,
     find_separated_sets_by_matrix,
     k_outlier_radius_by_matrix,
+    min_offdiag_by_rows,
     net_tree_by_matrix,
     pf_coreset_by_matrix,
 )
@@ -213,3 +220,109 @@ def test_pf_coreset_is_the_coreset_read_from_the_whole_matrix(instance):
         assert got == _pair_or_error(find_separated_sets_by_matrix, ps, k, epsilon, r)
     with pytest.raises(PreconditionError, match="^radius guarantee violated"):
         find_separated_sets(ps, k, epsilon, float(np.nextafter(largest, np.inf)))
+
+
+@st.composite
+def grid_instances(draw):
+    """Points in 1-3 dimensions, the ones that reduce over a cell grid: a
+    random cloud, a coarse integer grid (coincident points), duplicated
+    rows, points on a line, or a constant first column (points on a line
+    in 2-D); scaled by 2^-500 .. 2^500, or by 2^-600 .. 2^-540, where squared
+    differences underflow to 0. n runs from a grid of one or two cells to a
+    few hundred points."""
+    dim = draw(st.integers(1, 3))
+    n = draw(st.sampled_from([2, 3, 4]) | st.integers(5, 120) | st.integers(120, 400))
+    rng = stream_rng(draw(st.integers(0, 2**32)), 0)
+    shape = draw(st.sampled_from(["cloud", "coarse", "duplicates", "line", "constant column"]))
+    if shape == "coarse":
+        coords = rng.integers(0, 4, (n, dim)).astype(np.float64)
+    elif shape == "duplicates":
+        rows = rng.random((draw(st.integers(1, n)), dim))
+        coords = rows[rng.integers(0, len(rows), n)]
+    elif shape == "line":
+        coords = np.outer(rng.random(n), rng.standard_normal(dim))
+    else:
+        coords = rng.random((n, dim))
+        if shape == "constant column":
+            coords[:, 0] = 0.75
+    return coords * 2.0 ** draw(st.integers(-500, 500) | st.integers(-600, -540))
+
+
+@given(grid_instances(), st.integers(1, 12), st.sampled_from([1.0, 0.5]), st.integers(0, 400))
+def test_grid_paths_are_the_row_and_matrix_paths_bit_for_bit(coords, k, epsilon, root):
+    ps = PointSet.from_coords(coords)
+    assert metric._cell_grid(ps) is not None
+    assert diameter(ps).hex() == diameter_by_rows(ps).hex()
+    assert min_offdiag_distance(ps).hex() == min_offdiag_by_rows(ps).hex()
+    dmat = ps.distance_matrix()
+    if ps.n > k:
+        kth_largest = np.empty(ps.n)
+        center, radius = k_outlier_radius(ps, k, kth_largest=kth_largest)
+        assert (center, radius) == k_outlier_radius_by_matrix(dmat, k)
+        assert kth_largest.tobytes() == np.sort(dmat, axis=1)[:, -k].tobytes()
+        if ps.n >= 2.0 * k ** (1.0 + epsilon) + k:
+            assert _pair_or_error(find_separated_sets, ps, k, epsilon, radius) == _pair_or_error(
+                find_separated_sets_by_matrix, ps, k, epsilon, radius
+            )
+    k_net, root = min(k + 1, ps.n), root % ps.n
+    try:
+        clamped = rescale_and_clamp(ps, k_net)
+    except PreconditionError as exc:
+        assert "diameter is zero" in str(exc) and diameter(ps) == 0.0
+        return
+    try:
+        full = net_tree_by_matrix(clamped, root)
+    except PreconditionError:
+        with pytest.raises(PreconditionError):
+            build_net_tree(clamped, root)
+        return
+    tree = build_net_tree(clamped, root)
+    assert tree.to_json() == cut_net_tree(full, tree.depth).to_json()
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("n", [7, 30, 64, 65])
+def test_order_statistics_with_k_plus_one_around_the_cell_count(n, dim):
+    # A source cell ranks the farthest k+1 cells, or all of them when there
+    # are no more: k+1 one below, at and one above the number of cells.
+    ps = PointSet.from_coords(stream_rng(n + dim, 0).random((n, dim)))
+    cells = metric._cell_grid(ps).size
+    dmat = ps.distance_matrix()
+    for k in range(max(1, cells - 2), min(cells, ps.n - 1) + 1):
+        kth_largest = np.empty(ps.n)
+        assert k_outlier_radius(ps, k, kth_largest=kth_largest) == k_outlier_radius_by_matrix(dmat, k)
+        assert kth_largest.tobytes() == np.sort(dmat, axis=1)[:, -k].tobytes()
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+@pytest.mark.parametrize("k", [2, 3, 5, 8])
+def test_pf_offline_around_n_2k_is_the_matrix_tree_solution(k, offset, dim):
+    # A pair 1e-6 apart puts the last level at the first one whose
+    # separation is at most the floor, where no row is read, once n >= 2k
+    # switches the floor on; below 2k the floor is 0 and every row is read.
+    n = 2 * k + offset
+    coords = stream_rng(100 * k + dim, 0).random((n, dim))
+    coords[-1] = coords[0] + 1e-6
+    ps = PointSet.from_coords(coords)
+    clamped = rescale_and_clamp(ps, k)
+    assert (clamped.floor > 0.0) == (n >= 2 * k)
+    solution, tree = pf_offline(ps, k)
+    assert (5.0 ** (-tree.depth) / 20.0 <= clamped.floor) == (n >= 2 * k)
+    full = net_tree_by_matrix(clamped)
+    assert tree.to_json() == cut_net_tree(full, tree.depth).to_json()
+    _value, nodes = dp_antichain(full, k)
+    assert solution.indices == sorted(p for _lvl, p in nodes)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("k, epsilon", [(1, 1.0), (2, 1.0), (3, 1.0), (4, 0.5), (9, 0.5)])
+def test_pf_coreset_at_its_passthrough_threshold_is_the_matrix_coreset(k, epsilon, dim):
+    threshold = 2 * k ** (1 + epsilon) + k
+    assert threshold == int(threshold)
+    coords = stream_rng(10 * k + dim, 0).random((int(threshold), dim))
+    below = pf_coreset(PointSet.from_coords(coords[:-1]), k, epsilon, part_id=2)
+    assert below.passthrough and below.indices == list(range(int(threshold) - 1))
+    ps = PointSet.from_coords(coords)
+    expected, _pair = pf_coreset_by_matrix(ps, k, epsilon, part_id=2)
+    assert pf_coreset(ps, k, epsilon, part_id=2).to_dict() == expected.to_dict()
