@@ -230,10 +230,27 @@ def _emit(args, payload: dict, started: float) -> int:
 
 
 def _read_pointset(args) -> PointSet:
-    path = Path(args.input)
-    if not path.exists():
-        raise PreconditionError(f"input file not found: {path}")
-    return load_pointset(path.read_text(), args.input_format)
+    return load_pointset(_read_text(args.input, "input file"), args.input_format)
+
+
+def _read_text(path: str, what: str) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except FileNotFoundError as exc:
+        raise PreconditionError(f"{what} not found: {path}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise PreconditionError(f"cannot read {what} {path}: {exc}") from exc
+
+
+def _read_parts(path: str) -> list[list[int]]:
+    text = _read_text(path, "parts file")
+    try:
+        parts = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise PreconditionError(f"invalid JSON parts file: {exc}") from exc
+    if not isinstance(parts, list) or not all(isinstance(p, list) and all(type(i) is int for i in p) for p in parts):
+        raise PreconditionError("parts file must be a JSON list of lists of point indices")
+    return parts
 
 
 def _parse_params(raw: str) -> dict[str, float]:
@@ -265,6 +282,8 @@ def _resolve_start(raw: str, n: int, seed: int) -> int:
         start = int(raw)
     except ValueError as exc:
         raise PreconditionError(f"--gmm-start must be an index or 'random'; got {raw!r}") from exc
+    if not 0 <= start < n:
+        raise PreconditionError(f"--gmm-start {start} out of range for n={n}")
     return start
 
 
@@ -349,7 +368,7 @@ def _cmd_compose(args) -> int:
     if args.strategy == "file":
         if not args.parts_file:
             raise PreconditionError("--strategy file needs --parts-file")
-        parts = json.loads(Path(args.parts_file).read_text())
+        parts = _read_parts(args.parts_file)
     cfg = RunConfig(k=args.k, epsilon=args.epsilon, seed=args.seed, objective=objective)
     report = run_pipeline(ps, cfg, args.parts, args.strategy, with_oracle=args.oracle, parts=parts)
     return _emit(args, report.to_dict(), started)

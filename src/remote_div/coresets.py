@@ -10,10 +10,10 @@ the k points covering the dataset best (P, inside the smallest ball that
 excludes at most k outliers), the k outliers themselves (U), the greedy
 farthest-point centers (Y), and two well-separated sets S and T found by a
 density/peeling argument. The radii, the far counts and the dense-ball
-scan reduce over every pair: in blocks of rows, or, on the cell grid of
-low-dimensional Euclidean input, over the candidate cells its bounds
-leave, reading the same distances bit for bit. The matching coreset is the
-farthest-point centers plus k/2 spare same-cell pairs.
+scan reduce over every pair on the metric's cell grid, reading only the
+candidate cells its bounds leave (every cell, on matrix input and in high
+dimensions), bit for bit the distances of whole rows. The matching
+coreset is the farthest-point centers plus k/2 spare same-cell pairs.
 """
 from __future__ import annotations
 
@@ -24,7 +24,7 @@ import numpy as np
 from .errors import InternalInvariantError, PreconditionError
 from .gmm import gmm, voronoi_partition
 from .matching import same_cell_pairs
-from .metric import PointSet, _CellGrid, _cell_grid
+from .metric import PointSet, _cell_grid
 
 PF_BLOCKS = ("P", "S", "T", "U", "Y")
 
@@ -79,31 +79,15 @@ def k_outlier_radius(ps: PointSet, k: int, *, kth_largest: np.ndarray | None = N
 
 
 def _order_statistics(ps: PointSet, k: int, radii: np.ndarray, kth_largest: np.ndarray) -> None:
-    """Fill each row's (k+1)-th and k-th largest distances. One partition
-    per block of rows at position m-k-1 (ascending) of its m columns puts the
-    (k+1)-th largest there and the k largest after it.
+    """Fill each row's (k+1)-th and k-th largest distances.
 
-    Without a cell grid the blocks are whole rows. On a grid, a source
-    cell's rows need only the columns of cells whose upper bound reaches L:
-    the lower bounds of the farthest cells, taken in falling order until
-    their points number k+1, make L a lower bound on every one of its
-    rows' (k+1)-th largest distance, and no column left out reaches it."""
+    A source cell's rows need only the columns of cells whose upper bound
+    reaches L: the lower bounds of the farthest cells, taken in falling
+    order until their points number k+1, make L a lower bound on every one
+    of its rows' (k+1)-th largest distance, and no column left out reaches
+    it. One partition per block at position m-k-1 (ascending) of its m
+    columns puts the (k+1)-th largest there and the k largest after it."""
     grid = _cell_grid(ps)
-    if grid is None:
-        blocks = ((slice(start, start + len(block)), block) for start, block in ps.row_blocks())
-    else:
-        blocks = _far_blocks(ps, grid, k)
-    for rows, block in blocks:
-        m = block.shape[1]
-        part = np.partition(block, m - k - 1, axis=1)
-        radii[rows] = part[:, m - k - 1]
-        kth_largest[rows] = part[:, m - k :].min(axis=1, initial=np.inf)  # inf for k=0
-
-
-def _far_blocks(ps: PointSet, grid: _CellGrid, k: int):
-    """Yield (rows, block) covering every point once: the distances from
-    `rows` (one source cell's points, or a slice of them) to every point
-    that can be among a row's k+1 largest."""
     everything = np.arange(grid.size)
     for c in range(grid.size):
         lower, upper = grid.bounds(c)
@@ -112,7 +96,10 @@ def _far_blocks(ps: PointSet, grid: _CellGrid, k: int):
         enough = np.searchsorted(np.cumsum(grid.counts[top]), k + 1)
         rows = grid.members(c)
         for start, block in ps.blocks_between(rows, grid.gather(np.flatnonzero(upper >= lower[top[enough]]))):
-            yield rows[start : start + len(block)], block
+            m, chunk = block.shape[1], rows[start : start + len(block)]
+            part = np.partition(block, m - k - 1, axis=1)
+            radii[chunk] = part[:, m - k - 1]
+            kth_largest[chunk] = part[:, m - k :].min(axis=1, initial=np.inf)  # inf for k=0
 
 
 def find_separated_sets(
@@ -207,18 +194,11 @@ def _first_dense(ps: PointSet, k: int, half: float) -> int | None:
     """The lowest-index point with at least k points (itself included) at
     distance <= half, or None.
 
-    Without a cell grid, blocks of rows are scanned in order. On a grid,
-    cells are taken in the order of their lowest point until that passes
+    Cells are taken in the order of their lowest point until that passes
     the best found; a cell counts the points of cells wholly inside the
     ball in full, skips cells wholly outside, and reads distances only to
     the points of cells that straddle its boundary."""
     grid = _cell_grid(ps)
-    if grid is None:
-        for start, block in ps.row_blocks():
-            dense = np.flatnonzero(np.count_nonzero(block <= half, axis=1) >= k)
-            if dense.size:
-                return start + int(dense[0])
-        return None
     best = None
     for c in np.argsort(grid.order[grid.starts[:-1]]).tolist():
         rows = grid.members(c)
@@ -241,8 +221,8 @@ def _cross_separation(ps: PointSet, s: list[int], t: list[int]) -> float:
 
 def pf_coreset(ps: PointSet, k: int, epsilon: float, gmm_start: int = 0, part_id: int = 0) -> Coreset:
     """Remote-pseudoforest coreset of at most 5k points (or the whole part
-    when it is smaller than 2k^(1+eps)+k). Distances are read in blocks of
-    rows and single rows; no n-by-n matrix is built."""
+    when it is smaller than 2k^(1+eps)+k). Distances are read in blocks
+    over the cell grid and in single rows; no n-by-n matrix is built."""
     if k < 1:
         raise PreconditionError("k must be a positive integer")
     if not (0.0 < epsilon <= 1.0):

@@ -11,20 +11,20 @@ triangle in row blocks with a running minimum over pivots, deciding exactly
 as a per-pivot scan would. A matrix-csv file is parsed by `np.loadtxt`;
 a file it cannot take as a square matrix, or one with a '#' after a field,
 is parsed again line by line, which names the offending line.
-Every Euclidean distance, single, in a row or in a block of rows, comes
-from one kernel (`_euclidean`), so the same pair always gets the same bits;
-the kernel is bitwise symmetric, so a column read equals a row read.
+Every Euclidean distance, single, in a row or in a block, comes from one
+kernel (`_euclidean`), so the same pair always gets the same bits; the
+kernel is bitwise symmetric, so a column read equals a row read.
 A reduction over all pairs (`diameter`, `min_offdiag_distance`, the
-coreset's radii and dense-ball scan) builds no n-by-n matrix. On Euclidean
-input of at most `_GRID_MAX_DIM` dimensions it runs over a cell grid
-(`_CellGrid`): points bucketed by cell, each cell with the tight bounding
-box of its points, whose box-distance bounds, widened by a margin and
-computed one source cell at a time, only propose candidate cells; every
-distance a decision rests on comes from the kernel through
-`PointSet.blocks_between`, so the bits, and ties to the lowest index, are
-those of whole rows. Matrix input and higher dimensions walk
-`PointSet.row_blocks`. Every block's largest temporary stays within
-`_BLOCK_ENTRIES` floats.
+coreset's radii and dense-ball scan) builds no n-by-n matrix: it runs over
+the cells of a `_CellGrid`, whose box-distance bounds, widened by a margin
+and computed one source cell at a time, only propose candidate cells.
+Euclidean input of at most `_GRID_MAX_DIM` dimensions is bucketed by a
+regular grid with the tight bounding box of each cell's points; matrix
+input and higher dimensions by runs of about sqrt(n) consecutive indices
+with unbounded boxes, whose bounds propose every pair. Every distance a
+decision rests on comes from `PointSet.blocks_between`, the one blocked
+read, so the bits, and ties to the lowest index, are those of whole rows.
+Every block's largest temporary stays within `_BLOCK_ENTRIES` floats.
 
 Point identity is by index into the original dataset. Every subset that
 the algorithms pass around is a list of indices, never a copy of the
@@ -73,8 +73,9 @@ class PointSet:
 
     Construct through `from_coords` (Euclidean) or `from_matrix` (explicit
     distances). Euclidean distances are computed on demand: one row by
-    `distances_from`, or consecutive blocks of rows by `row_blocks`, which
-    a reduction over all pairs scans. Distances among a subset come from
+    `distances_from`, or the block between two index lists by
+    `blocks_between`, which a reduction over all pairs reads. Distances
+    among a subset come from
     `restrict(indices).distance_matrix()`, never from a slice of the whole
     dataset's matrix.
     """
@@ -147,24 +148,6 @@ class PointSet:
             return _euclidean(self._coords, self._coords[i : i + 1])[0]
         return self._matrix[i].copy()
 
-    def row_blocks(self, *, upper: bool = False):
-        """Yield (start, block) for consecutive blocks of rows covering 0..n-1:
-        block[r] holds the distances from point start + r to every point, or,
-        when `upper`, to points start..n-1 only (the block's part of the upper
-        triangle, diagonal included). Each block holds as many rows as keep its
-        largest temporary within `_BLOCK_ENTRIES` floats, at least one.
-        Euclidean blocks are fresh arrays, bit for bit the rows
-        `distances_from` gives; a matrix kind's are read-only views of the
-        stored matrix."""
-        n = self.n
-        rows = max(1, _BLOCK_ENTRIES // (n * (self.dim or 1)))
-        for start in range(0, n, rows):
-            first = start if upper else 0
-            if self.kind == "euclidean":
-                yield start, _euclidean(self._coords[first:], self._coords[start : start + rows])
-            else:
-                yield start, self._matrix[start : start + rows, first:]
-
     def blocks_between(self, rows: np.ndarray, cols: np.ndarray):
         """Yield (start, block) for consecutive slices of the index array
         `rows`: block[r, j] is the distance from point rows[start + r] to
@@ -172,20 +155,26 @@ class PointSet:
         are fresh arrays, each holding as many rows as keep its largest
         temporary within `_BLOCK_ENTRIES` floats, at least one."""
         step = max(1, _BLOCK_ENTRIES // (max(1, len(cols)) * (self.dim or 1)))
+        first = int(cols[0]) if len(cols) else 0
+        if np.array_equal(cols, np.arange(first, first + len(cols))):
+            cols = slice(first, first + len(cols))  # a run of points is read in place, not copied
         points = self._coords[cols] if self.kind == "euclidean" else None
         for start in range(0, len(rows), step):
             chunk = rows[start : start + step]
             if points is not None:
                 yield start, _euclidean(points, self._coords[chunk])
+            elif isinstance(cols, slice):
+                yield start, self._matrix[chunk, cols]
             else:
-                yield start, self._matrix[np.ix_(chunk, cols)]
+                yield start, self._matrix.take(chunk[:, None] * self.n + cols)
 
     def distance_matrix(self) -> np.ndarray:
         """Dense n-by-n distance matrix. O(n^2) memory; caller keeps it."""
         if self.kind == "matrix":
             return self._matrix
         out = np.empty((self.n, self.n), dtype=np.float64)
-        for start, block in self.row_blocks():
+        everything = np.arange(self.n)
+        for start, block in self.blocks_between(everything, everything):
             out[start : start + len(block)] = block
         return out
 
@@ -284,11 +273,9 @@ class RunConfig:
 
 def diameter(ps: PointSet) -> float:
     """Maximum pairwise distance; 0 for a single point. Distances are
-    symmetric, so only the upper triangle is scanned, or, on a cell grid,
-    the cell pairs whose upper bound reaches the best distance so far."""
+    symmetric, so only the cell pairs (c, c') with c <= c' whose upper
+    bound reaches the best distance so far are read."""
     grid = _cell_grid(ps)
-    if grid is None:
-        return max(float(block.max()) for _start, block in ps.row_blocks(upper=True))
     # The double sweep from point 0 gives a pair's distance to start from.
     best, far = 0.0, 0
     for _ in range(2):
@@ -305,20 +292,13 @@ def diameter(ps: PointSet) -> float:
 
 
 def min_offdiag_distance(ps: PointSet) -> float:
-    """Smallest distance between two distinct points, from the upper
-    triangle without its diagonal, or, on a cell grid, from the cell pairs
-    whose lower bound is within the best distance so far."""
+    """Smallest distance between two distinct points, from the cell pairs
+    (c, c') with c <= c' whose lower bound is within the best distance so
+    far."""
     if ps.n < 2:
         raise PreconditionError("need at least 2 points")
     best = math.inf
     grid = _cell_grid(ps)
-    if grid is None:
-        for _start, block in ps.row_blocks(upper=True):
-            # Column c of the block's row r is off the diagonal when c > r.
-            off_diagonal = block[np.arange(block.shape[1]) > np.arange(len(block))[:, None]]
-            if off_diagonal.size:
-                best = min(best, float(off_diagonal.min()))
-        return best
     for c in range(grid.size):
         later = np.arange(c, grid.size)
         lower, _upper = grid.bounds(c, later)
@@ -330,46 +310,32 @@ def min_offdiag_distance(ps: PointSet) -> float:
 
 
 class _CellGrid:
-    """Euclidean points bucketed by the cells of a regular grid, ascending
-    index within a cell; only occupied cells are kept, each with the tight
-    bounding box of its members.
+    """Points bucketed by cell, ascending index within a cell; only
+    occupied cells are kept, each with a box that holds its members.
 
     Cells only propose candidates. Their bounds are widened to cover the
     kernel's rounding, and every distance a caller decides on comes from
     `PointSet.blocks_between`, so which cell a point lands in moves work,
-    never a result. The side is picked for about n^(1/3) points per cell,
-    which balances the callers' cells-squared bound work against the
-    distances they read from candidate cells, and halved while the points
-    fill under a quarter of that many cells (they lie near a line).
+    never a result. A cell with an unbounded box has lower bounds of at
+    most 0 and upper bounds of inf, so callers read all of its pairs.
     """
 
     __slots__ = ("order", "starts", "counts", "lo", "hi")
 
-    def __init__(self, coords: np.ndarray):
-        n = coords.shape[0]
-        low = coords.min(axis=0)
-        extent = coords.max(axis=0) - low
-        wanted = max(1, round(n ** (2.0 / 3.0)))
-        spread = extent[extent > 0.0]
-        ids = np.zeros(n, dtype=np.int64)
-        if spread.size:
-            side = math.exp((float(np.log(spread).sum()) - math.log(wanted)) / spread.size)
-            while side > 0.0:
-                shape = np.floor(extent / side) + 1.0
-                if not float(np.prod(shape)) < 2.0**62:
-                    break
-                cell = np.minimum(np.floor((coords - low) / side), shape - 1.0).astype(np.int64)
-                ids = cell @ np.cumprod(np.concatenate(([1.0], shape[:-1]))).astype(np.int64)
-                if np.unique(ids).size * 4 >= wanted:
-                    break
-                side /= 2.0
+    def __init__(self, ids: np.ndarray, coords: np.ndarray | None):
+        """Cells of the points with equal `ids`, each boxed tightly around
+        its members' `coords`, or unbounded when there are none."""
         self.order = np.argsort(ids, kind="stable")
         first = np.concatenate(([0], np.flatnonzero(np.diff(ids[self.order])) + 1))
-        self.starts = np.append(first, n)
+        self.starts = np.append(first, len(ids))
         self.counts = np.diff(self.starts)
-        grouped = coords[self.order]
-        self.lo = np.minimum.reduceat(grouped, first, axis=0)
-        self.hi = np.maximum.reduceat(grouped, first, axis=0)
+        if coords is None:
+            self.hi = np.full((len(first), 1), np.inf)
+            self.lo = -self.hi
+        else:
+            grouped = coords[self.order]
+            self.lo = np.minimum.reduceat(grouped, first, axis=0)
+            self.hi = np.maximum.reduceat(grouped, first, axis=0)
 
     @property
     def size(self) -> int:
@@ -408,12 +374,37 @@ def _widened(sides: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return norm * (1.0 - _BOUND_RTOL) - _BOUND_ATOL, norm * (1.0 + _BOUND_RTOL) + _BOUND_ATOL
 
 
-def _cell_grid(ps: PointSet) -> _CellGrid | None:
-    """The cell grid of a Euclidean point set of at most `_GRID_MAX_DIM`
-    dimensions; None for the others, whose reductions scan blocks of rows."""
+def _cell_grid(ps: PointSet) -> _CellGrid:
+    """The cells the reductions over all pairs run on. Matrix input and
+    Euclidean input of more than `_GRID_MAX_DIM` dimensions go in runs of
+    about sqrt(n) consecutive indices with unbounded boxes, whose bounds
+    propose every pair: every row is read whole, or, where symmetry is
+    used, the upper triangle with sqrt(n)-sized diagonal blocks. Other
+    points are bucketed by a regular grid whose side is picked for about
+    n^(1/3) points per cell, which balances the callers' cells-squared
+    bound work against the distances they read from candidate cells, and
+    halved while the points fill under a quarter of that many cells (they
+    lie near a line)."""
     if ps.kind != "euclidean" or ps.dim > _GRID_MAX_DIM:
-        return None
-    return _CellGrid(ps.coords)
+        return _CellGrid(np.arange(ps.n) // math.isqrt(ps.n), None)
+    coords, n = ps.coords, ps.n
+    low = coords.min(axis=0)
+    extent = coords.max(axis=0) - low
+    wanted = max(1, round(n ** (2.0 / 3.0)))
+    spread = extent[extent > 0.0]
+    ids = np.zeros(n, dtype=np.int64)
+    if spread.size:
+        side = math.exp((float(np.log(spread).sum()) - math.log(wanted)) / spread.size)
+        while side > 0.0:
+            shape = np.floor(extent / side) + 1.0
+            if not float(np.prod(shape)) < 2.0**62:
+                break
+            cell = np.minimum(np.floor((coords - low) / side), shape - 1.0).astype(np.int64)
+            ids = cell @ np.cumprod(np.concatenate(([1.0], shape[:-1]))).astype(np.int64)
+            if np.unique(ids).size * 4 >= wanted:
+                break
+            side /= 2.0
+    return _CellGrid(ids, coords)
 
 
 # ---------------------------------------------------------------------------
@@ -474,7 +465,9 @@ def _load_json(text: str) -> PointSet:
         raise PreconditionError(f"invalid point rows: {exc}") from exc
     if arr.ndim != 2:
         raise PreconditionError("points must be a list of equal-length coordinate rows")
-    if dim is not None and int(dim) != arr.shape[1]:
+    if dim is not None and type(dim) is not int:
+        raise PreconditionError(f"dim must be an integer; got {dim!r}")
+    if dim is not None and dim != arr.shape[1]:
         raise PreconditionError(f"declared dim={dim} but rows have {arr.shape[1]} fields")
     return PointSet.from_coords(arr)
 
@@ -489,7 +482,10 @@ def _load_csv(text: str) -> PointSet:
         if line.startswith("#"):
             stripped = line.lstrip("#").strip()
             if stripped.startswith("dim="):
-                declared_dim = int(stripped[4:])
+                try:
+                    declared_dim = int(stripped[4:])
+                except ValueError as exc:
+                    raise PreconditionError(f"csv line {lineno}: dim must be an integer: {exc}") from exc
             continue
         try:
             rows.append([float(fieldval) for fieldval in line.split(",")])

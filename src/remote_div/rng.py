@@ -10,13 +10,15 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import PreconditionError
+
 START_POINT_STREAM = 2**32
 SPLIT_STREAM = 2**32 + 1
 
 
 def _key(seed: int, stream: int) -> np.ndarray:
-    if seed < 0:
-        raise ValueError("seed must be a nonnegative 64-bit integer")
+    if not 0 <= seed < 2**64:
+        raise PreconditionError("seed must fit in 64 unsigned bits")
     return np.array([seed, stream], dtype=np.uint64)
 
 

@@ -179,6 +179,43 @@ def test_emit_refuses_non_finite_numbers(tmp_path):
     assert not (tmp_path / "report.json").exists()
 
 
+_COMPOSE_FILE = ["compose", "--objective", "matching", "--k", "2", "--parts", "2", "--strategy", "file",
+                 "--input", "{tmp}/points.json", "--parts-file", "{tmp}/parts.json"]
+_SOLVE = ["solve", "--objective", "pseudoforest", "--k", "2", "--input", "{tmp}/points.json"]
+
+
+@pytest.mark.parametrize(
+    "files, argv",
+    [
+        pytest.param({}, _COMPOSE_FILE, id="parts-file-missing"),
+        pytest.param({"parts.json": "[[0, 1"}, _COMPOSE_FILE, id="parts-file-not-json"),
+        pytest.param({"parts.json": '{"a": 1}'}, _COMPOSE_FILE, id="parts-file-object"),
+        pytest.param({"parts.json": '[[0, "x"], [1]]'}, _COMPOSE_FILE, id="parts-file-string-index"),
+        pytest.param({"parts.json": "[5, 6]"}, _COMPOSE_FILE, id="parts-file-flat-list"),
+        pytest.param({"points.csv": "# dim=x\n0,1\n1,0\n"}, _SOLVE[:-1] + ["{tmp}/points.csv", "--input-format", "csv"],
+                     id="csv-dim-not-integer"),
+        pytest.param({"points.json": '{"dim": "x", "points": [[0, 1], [1, 0]]}'}, _SOLVE, id="json-dim-string"),
+        pytest.param({"points.json": '{"dim": 2.5, "points": [[0, 1], [1, 0]]}'}, _SOLVE, id="json-dim-fraction"),
+        pytest.param({}, ["gen", "--kind", "uniform_cube", "--n", "5", "--seed", "-1"], id="gen-negative-seed"),
+        pytest.param({}, ["verify", "--suite", "hst", "--seed", "-1", "--trials", "1"], id="verify-negative-seed"),
+        pytest.param({}, _SOLVE[:-1] + ["{tmp}"], id="input-directory"),
+        pytest.param({"points.json": b'{"dim": 1, "points": [[0], [1]]} \xff'}, _SOLVE, id="input-not-utf8"),
+        pytest.param({}, ["coreset", "--objective", "pseudoforest", "--k", "4", "--gmm-start", "99",
+                          "--input", "{tmp}/points.json"], id="gmm-start-past-a-passthrough-part"),
+    ],
+)
+def test_bad_input_exits_one_with_an_error_line(files, argv, tmp_path, capsys):
+    (tmp_path / "points.json").write_text(json.dumps({"dim": 2, "points": [[i, i % 7] for i in range(30)]}))
+    for name, content in files.items():
+        (tmp_path / name).write_bytes(content if isinstance(content, bytes) else content.encode())
+    try:
+        code = run_cli([arg.format(tmp=tmp_path) for arg in argv])
+    except Exception as exc:  # would reach the user as a traceback
+        pytest.fail(f"traceback: {type(exc).__name__}: {exc}")
+    assert code == 1
+    assert "remote-div: error:" in capsys.readouterr().err
+
+
 def test_solve_missing_input(tmp_path):
     code = run_cli(["solve", "--objective", "matching", "--k", "4", "--input", str(tmp_path / "nope.json")])
     assert code == 1

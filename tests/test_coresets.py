@@ -231,8 +231,8 @@ def test_pf_coreset_determinism():
 
 
 def test_pf_coreset_peaks_below_a_tenth_of_one_square_matrix():
-    # Radii, far counts and the dense-ball scan read blocks of rows; P, U,
-    # the peel and the separation read single rows.
+    # Radii, far counts and the dense-ball scan read blocks over the cell
+    # grid; P, U, the peel and the separation read single rows.
     ps = random_euclidean(1530, 2000)
     tracemalloc.start()
     try:

@@ -229,22 +229,25 @@ def block_instances(draw):
 
 
 @given(block_instances())
-def test_row_blocks_are_the_rows_bit_for_bit(coords):
+def test_blocks_between_are_the_rows_bit_for_bit(coords):
     ps = PointSet.from_coords(coords)
     rows = euclidean_rows(ps.coords)
     assert np.array([ps.distances_from(i) for i in range(ps.n)]).tobytes() == rows.tobytes()
     assert ps.distance_matrix().tobytes() == rows.tobytes()
     as_matrix = PointSet.from_matrix(rows)
-    for points in (ps, as_matrix):
-        for upper in (False, True):
+    everything = np.arange(ps.n)
+    # Whole rows, the upper triangle's tail, and index lists out of order.
+    for r, c in ((everything, everything), (everything[ps.n // 2 :], everything[ps.n // 2 :]),
+                 (everything[::-1], everything[1::2]), (everything[::2], everything[::-1])):
+        for points in (ps, as_matrix):
             covered = 0
-            for start, block in points.row_blocks(upper=upper):
+            for start, block in points.blocks_between(r, c):
                 assert start == covered
-                expected = rows[start : start + len(block), start if upper else 0 :]
-                assert block.tobytes() == np.ascontiguousarray(expected).tobytes()
-                assert block.flags.writeable == (points is ps)
+                assert block.tobytes() == rows[np.ix_(r[start : start + len(block)], c)].tobytes()
+                assert block.flags.writeable and not np.shares_memory(block, as_matrix.distance_matrix())
                 covered += len(block)
-            assert covered == ps.n
+            assert covered == len(r)
+    for points in (ps, as_matrix):
         assert diameter(points).hex() == diameter_by_rows(points).hex()
         if ps.n >= 2:
             assert min_offdiag_distance(points).hex() == min_offdiag_by_rows(points).hex()

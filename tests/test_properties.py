@@ -3,10 +3,11 @@ when every coordinate is scaled by a power of two (exact in floating point),
 or when the same geometry is given as a distance matrix; and the matching
 solver's and coreset's same-cell padding is the greedy that rescans the
 cells for every pair; and the net tree is the matrix-built tree cut at its
-first full level; and the pseudoforest coreset read in blocks of rows is
-the one read from the whole matrix; and every reduction over a cell grid
-gives the bits of the one over whole rows, at the n where the pseudoforest
-floor and the coreset's passthrough switch too."""
+first full level; and the pseudoforest coreset read in blocks is the one
+read from the whole matrix; and every reduction over a cell grid (regular
+cells, or runs of consecutive points) gives the bits of the one over whole
+rows, at the n where the pseudoforest floor and the coreset's passthrough
+switch too."""
 from __future__ import annotations
 
 import itertools
@@ -14,7 +15,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from remote_div import (
@@ -224,14 +225,18 @@ def test_pf_coreset_is_the_coreset_read_from_the_whole_matrix(instance):
 
 @st.composite
 def grid_instances(draw):
-    """Points in 1-3 dimensions, the ones that reduce over a cell grid: a
-    random cloud, a coarse integer grid (coincident points), duplicated
-    rows, points on a line, or a constant first column (points on a line
-    in 2-D); scaled by 2^-500 .. 2^500, or by 2^-600 .. 2^-540, where squared
-    differences underflow to 0. n runs from a grid of one or two cells to a
-    few hundred points."""
-    dim = draw(st.integers(1, 3))
-    n = draw(st.sampled_from([2, 3, 4]) | st.integers(5, 120) | st.integers(120, 400))
+    """Points in 1-3 dimensions, which reduce over a regular cell grid, or
+    in 4 or 8 dimensions or as their distance matrix, which reduce over
+    runs of about sqrt(n) consecutive points: a random cloud, a coarse
+    integer grid (coincident points), duplicated rows, points on a line,
+    or a constant first column (points on a line in 2-D); scaled by
+    2^-500 .. 2^500, or by 2^-600 .. 2^-540, where squared differences
+    underflow to 0. n runs from a grid of one or two cells to a few
+    hundred points, a perfect square or one either side of it among them.
+    Returns a `PointSet`."""
+    dim = draw(st.sampled_from([1, 2, 3, 4, 8]))
+    square = draw(st.integers(2, 20)) ** 2 + draw(st.sampled_from([-1, 0, 1]))
+    n = draw(st.sampled_from([2, 3, 4]) | st.integers(5, 120) | st.integers(120, 400) | st.just(square))
     rng = stream_rng(draw(st.integers(0, 2**32)), 0)
     shape = draw(st.sampled_from(["cloud", "coarse", "duplicates", "line", "constant column"]))
     if shape == "coarse":
@@ -245,13 +250,15 @@ def grid_instances(draw):
         coords = rng.random((n, dim))
         if shape == "constant column":
             coords[:, 0] = 0.75
-    return coords * 2.0 ** draw(st.integers(-500, 500) | st.integers(-600, -540))
+    ps = PointSet.from_coords(coords * 2.0 ** draw(st.integers(-500, 500) | st.integers(-600, -540)))
+    return PointSet.from_matrix(ps.distance_matrix()) if draw(st.integers(0, 3)) == 3 else ps
 
 
+# Twice the profile's examples, as the gridless draws (4-D, 8-D, matrix) take
+# about a third of them.
+@settings(max_examples=80)
 @given(grid_instances(), st.integers(1, 12), st.sampled_from([1.0, 0.5]), st.integers(0, 400))
-def test_grid_paths_are_the_row_and_matrix_paths_bit_for_bit(coords, k, epsilon, root):
-    ps = PointSet.from_coords(coords)
-    assert metric._cell_grid(ps) is not None
+def test_grid_paths_are_the_row_and_matrix_paths_bit_for_bit(ps, k, epsilon, root):
     assert diameter(ps).hex() == diameter_by_rows(ps).hex()
     assert min_offdiag_distance(ps).hex() == min_offdiag_by_rows(ps).hex()
     dmat = ps.distance_matrix()
@@ -280,12 +287,17 @@ def test_grid_paths_are_the_row_and_matrix_paths_bit_for_bit(coords, k, epsilon,
     assert tree.to_json() == cut_net_tree(full, tree.depth).to_json()
 
 
-@pytest.mark.parametrize("dim", [1, 2, 3])
-@pytest.mark.parametrize("n", [7, 30, 64, 65])
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 8, "matrix"])
+@pytest.mark.parametrize("n", [7, 30, 63, 64, 65])
 def test_order_statistics_with_k_plus_one_around_the_cell_count(n, dim):
     # A source cell ranks the farthest k+1 cells, or all of them when there
-    # are no more: k+1 one below, at and one above the number of cells.
-    ps = PointSet.from_coords(stream_rng(n + dim, 0).random((n, dim)))
+    # are no more: k+1 one below, at and one above the number of cells. In
+    # 4-D and up and on a matrix (of the 2-D points), cells are runs of
+    # isqrt(n) points.
+    width = 2 if dim == "matrix" else dim
+    ps = PointSet.from_coords(stream_rng(n + width, 0).random((n, width)))
+    if dim == "matrix":
+        ps = PointSet.from_matrix(ps.distance_matrix())
     cells = metric._cell_grid(ps).size
     dmat = ps.distance_matrix()
     for k in range(max(1, cells - 2), min(cells, ps.n - 1) + 1):
