@@ -223,10 +223,17 @@ def _emit(args, payload: dict, started: float) -> int:
     except ValueError as exc:
         raise InternalInvariantError(f"report holds a non-finite number: {exc}") from exc
     if args.output:
-        Path(args.output).write_text(text + "\n")
+        _write_text(args.output, text)
     else:
         print(text)
     return 0
+
+
+def _write_text(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text + "\n")
+    except OSError as exc:
+        raise PreconditionError(f"cannot write {path}: {exc}") from exc
 
 
 def _read_pointset(args) -> PointSet:
@@ -307,7 +314,7 @@ def _cmd_gen(args) -> int:
         ps = make_line(args.n, values if values is None else list(values))
     document = dump_pointset(ps, "json")
     if args.output:
-        Path(args.output).write_text(document + "\n")
+        _write_text(args.output, document)
         return 0
     print(document)
     return 0
@@ -333,7 +340,7 @@ def _cmd_solve(args) -> int:
         solution, tree = pf_offline(ps, args.k, root=args.net_root)
         trace_payload = {}
         if args.dump_net_tree:
-            Path(args.dump_net_tree).write_text(tree.to_json() + "\n")
+            _write_text(args.dump_net_tree, tree.to_json())
             trace_payload["net_tree_depth"] = tree.depth
     payload = {
         "objective": objective.value,

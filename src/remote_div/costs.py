@@ -1,7 +1,7 @@
 """Exact evaluators for the three subset cost functions.
 
 * minimum-weight perfect matching, via a bitmask dynamic program that numpy
-  fills one even popcount layer at a time, for a batch of instances at once,
+  fills one strided view per pair of points, for a batch of instances at once,
 * minimum spanning tree, via a dense Prim scan,
 * pseudoforest cost (sum of nearest-neighbor distances), batched likewise,
 
@@ -99,31 +99,24 @@ def matching_tables(d: np.ndarray) -> np.ndarray:
     tables[b, mask] = min perfect-matching weight of the points of instance
     b selected by `mask`. Odd-popcount masks stay at +inf.
 
-    Masks are filled one even popcount at a time: the lowest point of each
-    mask is paired with every other point j of the mask, and the candidate
-    d[low, j] + table[rest ^ (1 << j)] is folded in by elementwise minimum.
-    Each candidate is one float addition and min is exact, so every entry
-    is the same float whatever order the candidates are visited in.
+    Each mask pairs its lowest point i with every other point j of the mask:
+    the candidate is d[i, j] + table[mask without i and j]. Filling masks by
+    lowest point from the top down, every candidate's mask is final when read,
+    and the masks with lowest point i that hold j are one strided view of the
+    table (bits below i clear, bits i and j set), so the DP builds no index
+    arrays. Each candidate is one float addition and min is exact, so every
+    entry is the same float whatever order the candidates are visited in.
     """
     batch, s = d.shape[0], d.shape[-1]
-    tables = np.full((batch, 1 << s), np.inf)
-    tables[:, 0] = 0.0
-    masks = np.arange(1 << s, dtype=np.int32)
-    popcount = np.zeros(1 << s, dtype=np.int8)
-    for b in range(s):
-        popcount[1 << b : 2 << b] = popcount[: 1 << b] + 1
-    for size in range(2, s + 1, 2):
-        layer = masks[popcount == size]
-        lowbit = layer & -layer
-        rest = layer ^ lowbit
-        low = popcount[lowbit - 1]
-        best = np.full((batch, layer.size), np.inf)
-        for j in range(1, s):
-            sel = np.flatnonzero((rest >> j) & 1)
-            cand = d[:, low[sel], j] + tables[:, rest[sel] ^ (1 << j)]
-            best[:, sel] = np.minimum(best[:, sel], cand)
-        tables[:, layer] = best
-    return tables
+    tables = np.full((1 << s, batch), np.inf)
+    tables[0] = 0.0
+    for i in range(s - 2, -1, -1):
+        for j in range(i + 1, s):
+            # axes: bits above j, bit j, bits between, bit i, bits below i
+            view = tables.reshape(1 << (s - 1 - j), 2, 1 << (j - 1 - i), 2, 1 << i, batch)
+            target = view[:, 1, :, 1, 0]
+            np.minimum(target, d[:, i, j] + view[:, 0, :, 0, 0], out=target)
+    return tables.T
 
 
 def _matching_witness(d: np.ndarray, table: np.ndarray) -> list[tuple[int, int]]:

@@ -22,9 +22,9 @@ import numpy as np
 
 from .costs import UnionFind, matching_tables, mst_value_and_edges
 from .errors import PreconditionError
-from .matching import random_even_subset
+from .matching import even_subset_masks
 from .metric import PointSet
-from .rng import restart_stream, stream_rng
+from .rng import uniforms
 
 DEFAULT_DEPTH = 40
 EMBED_DIAMETER = 1.0 - 1e-12
@@ -172,22 +172,14 @@ def verify_random_subset_bound(
     the per-draw values and the brute-force maximum are exact.
     """
     mem = sorted(int(i) for i in members)
-    if len(mem) > 14:
-        raise PreconditionError("member set capped at 14 for the even-subset brute force")
+    if not 1 <= len(mem) <= 14:
+        raise PreconditionError("member set must hold 1 to 14 points for the even-subset brute force")
     if trials < 100:
         raise PreconditionError("need at least 100 trials for a stable mean")
     table = matching_tables(ps.restrict(mem).distance_matrix()[None])[0]
     best = float(table[table != math.inf].max())
-    pos = {p: i for i, p in enumerate(mem)}
-
-    values = np.empty(trials, dtype=np.float64)
-    rng = stream_rng(seed, 0)
-    for t in range(trials):
-        z = random_even_subset(mem, restart_stream(rng, seed, t))
-        mask = 0
-        for p in z:
-            mask |= 1 << pos[p]
-        values[t] = table[mask]
+    keep = even_subset_masks(mem, uniforms(seed, range(trials), len(mem)))
+    values = table[keep @ (1 << np.arange(len(mem)))]
     mean = float(values.mean())
     stderr = float(values.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
     ratio = mean / best if best > 0 else 1.0

@@ -39,16 +39,21 @@ class MatchingOfflineTrace:
     trial: int
 
 
+def even_subset_masks(centers: list[int], coins: np.ndarray) -> np.ndarray:
+    """Membership masks of the parity-fixed subsets drawn by the rows of
+    `coins` (draws, len(centers)): a center joins when its coin is below 1/2,
+    and an odd row drops its largest center, wherever that sits in `centers`."""
+    heads = coins < 0.5
+    top = np.where(heads, centers, -1).max(axis=1, initial=-1, keepdims=True)
+    return heads & ((heads.sum(axis=1, keepdims=True) % 2 == 0) | (np.asarray(centers) != top))
+
+
 def random_even_subset(centers: list[int], rng: np.random.Generator) -> list[int]:
-    """Each center joins independently with probability 1/2; if the draw has
-    odd size the highest-index member is dropped to restore even parity."""
+    """One draw of `even_subset_masks` from `rng`, as a sorted list."""
     if len(centers) == 0:
         raise PreconditionError("need at least one center")
-    coins = rng.random(len(centers))
-    drawn = [c for c, coin in zip(centers, coins) if coin < 0.5]
-    if len(drawn) % 2 == 1:
-        drawn.remove(max(drawn))
-    return sorted(drawn)
+    keep = even_subset_masks(centers, rng.random(len(centers))[None])[0]
+    return sorted(c for c, joined in zip(centers, keep) if joined)
 
 
 def same_cell_pairs(partition: VoronoiPartition, centers: list[int], count: int) -> list[int]:

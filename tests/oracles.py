@@ -17,6 +17,9 @@ of rows replaced, and `diameter` and the smallest distance reduce over
 them. The pseudoforest coreset reads the whole n-by-n matrix: radii and
 far counts over its rows, the dense-ball scan row by row and the peel's
 distances to S as columns, as it did before it read blocks of rows.
+The random-subset bound builds one generator per trial and fixes each
+draw's parity on a list, as `verify` did before it drew every trial's coins
+in one Philox block and fixed parity with masks.
 """
 from __future__ import annotations
 
@@ -28,7 +31,9 @@ import numpy as np
 from remote_div.coresets import Coreset, StPair
 from remote_div.errors import InternalInvariantError, PreconditionError
 from remote_div.gmm import gmm
+from remote_div.hst import SubsetBoundStats
 from remote_div.nets import _MAX_DEPTH, TARGET_DIAMETER, NetTree
+from remote_div.rng import stream_rng
 
 
 def mwm_by_pairings(rows: list[list[float]]) -> float:
@@ -74,6 +79,30 @@ def matching_table(rows: list[list[float]]) -> list[float]:
                 best = cand
         table[mask] = best
     return table
+
+
+def even_subset_by_list(centers: list[int], coins) -> list[int]:
+    """Centers whose coin is below 1/2; an odd draw drops its largest index."""
+    drawn = [c for c, coin in zip(centers, coins) if coin < 0.5]
+    if len(drawn) % 2 == 1:
+        drawn.remove(max(drawn))
+    return sorted(drawn)
+
+
+def random_subset_bound_by_draws(ps, members, trials: int, seed: int) -> SubsetBoundStats:
+    """`verify_random_subset_bound` one trial at a time: stream t's coins, the
+    list parity fix, and a bitmask into the per-mask matching table."""
+    mem = sorted(int(i) for i in members)
+    table = matching_table(ps.restrict(mem).distance_matrix().tolist())
+    best = max(v for v in table if v != math.inf)
+    pos = {p: i for i, p in enumerate(mem)}
+    values = np.empty(trials, dtype=np.float64)
+    for t in range(trials):
+        z = even_subset_by_list(mem, stream_rng(seed, t).random(len(mem)))
+        values[t] = table[sum(1 << pos[p] for p in z)]
+    mean = float(values.mean())
+    stderr = float(values.std(ddof=1) / math.sqrt(trials))
+    return SubsetBoundStats(trials, mean, stderr, best, mean / best if best > 0 else 1.0)
 
 
 def pf_sum_loop(rows: list[list[float]], members) -> float:

@@ -202,6 +202,11 @@ _SOLVE = ["solve", "--objective", "pseudoforest", "--k", "2", "--input", "{tmp}/
         pytest.param({"points.json": b'{"dim": 1, "points": [[0], [1]]} \xff'}, _SOLVE, id="input-not-utf8"),
         pytest.param({}, ["coreset", "--objective", "pseudoforest", "--k", "4", "--gmm-start", "99",
                           "--input", "{tmp}/points.json"], id="gmm-start-past-a-passthrough-part"),
+        pytest.param({}, ["gen", "--kind", "uniform_cube", "--n", "5", "--output", "{tmp}/nodir/x.json"],
+                     id="gen-output-in-a-missing-directory"),
+        pytest.param({}, _SOLVE + ["--dump-net-tree", "{tmp}/nodir/t.json"], id="net-tree-dump-in-a-missing-directory"),
+        pytest.param({}, ["verify", "--suite", "mstcc", "--trials", "1", "--output", "{tmp}/nodir/v.json"],
+                     id="report-output-in-a-missing-directory"),
     ],
 )
 def test_bad_input_exits_one_with_an_error_line(files, argv, tmp_path, capsys):

@@ -18,6 +18,7 @@ from remote_div.costs import matching_value
 from remote_div.hst import hst_distance_matrix, odd_component_counts
 from remote_div.rng import stream_rng
 from conftest import line_pointset, random_euclidean
+from oracles import random_subset_bound_by_draws
 
 
 def test_two_points_split_at_level_one():
@@ -167,6 +168,8 @@ def test_subset_bound_caps():
         verify_random_subset_bound(ps, range(16), 200, seed=0)
     with pytest.raises(PreconditionError):
         verify_random_subset_bound(ps, range(10), 50, seed=0)
+    with pytest.raises(PreconditionError, match="1 to 14"):
+        verify_random_subset_bound(ps, [], 200, seed=0)
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -176,3 +179,14 @@ def test_subset_bound_randoms_clear_one_sixteenth(seed):
     ps = PointSet.from_coords(rng.random((size, 2)))
     stats = verify_random_subset_bound(ps, range(size), 2000, seed=seed)
     assert stats.sample_mean >= stats.best_even_value / 16.0 - 3 * stats.std_error
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 2001])
+@pytest.mark.parametrize("trials", [100, 2000])
+def test_subset_bound_equals_the_per_draw_loop_bit_for_bit(trials, seed):
+    ps = random_euclidean(5, 24)
+    rng = stream_rng(11, 0)
+    for size in range(2, 15):
+        members = [int(i) for i in rng.permutation(24)[:size]]  # unsorted, not a prefix
+        stats = verify_random_subset_bound(ps, members, trials, seed)
+        assert repr(stats) == repr(random_subset_bound_by_draws(ps, members, trials, seed))

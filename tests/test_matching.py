@@ -15,8 +15,10 @@ from remote_div import (
     voronoi_partition,
 )
 from remote_div.errors import InternalInvariantError
-from remote_div.matching import same_cell_pairs
+from remote_div.matching import even_subset_masks, same_cell_pairs
+from remote_div.rng import stream_rng
 from conftest import random_euclidean, two_clusters
+from oracles import even_subset_by_list
 
 
 class _FixedCoins:
@@ -43,6 +45,24 @@ def test_random_even_subset_all_tails():
 def test_random_even_subset_parity_fix_drops_highest_index():
     centers = [3, 5, 8]
     assert random_even_subset(centers, _FixedCoins([0.1] * 3)) == [3, 5]
+
+
+def test_parity_fix_drops_the_largest_index_not_the_last_position():
+    # GMM hands centers over unsorted, so the last head is not the one dropped.
+    assert random_even_subset([9, 2, 5], _FixedCoins([0.1] * 3)) == [2, 5]
+
+
+@pytest.mark.parametrize("size", [1, 2, 5, 9, 14])
+def test_even_subset_masks_equal_the_single_draw_rule_on_unsorted_centers(size):
+    rng = stream_rng(40 + size, 0)
+    centers = [int(c) for c in rng.permutation(50)[:size]]
+    coins = rng.random((100, size))
+    coins[::7, 0] = 0.5  # a coin at exactly 1/2 is tails
+    keep = even_subset_masks(centers, coins)
+    for row, mask in zip(coins, keep):
+        expected = even_subset_by_list(centers, row)
+        assert sorted(c for c, joined in zip(centers, mask) if joined) == expected
+        assert random_even_subset(centers, _FixedCoins(row)) == expected
 
 
 def test_fill_noop_when_already_at_target():

@@ -3,30 +3,30 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from remote_div.rng import restart_stream, stream_rng
+from remote_div.errors import PreconditionError
+from remote_div.rng import uniforms
 
-DRAWS = (
-    lambda g: g.random(7),
-    lambda g: g.integers(0, 1000, 9),
-    lambda g: g.integers(0, 10, 3, dtype=np.uint32),
-    lambda g: g.random(3, dtype=np.float32),
-    lambda g: g.permutation(11),
-    lambda g: g.standard_normal(5),
-)
+# 2**64 - 1 carries across every 32-bit half of the Philox products and keys.
+STREAMS = [*range(300), 2**32 + 1, 2**64 - 1]
 
 
-@pytest.mark.parametrize("seed, stream", [(0, 0), (7, 3), (2**63, 2**32 + 1)])
-def test_restarted_generator_draws_equal_a_fresh_stream(seed, stream):
-    rng = stream_rng(99, 5)
-    rng.integers(0, 10, 3, dtype=np.uint32)  # leaves a buffered half word behind
-    assert rng.bit_generator.state["has_uint32"] == 1
-    for _ in range(2):
-        assert restart_stream(rng, seed, stream) is rng
-        fresh = stream_rng(seed, stream)
-        for draw in DRAWS:
-            assert np.array_equal(draw(rng), draw(fresh))
+@pytest.mark.parametrize("seed", [0, 1, 7, 2**63, 2**64 - 1])
+def test_uniforms_equal_numpy_philox_streams(seed):
+    # m = 5, 9 and 17 cross Philox's 4-word block boundaries.
+    for m in (1, 4, 5, 9, 17):
+        rows = uniforms(seed, STREAMS, m)
+        keys = [np.array([seed, s], dtype=np.uint64) for s in STREAMS]  # a list key would go via float
+        expected = [np.random.Generator(np.random.Philox(key=key)).random(m) for key in keys]
+        assert rows.dtype == np.float64
+        assert rows.tobytes() == np.array(expected).tobytes()
 
 
-def test_restart_rejects_a_negative_seed():
-    with pytest.raises(ValueError, match="seed"):
-        restart_stream(stream_rng(0), -1, 0)
+def test_uniforms_of_no_streams_or_no_draws_are_empty():
+    assert uniforms(3, [], 4).shape == (0, 4)
+    assert uniforms(3, range(2), 0).shape == (2, 0)
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_uniforms_reject_a_seed_outside_64_bits(seed):
+    with pytest.raises(PreconditionError, match="seed must fit in 64 unsigned bits"):
+        uniforms(seed, range(3), 2)
