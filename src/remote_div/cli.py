@@ -459,7 +459,7 @@ def _suite_lemma42(seed: int, trials: int, draws: int = 2000) -> dict:
         rng = stream_rng(seed, i)
         size = int(rng.integers(2, 11))
         ps = PointSet.from_coords(rng.random((size, 2)))
-        stats = verify_random_subset_bound(ps, range(size), draws, seed=seed + i + 1)
+        stats = verify_random_subset_bound(ps, range(size), draws, seed=(seed + i + 1) % 2**64)
         margin = stats.sample_mean - (stats.best_even_value / 16.0 - 3.0 * stats.std_error)
         worst_margin = min(worst_margin, margin)
         min_ratio = min(min_ratio, stats.ratio)

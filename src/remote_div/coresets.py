@@ -9,11 +9,12 @@ The pseudoforest coreset combines five blocks of at most k points each:
 the k points covering the dataset best (P, inside the smallest ball that
 excludes at most k outliers), the k outliers themselves (U), the greedy
 farthest-point centers (Y), and two well-separated sets S and T found by a
-density/peeling argument. The radii, the far counts and the dense-ball
-scan reduce over every pair on the metric's cell grid, reading only the
-candidate cells its bounds leave (every cell, on matrix input and in high
-dimensions), bit for bit the distances of whole rows. The matching
-coreset is the farthest-point centers plus k/2 spare same-cell pairs.
+density/peeling argument. The outlier radius and the far-count check are
+one best-first search over the metric's cell grid; it and the dense-ball
+scan read only the candidate cells the grid's bounds leave (every cell,
+on matrix input and in high dimensions), bit for bit the distances of
+whole rows. The matching coreset is the farthest-point centers plus k/2
+spare same-cell pairs.
 """
 from __future__ import annotations
 
@@ -57,59 +58,54 @@ class StPair:
     branch: str = "dense"  # which construction fired: "dense" or "peel"
 
 
-def k_outlier_radius(ps: PointSet, k: int, *, kth_largest: np.ndarray | None = None) -> tuple[int, float]:
+def k_outlier_radius(ps: PointSet, k: int) -> tuple[int, float]:
     """Smallest radius (over all centers) of a ball that leaves at most k
     points strictly outside.
 
     For each candidate center the radius is its (k+1)-th largest distance,
     self-distance included; the minimizing center wins, lowest index on
-    ties. Returns (center index, radius). If `kth_largest` (length n) is
-    given, it receives each point's k-th largest distance from the same
-    pass, which `find_separated_sets` takes in place of its own.
+    ties. Returns (center index, radius).
     """
-    n = ps.n
-    if n < k + 1:
-        raise PreconditionError(f"need n >= k+1 (n={n}, k={k})")
-    radii = np.empty(n)
-    if kth_largest is None:
-        kth_largest = np.empty(n)
-    _order_statistics(ps, k, radii, kth_largest)
-    center = int(np.argmin(radii))
-    return center, float(radii[center])
+    if not isinstance(k, (int, np.integer)) or k < 0:
+        raise PreconditionError(f"k must be an integer >= 0; got k={k!r}")
+    if ps.n < k + 1:
+        raise PreconditionError(f"need n >= k+1 (n={ps.n}, k={k})")
+    return _least_order_statistic(ps, k, np.inf)
 
 
-def _order_statistics(ps: PointSet, k: int, radii: np.ndarray, kth_largest: np.ndarray) -> None:
-    """Fill each row's (k+1)-th and k-th largest distances.
+def _least_order_statistic(ps: PointSet, j: int, best: float) -> tuple[int | None, float]:
+    """The lowest-index row whose (j+1)-th largest distance is smallest and
+    at most `best`, with that distance; (None, best) if no row's is.
 
-    A source cell's rows need only the columns of cells whose upper bound
-    reaches L: the lower bounds of the farthest cells, taken in falling
-    order until their points number k+1, make L a lower bound on every one
-    of its rows' (k+1)-th largest distance, and no column left out reaches
-    it. One partition per block at position m-k-1 (ascending) of its m
-    columns puts the (k+1)-th largest there and the k largest after it."""
+    Best-first over the cell grid (Fukunaga & Narendra, 1975). A cell's
+    floor L is the lower bound at which its farthest cells, in falling
+    order of lower bound, hold j+1 points, so L bounds its rows' (j+1)-th
+    largest distance from below and only cells whose upper bound reaches L
+    are read. Cells go in stable ascending order of L until an L exceeds
+    the best found, so ties go to the lowest index."""
     grid = _cell_grid(ps)
     everything = np.arange(grid.size)
+    floors = np.empty(grid.size)
     for c in range(grid.size):
-        lower, upper = grid.bounds(c)
-        top = everything if grid.size <= k + 1 else np.argpartition(-lower, k)[: k + 1]
+        lower = grid.bounds(c)[0]
+        top = everything if grid.size <= j + 1 else np.argpartition(-lower, j)[: j + 1]
         top = top[np.argsort(-lower[top], kind="stable")]
-        enough = np.searchsorted(np.cumsum(grid.counts[top]), k + 1)
+        floors[c] = lower[top[np.searchsorted(np.cumsum(grid.counts[top]), j + 1)]]
+    center = None
+    for c in np.argsort(floors, kind="stable").tolist():
+        if floors[c] > best:
+            break
         rows = grid.members(c)
-        for start, block in ps.blocks_between(rows, grid.gather(np.flatnonzero(upper >= lower[top[enough]]))):
-            m, chunk = block.shape[1], rows[start : start + len(block)]
-            part = np.partition(block, m - k - 1, axis=1)
-            radii[chunk] = part[:, m - k - 1]
-            kth_largest[chunk] = part[:, m - k :].min(axis=1, initial=np.inf)  # inf for k=0
+        for start, block in ps.blocks_between(rows, grid.gather(np.flatnonzero(grid.bounds(c)[1] >= floors[c]))):
+            m = block.shape[1]
+            values = np.partition(block, m - j - 1, axis=1)[:, m - j - 1]
+            i = int(np.argmin(values))
+            if values[i] < best or (values[i] == best and (center is None or rows[start + i] < center)):
+                center, best = int(rows[start + i]), float(values[i])
+    return center, best
 
 
-def find_separated_sets(
-    ps: PointSet,
-    k: int,
-    epsilon: float,
-    radius: float,
-    *,
-    kth_largest: np.ndarray | None = None,
-) -> StPair:
+def find_separated_sets(ps: PointSet, k: int, epsilon: float, radius: float) -> StPair:
     """Find disjoint S, T of k points each with cross distance >= epsilon*radius/2.
 
     `radius` must satisfy the guarantee of `k_outlier_radius`: every point
@@ -118,26 +114,28 @@ def find_separated_sets(
     points around that point already separate; otherwise annuli of width
     epsilon*radius/2 are peeled off, always cutting where the ball's growth
     ratio is small, which bounds how many points can sit near the peel.
-    `kth_largest` is each point's k-th largest distance, as
-    `k_outlier_radius` fills it; without it a pass of its own finds it.
     """
-    n = ps.n
+    if not isinstance(k, (int, np.integer)) or k < 1:
+        raise PreconditionError("k must be a positive integer")
     if not (0.0 < epsilon <= 1.0):
         raise PreconditionError("epsilon must lie in (0, 1]")
     if radius < 0.0:
         raise PreconditionError("radius must be nonnegative")
     threshold = 2.0 * k ** (1.0 + epsilon) + k
-    if n < threshold:
-        raise PreconditionError(f"need n >= 2k^(1+eps)+k = {threshold}; got n={n}")
-    if kth_largest is None:
-        kth_largest = np.empty(n)
-        _order_statistics(ps, k, np.empty(n), kth_largest)
-    # A row has >= k entries >= radius exactly when its k-th largest is.
-    if not float(kth_largest.min()) >= radius:
+    if ps.n < threshold:
+        raise PreconditionError(f"need n >= 2k^(1+eps)+k = {threshold}; got n={ps.n}")
+    # A row has >= k entries >= radius exactly when its k-th largest is;
+    # written `not >=`, so a NaN radius fails too.
+    if not _least_order_statistic(ps, k - 1, radius)[1] >= radius:
         raise PreconditionError(
             "radius guarantee violated: some point has fewer than k points at distance >= radius"
         )
+    return _separated_sets(ps, k, epsilon, radius)
 
+
+def _separated_sets(ps: PointSet, k: int, epsilon: float, radius: float) -> StPair:
+    """`find_separated_sets` past its checks."""
+    n = ps.n
     r_sep = epsilon * radius / 2.0
 
     # Dense branch: first point (index order) whose radius/2 ball holds >= k points.
@@ -238,8 +236,7 @@ def pf_coreset(ps: PointSet, k: int, epsilon: float, gmm_start: int = 0, part_id
             passthrough=True,
         )
     centers = gmm(ps, k, gmm_start).centers
-    kth_largest = np.empty(n)
-    x, radius = k_outlier_radius(ps, k, kth_largest=kth_largest)
+    x, radius = k_outlier_radius(ps, k)
     row_x = ps.distances_from(x)
     # U: the k points furthest from x, ties to the lowest index.
     order = np.lexsort((np.arange(n), -row_x))
@@ -248,7 +245,9 @@ def pf_coreset(ps: PointSet, k: int, epsilon: float, gmm_start: int = 0, part_id
     p_block = [int(i) for i in np.nonzero(row_x <= radius)[0][:k]]
     if len(p_block) < k:
         raise InternalInvariantError("ball around the outlier center holds fewer than k points")
-    st = find_separated_sets(ps, k, epsilon, radius, kth_largest=kth_largest)
+    # Every row's k-th largest distance is at least its (k+1)-th largest,
+    # so at least `radius`: the far counts hold without a check.
+    st = _separated_sets(ps, k, epsilon, radius)
     blocks = {
         "P": p_block,
         "S": st.s,

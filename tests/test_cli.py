@@ -331,6 +331,14 @@ def test_verify_all_suites_pass(tmp_path):
     assert report["suites"]["mstcc"]["min_ratio"] >= 0.5
 
 
+def test_verify_lemma42_accepts_the_largest_seed(tmp_path):
+    # Trial i seeds its bound with seed + i + 1 modulo 2^64.
+    out = tmp_path / "verify.json"
+    code = run_cli(["verify", "--suite", "lemma42", "--seed", str(2**64 - 1), "--trials", "3", "--output", str(out)])
+    assert code == 0
+    assert read_json(out)["pass"] is True
+
+
 # -- cross-cutting -----------------------------------------------------------------------
 
 def test_reports_byte_identical_modulo_timing(dataset, tmp_path):

@@ -105,6 +105,18 @@ def test_outlier_radius_partitions_one_row_at_a_time():
     assert peak < ps.n * ps.n * 8 / 10
 
 
+def test_bad_k_is_a_precondition_error():
+    ps = random_euclidean(14, 25)
+    for k in (-1, 2.5, "3", None):
+        with pytest.raises(PreconditionError, match="k must be an integer >= 0"):
+            k_outlier_radius(ps, k)
+    for k in (0, -1, 2.5):
+        with pytest.raises(PreconditionError, match="k must be a positive integer"):
+            find_separated_sets(ps, k, 1.0, 0.1)
+    dmat = ps.distance_matrix()
+    assert k_outlier_radius(ps, np.int64(0)) == (int(np.argmin(dmat.max(axis=1))), float(dmat.max(axis=1).min()))
+
+
 # -- find_separated_sets -----------------------------------------------------------
 
 def _assert_st_contract(ps, k, epsilon, radius, pair):

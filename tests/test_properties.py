@@ -37,6 +37,8 @@ from remote_div import (
     pf_cost,
     pf_offline,
     rescale_and_clamp,
+    run_pipeline,
+    split_dataset,
     voronoi_partition,
 )
 from remote_div import metric
@@ -93,6 +95,29 @@ def test_euclidean_and_matrix_kinds_select_alike(instance):
     ps = PointSet.from_coords(coords)
     as_matrix = PointSet.from_matrix(ps.distance_matrix())
     assert _selections(as_matrix, k) == _selections(ps, k)
+
+
+@given(
+    st.integers(4, 160),
+    st.sampled_from([2, 4, 6]),
+    st.integers(1, 4),
+    st.sampled_from(["round_robin", "random"]),
+    st.sampled_from(list(Objective)),
+    st.integers(0, 2**64 - 1),
+)
+def test_file_parts_compose_like_the_strategy_that_made_them(n, k, m, strategy, objective, seed):
+    # 2-D points on a coarse grid (coincident points among them); parts small
+    # enough to pass through whole and large enough to be cut to a coreset;
+    # unions that are enumerated, and pseudoforest unions only bounded.
+    assume(k <= n and m <= n)
+    ps = PointSet.from_coords(stream_rng(seed, 0).integers(0, 20, (n, 2)) / 8.0)
+    cfg = RunConfig(k=k, epsilon=1.0, seed=seed, objective=objective)
+    made = run_pipeline(ps, cfg, m, strategy).to_dict()
+    parts = split_dataset(ps, m, strategy, seed).parts
+    given_parts = run_pipeline(ps, cfg, m, "file", parts=parts).to_dict()
+    for key in ("strategy", "seed", "elapsed"):
+        del made[key], given_parts[key]
+    assert given_parts == made
 
 
 @st.composite
@@ -263,10 +288,10 @@ def test_grid_paths_are_the_row_and_matrix_paths_bit_for_bit(ps, k, epsilon, roo
     assert min_offdiag_distance(ps).hex() == min_offdiag_by_rows(ps).hex()
     dmat = ps.distance_matrix()
     if ps.n > k:
-        kth_largest = np.empty(ps.n)
-        center, radius = k_outlier_radius(ps, k, kth_largest=kth_largest)
+        center, radius = k_outlier_radius(ps, k)
         assert (center, radius) == k_outlier_radius_by_matrix(dmat, k)
-        assert kth_largest.tobytes() == np.sort(dmat, axis=1)[:, -k].tobytes()
+        # The least k-th largest distance, which the far-count check reads.
+        assert k_outlier_radius(ps, k - 1) == k_outlier_radius_by_matrix(dmat, k - 1)
         if ps.n >= 2.0 * k ** (1.0 + epsilon) + k:
             assert _pair_or_error(find_separated_sets, ps, k, epsilon, radius) == _pair_or_error(
                 find_separated_sets_by_matrix, ps, k, epsilon, radius
@@ -301,9 +326,20 @@ def test_order_statistics_with_k_plus_one_around_the_cell_count(n, dim):
     cells = metric._cell_grid(ps).size
     dmat = ps.distance_matrix()
     for k in range(max(1, cells - 2), min(cells, ps.n - 1) + 1):
-        kth_largest = np.empty(ps.n)
-        assert k_outlier_radius(ps, k, kth_largest=kth_largest) == k_outlier_radius_by_matrix(dmat, k)
-        assert kth_largest.tobytes() == np.sort(dmat, axis=1)[:, -k].tobytes()
+        assert k_outlier_radius(ps, k) == k_outlier_radius_by_matrix(dmat, k)
+        assert k_outlier_radius(ps, k - 1) == k_outlier_radius_by_matrix(dmat, k - 1)
+
+
+@pytest.mark.parametrize("mirrored", [False, True])
+def test_outlier_radius_ties_across_cells_go_to_the_lowest_index(mirrored):
+    # The points at -1 and +1 tie on the least 2nd largest distance, 3, in
+    # different cells. Mirrored, the higher index's cell has the lower floor
+    # and is read first, and the other cell's floor equals the radius.
+    ps = PointSet.from_coords(np.array([[-3.0], [-2.0], [-1.0], [1.0], [2.0], [3.0]]) * (-1.0 if mirrored else 1.0))
+    grid = metric._cell_grid(ps)
+    cell = {int(p): c for c in range(grid.size) for p in grid.members(c)}
+    assert cell[2] != cell[3]
+    assert k_outlier_radius(ps, 1) == (2, 3.0) == k_outlier_radius_by_matrix(ps.distance_matrix(), 1)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
