@@ -8,7 +8,6 @@ as the verification oracle for all the solvers.
 """
 from __future__ import annotations
 
-import itertools
 import math
 import time
 from dataclasses import dataclass, field
@@ -151,6 +150,40 @@ def compose_coresets(partition: PartitionedDataset, per_part_global: list[list[i
     return sorted(union)
 
 
+def _subset_blocks(m: int, k: int, block: int, order_seed: int | None = None):
+    """Every k-subset of range(m) once, in blocks of at most `block`: yields
+    (ranks, members), where `ranks` holds ascending lexicographic ranks and
+    row b of the (B, k) array `members` is the subset of rank ranks[b], in
+    ascending order. Without `order_seed` the blocks run through the ranks
+    in order; with it, through one Philox shuffle of all of them.
+
+    Unranking goes through the combinatorial number system (Buckles and
+    Lybanon, ACM TOMS Algorithm 515): the subset c of lexicographic rank r
+    maps to d_i = m-1-c_i, strictly decreasing, with
+    sum_i C(d_i, k-i) = C(m, k)-1-r, so each d_i is the largest d with
+    C(d, k-i) at most what is left: one `searchsorted` per position over a
+    table of binomials, clipped at C(m, k), which no remainder reaches.
+    """
+    total = math.comb(m, k)
+    table = np.array([[min(math.comb(d, j), total) for d in range(m)] for j in range(k + 1)], dtype=np.int64)
+    if order_seed is None:
+        blocks = (np.arange(start, min(start + block, total)) for start in range(0, total, block))
+    else:
+        shuffled = np.arange(total)
+        stream_rng(order_seed, SPLIT_STREAM).shuffle(shuffled)
+        blocks = (np.sort(shuffled[start : start + block]) for start in range(0, total, block))
+    for ranks in blocks:
+        # Built position by position, so each column of `members` is contiguous.
+        members = np.empty((k, len(ranks)), dtype=np.intp)
+        left = total - 1 - ranks
+        for i in range(k):
+            binomials = table[k - i]
+            d = binomials.searchsorted(left, side="right") - 1
+            left -= binomials.take(d)
+            np.subtract(m - 1, d, out=members[i])
+        yield ranks, members.T
+
+
 def brute_force_diversity(
     ps: PointSet,
     k: int,
@@ -161,11 +194,12 @@ def brute_force_diversity(
 ) -> DiversitySolution:
     """Exact optimum by exhaustive k-subset enumeration.
 
-    Returns the lexicographically first optimal subset regardless of the
-    enumeration order; `order_seed` shuffles the order (small instances
-    only) to guard against order-dependent bugs.
+    Returns the lexicographically first optimal subset (the lowest rank at
+    the maximum value) regardless of the enumeration order; `order_seed`
+    shuffles the order (small instances only) to guard against
+    order-dependent bugs.
     """
-    cand = sorted(range(ps.n)) if candidates is None else sorted(set(int(i) for i in candidates))
+    cand = sorted(range(ps.n)) if candidates is None else sorted(set(costs.as_indices(candidates)))
     m = len(cand)
     if not (1 <= k <= m):
         raise PreconditionError(f"need 1 <= k <= candidate count; got k={k}, count={m}")
@@ -181,47 +215,31 @@ def brute_force_diversity(
         raise PreconditionError(
             f"C({m},{k}) = {total} subsets exceeds the enumeration cap {enumeration_cap}"
         )
+    if order_seed is not None and total > SHUFFLE_CAP:
+        raise PreconditionError(
+            f"shuffled enumeration materializes every subset's rank; cap is {SHUFFLE_CAP}"
+        )
 
     dmat = ps.restrict(cand).distance_matrix()
     if objective is Objective.REMOTE_MATCHING:
-        def evaluate(d):
-            return costs.matching_tables(d)[:, -1]
+        def evaluate(dmat, members):
+            return costs.matching_tables(dmat, members)[:, -1]
         entries = 1 << k  # the DP table; at least the k*k distances
     else:
         evaluate = costs.pf_sum
         entries = k * k
 
-    combos = itertools.combinations(range(m), k)
-    if order_seed is not None:
-        if total > SHUFFLE_CAP:
-            raise PreconditionError(
-                f"shuffled enumeration materializes all subsets; cap is {SHUFFLE_CAP}"
-            )
-        pool = list(combos)
-        stream_rng(order_seed, SPLIT_STREAM).shuffle(pool)
-        combos = iter(pool)
-
-    # Score subsets in blocks whose distances and DP tables stay within
-    # BLOCK_ENTRIES floats; each block keeps its best value and, among its
-    # ties, its lexicographically first subset.
-    block = max(1, BLOCK_ENTRIES // entries)
-    best_value = -math.inf
-    best_combo: tuple[int, ...] | None = None
-    while True:
-        flat = itertools.chain.from_iterable(itertools.islice(combos, block))
-        subsets = np.fromiter(flat, dtype=np.intp).reshape(-1, k)
-        if subsets.shape[0] == 0:
-            break
-        values = evaluate(dmat[subsets[:, :, None], subsets[:, None, :]])
-        top = values.max()
-        tied = subsets[values == top]
-        combo = tuple(int(p) for p in tied[np.lexsort(tied.T[::-1])[0]])
-        if top > best_value or (top == best_value and combo < best_combo):
-            best_value = float(top)
-            best_combo = combo
-    assert best_combo is not None
+    # Score subsets in blocks whose DP tables stay within BLOCK_ENTRIES
+    # floats; each block's first maximum is its lowest-rank one.
+    best_value, best_rank, best = -math.inf, total, None
+    for ranks, members in _subset_blocks(m, k, max(1, BLOCK_ENTRIES // entries), order_seed):
+        values = evaluate(dmat, members)
+        top = int(values.argmax())
+        if values[top] > best_value or (values[top] == best_value and ranks[top] < best_rank):
+            best_value, best_rank, best = float(values[top]), int(ranks[top]), members[top].tolist()
+    assert best is not None
     return DiversitySolution(
-        indices=[cand[p] for p in best_combo],
+        indices=[cand[p] for p in best],
         value=best_value,
         objective=objective.value,
         algorithm="brute-force",

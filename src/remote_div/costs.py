@@ -1,19 +1,23 @@
 """Exact evaluators for the three subset cost functions.
 
 * minimum-weight perfect matching, via a bitmask dynamic program that numpy
-  fills one strided view per pair of points, for a batch of instances at once,
+  fills one strided view per pair of points, for a batch of subsets at once,
 * minimum spanning tree, via a dense Prim scan,
 * pseudoforest cost (sum of nearest-neighbor distances), batched likewise,
 
 plus the threshold-graph component counter and the dyadic component sum
 that brackets the MST cost. Each cost has one evaluator over distances
 (`matching_tables`, `mst_value_and_edges`, `pf_sum`), shared by the subset
-reports and the brute-force search, which scores blocks of subsets with
-the batched ones. All evaluators are pure functions over an immutable point
-set and an index subset; they read the subset's distances through
-`ps.restrict(subset)`, never through the whole dataset's matrix, and each
-returns a `SubsetCostReport` whose witness re-evaluates to exactly the
-reported value.
+reports and the brute-force search. The two batched ones take a square
+distance matrix `dmat` and a (B, s) array `members` of row indices into
+it, one subset per row, and read each pair of positions for the whole
+batch with one `take` from the flattened matrix; a subset report passes
+its own s-by-s matrix and the single row `arange(s)`, the brute-force
+search its candidates' matrix and a block of subsets. All evaluators are
+pure functions over an immutable point set and an index subset; they read
+the subset's distances through `ps.restrict(subset)`, never through the
+whole dataset's matrix, and each returns a `SubsetCostReport` whose
+witness re-evaluates to exactly the reported value.
 """
 from __future__ import annotations
 
@@ -76,8 +80,23 @@ class UnionFind:
         return True
 
 
+def as_indices(values) -> list[int]:
+    """The entries of `values` as ints; an entry that is not an integral
+    number is a PreconditionError, never truncated."""
+    out = []
+    for v in values:
+        try:
+            i = int(v)
+        except (TypeError, ValueError, OverflowError):
+            i = None
+        if i is None or i != v:
+            raise PreconditionError(f"index {v!r} is not an integer")
+        out.append(i)
+    return out
+
+
 def _as_subset(subset, n: int) -> list[int]:
-    idx = sorted(int(i) for i in subset)
+    idx = sorted(as_indices(subset))
     if any(i < 0 or i >= n for i in idx):
         raise PreconditionError(f"subset index out of range for n={n}")
     if len(set(idx)) != len(idx):
@@ -94,28 +113,33 @@ def _subset_rows(ps: PointSet, subset: list[int]) -> list[list[float]]:
 # Minimum-weight perfect matching
 # ---------------------------------------------------------------------------
 
-def matching_tables(d: np.ndarray) -> np.ndarray:
-    """Batched DP over vertex masks: for distances `d` of shape (B, s, s),
-    tables[b, mask] = min perfect-matching weight of the points of instance
-    b selected by `mask`. Odd-popcount masks stay at +inf.
+def matching_tables(dmat: np.ndarray, members: np.ndarray) -> np.ndarray:
+    """Batched DP over vertex masks: for a (B, s) array `members` of row
+    indices into the square matrix `dmat`, tables[b, mask] = min
+    perfect-matching weight of the points members[b, p] over the bits p set
+    in `mask`. Odd-popcount masks stay at +inf.
 
     Each mask pairs its lowest point i with every other point j of the mask:
     the candidate is d[i, j] + table[mask without i and j]. Filling masks by
     lowest point from the top down, every candidate's mask is final when read,
     and the masks with lowest point i that hold j are one strided view of the
-    table (bits below i clear, bits i and j set), so the DP builds no index
-    arrays. Each candidate is one float addition and min is exact, so every
+    table (bits below i clear, bits i and j set), so the DP indexes its table
+    with no index arrays. Each candidate is one float addition and min is exact, so every
     entry is the same float whatever order the candidates are visited in.
+    Position i's distances to the later positions are read for the whole
+    batch with one `take` from the flattened `dmat`, along rows members[:, i].
     """
-    batch, s = d.shape[0], d.shape[-1]
+    batch, s = members.shape
+    flat, n, cols = dmat.ravel(), dmat.shape[1], members.T
     tables = np.full((1 << s, batch), np.inf)
     tables[0] = 0.0
     for i in range(s - 2, -1, -1):
+        later = flat.take(cols[i] * n + cols[i + 1 :])  # row i: d[i, j] for j > i
         for j in range(i + 1, s):
             # axes: bits above j, bit j, bits between, bit i, bits below i
             view = tables.reshape(1 << (s - 1 - j), 2, 1 << (j - 1 - i), 2, 1 << i, batch)
             target = view[:, 1, :, 1, 0]
-            np.minimum(target, d[:, i, j] + view[:, 0, :, 0, 0], out=target)
+            np.minimum(target, later[j - i - 1] + view[:, 0, :, 0, 0], out=target)
     return tables.T
 
 
@@ -145,7 +169,8 @@ def _matching_witness(d: np.ndarray, table: np.ndarray) -> list[tuple[int, int]]
 def matching_value(rows) -> float:
     """Min perfect-matching weight of the points whose distance rows are given."""
     s = len(rows)
-    return float(matching_tables(np.asarray(rows, dtype=np.float64).reshape(1, s, s))[0, -1])
+    dmat = np.asarray(rows, dtype=np.float64).reshape(s, s)
+    return float(matching_tables(dmat, np.arange(s)[None])[0, -1])
 
 
 def mwm_exact(ps: PointSet, subset, *, with_witness: bool = True) -> SubsetCostReport:
@@ -164,7 +189,7 @@ def mwm_exact(ps: PointSet, subset, *, with_witness: bool = True) -> SubsetCostR
     if len(idx) == 0:
         return SubsetCostReport(idx, "mwm", 0.0, [] if with_witness else None)
     d = ps.restrict(idx).distance_matrix()
-    table = matching_tables(d[None])[0]
+    table = matching_tables(d, np.arange(len(idx))[None])[0]
     witness = None
     if with_witness:
         witness = sorted(
@@ -226,18 +251,20 @@ def mst_cost(ps: PointSet, subset, *, with_witness: bool = True) -> SubsetCostRe
 # Pseudoforest cost
 # ---------------------------------------------------------------------------
 
-def pf_sum(d: np.ndarray) -> np.ndarray:
-    """Batched pseudoforest cost: for distances `d` of shape (B, s, s), the
-    sum over each instance's points of the distance to its nearest other
-    point. Columns are added left to right, one float addition each."""
-    s = d.shape[1]
-    others = np.where(np.eye(s, dtype=bool), np.inf, d)
-    nearest = others[:, :, 0]
-    for b in range(1, s):
-        nearest = np.minimum(nearest, others[:, :, b])
-    total = np.zeros(d.shape[0])
+def pf_sum(dmat: np.ndarray, members: np.ndarray) -> np.ndarray:
+    """Batched pseudoforest cost: for a (B, s) array `members` of row
+    indices into the square matrix `dmat`, the sum over each row's points
+    of the distance to its nearest other point. Position a's distances are
+    read for the whole batch with one `take` from the flattened `dmat`,
+    along rows members[:, a], and the positions are added left to right,
+    one float addition each."""
+    batch, s = members.shape
+    flat, n, cols = dmat.ravel(), dmat.shape[1], members.T
+    total = np.zeros(batch)
     for a in range(s):
-        total += nearest[:, a]
+        row = flat.take(cols[a] * n + cols)  # (s, B): d[a, b] for every b
+        row[a] = np.inf
+        total += row.min(axis=0)
     return total
 
 
@@ -252,7 +279,7 @@ def pf_cost(ps: PointSet, subset, *, with_witness: bool = True) -> SubsetCostRep
         # The nearest other member, lowest position on ties.
         others = np.where(np.eye(len(idx), dtype=bool), np.inf, d)
         witness = [(idx[a], idx[int(b)]) for a, b in enumerate(others.argmin(axis=1))]
-    return SubsetCostReport(idx, "pf", float(pf_sum(d[None])[0]), witness)
+    return SubsetCostReport(idx, "pf", float(pf_sum(d, np.arange(len(idx))[None])[0]), witness)
 
 
 # ---------------------------------------------------------------------------

@@ -176,7 +176,7 @@ def verify_random_subset_bound(
         raise PreconditionError("member set must hold 1 to 14 points for the even-subset brute force")
     if trials < 100:
         raise PreconditionError("need at least 100 trials for a stable mean")
-    table = matching_tables(ps.restrict(mem).distance_matrix()[None])[0]
+    table = matching_tables(ps.restrict(mem).distance_matrix(), np.arange(len(mem))[None])[0]
     best = float(table[table != math.inf].max())
     keep = even_subset_masks(mem, uniforms(seed, range(trials), len(mem)))
     values = table[keep @ (1 << np.arange(len(mem)))]

@@ -4,6 +4,7 @@ import itertools
 import math
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from remote_div import (
@@ -140,7 +141,9 @@ def test_brute_blocks_agree_with_a_per_subset_loop(monkeypatch, objective, k, or
     sizes = []
     for name in ("matching_tables", "pf_sum"):
         evaluate = getattr(costs, name)
-        monkeypatch.setattr(costs, name, lambda d, evaluate=evaluate: sizes.append(len(d)) or evaluate(d))
+        monkeypatch.setattr(
+            costs, name, lambda dmat, members, evaluate=evaluate: sizes.append(len(members)) or evaluate(dmat, members)
+        )
     sol = brute_force_diversity(ps, k, objective, order_seed=order_seed)
     indices, value, ties = brute_force_loop(ps.distance_matrix().tolist(), k, objective.value)
     assert (sol.indices, sol.value.hex()) == (indices, value.hex())
@@ -149,11 +152,45 @@ def test_brute_blocks_agree_with_a_per_subset_loop(monkeypatch, objective, k, or
     assert list(itertools.combinations(range(ps.n), k)).index(tuple(indices)) >= sizes[0]
 
 
+@pytest.mark.parametrize("m", range(1, 11))
+def test_subset_blocks_run_through_the_combinations_in_order(m):
+    for k in range(1, m + 1):
+        total = math.comb(m, k)
+        block = next(b for b in itertools.count(2) if total % b)
+        combos = np.array(list(itertools.combinations(range(m), k)))
+        blocks = list(composition._subset_blocks(m, k, block))
+        assert np.array_equal(np.concatenate([ranks for ranks, _ in blocks]), np.arange(total))
+        assert np.array_equal(np.concatenate([members for _, members in blocks]), combos)
+        # Shuffled: every rank once, each block ascending and unranked alike.
+        shuffled = list(composition._subset_blocks(m, k, block, order_seed=m * k))
+        ranks = np.concatenate([ranks for ranks, _ in shuffled])
+        assert np.array_equal(np.sort(ranks), np.arange(total))
+        assert all(np.all(np.diff(r) > 0) and len(r) <= block for r, _ in shuffled)
+        assert np.array_equal(np.concatenate([members for _, members in shuffled]), combos[ranks])
+
+
+def test_brute_candidates_must_be_integers():
+    ps = line_pointset([0.0, 1.0, 10.0, 30.0])
+    with pytest.raises(PreconditionError, match="not an integer"):
+        brute_force_diversity(ps, 2, Objective.REMOTE_PSEUDOFOREST, candidates=[0, 1.5, 2])
+
+
 def test_brute_matching_k6_on_22_points_peaks_below_4_mb():
     ps = random_euclidean(41, 22)
     tracemalloc.start()
     try:
         brute_force_diversity(ps, 6, Objective.REMOTE_MATCHING)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+
+
+def test_brute_pseudoforest_k5_on_40_points_peaks_below_4_mb():
+    ps = random_euclidean(41, 40)
+    tracemalloc.start()
+    try:
+        brute_force_diversity(ps, 5, Objective.REMOTE_PSEUDOFOREST)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -99,10 +99,20 @@ def distance_batches(draw, sizes):
     return np.stack(batch)
 
 
+def block_diagonal(d):
+    """The batch `d` of shape (B, s, s) as one block-diagonal matrix and the
+    (B, s) members array that reads instance b from block b."""
+    batch, s = d.shape[0], d.shape[-1]
+    dmat = np.full((batch * s, batch * s), np.nan)
+    for b in range(batch):
+        dmat[b * s : (b + 1) * s, b * s : (b + 1) * s] = d[b]
+    return dmat, np.arange(batch * s).reshape(batch, s)
+
+
 @given(distance_batches(st.sampled_from(range(0, 13, 2))))
 @example(random_euclidean(5, 12).distance_matrix()[None])
 def test_matching_tables_equal_the_per_mask_dp_bit_for_bit(d):
-    tables = matching_tables(d)
+    tables = matching_tables(*block_diagonal(d))
     assert tables.shape == (d.shape[0], 1 << d.shape[1])
     for b in range(d.shape[0]):
         assert tables[b].tobytes() == np.array(matching_table(d[b].tolist())).tobytes()
@@ -112,7 +122,7 @@ def test_matching_tables_equal_the_per_mask_dp_bit_for_bit(d):
 @example(np.stack([random_euclidean(seed, 12).distance_matrix() for seed in range(3)]))
 def test_pf_sum_equals_the_per_member_loop_bit_for_bit(d):
     expected = [pf_sum_loop(m.tolist(), range(d.shape[1])) for m in d]
-    assert pf_sum(d).tobytes() == np.array(expected).tobytes()
+    assert pf_sum(*block_diagonal(d)).tobytes() == np.array(expected).tobytes()
 
 
 def test_mwm_exact_at_16_points_peaks_below_4_mb():
@@ -185,6 +195,16 @@ def test_pf_requires_two_points():
     ps = line_pointset([0.0, 1.0])
     with pytest.raises(PreconditionError):
         pf_cost(ps, [0])
+
+
+@pytest.mark.parametrize("bad", [0.5, 2.999, "1", float("nan"), float("inf"), None])
+def test_non_integral_indices_are_rejected_not_truncated(bad):
+    ps = line_pointset([0.0, 1.0, 5.0, 9.0])
+    for evaluate in (pf_cost, mwm_exact, mst_cost):
+        with pytest.raises(PreconditionError, match="not an integer"):
+            evaluate(ps, [bad, 3])
+    # An integral float or numpy integer still names its point.
+    assert pf_cost(ps, [0.0, np.int64(3)]).value == pf_cost(ps, [0, 3]).value
 
 
 def test_pf_witness_ties_to_lowest_index():
