@@ -237,12 +237,19 @@ def _write_text(path: str, text: str) -> None:
 
 
 def _read_pointset(args) -> PointSet:
-    return load_pointset(_read_text(args.input, "input file"), args.input_format)
+    data = _read_file(args.input, "input file", Path.read_bytes)
+    if b"\r" in data:  # line ends as a text-mode read gives them
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    return load_pointset(data, args.input_format)
 
 
 def _read_text(path: str, what: str) -> str:
+    return _read_file(path, what, lambda p: p.read_text(encoding="utf-8"))
+
+
+def _read_file(path: str, what: str, read):
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return read(Path(path))
     except FileNotFoundError as exc:
         raise PreconditionError(f"{what} not found: {path}") from exc
     except (OSError, UnicodeDecodeError) as exc:

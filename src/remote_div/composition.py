@@ -101,7 +101,7 @@ def split_dataset(
     elif strategy == "file":
         if parts is None:
             raise PreconditionError("file strategy needs explicit parts")
-        part_lists = [sorted(int(i) for i in p) for p in parts]
+        part_lists = [sorted(costs.as_indices(p)) for p in parts]
         flat = [i for p in part_lists for i in p]
         if sorted(flat) != list(range(n)):
             raise PreconditionError("parts must be disjoint and cover all indices exactly once")

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .costs import UnionFind, matching_tables, mst_value_and_edges
+from .costs import UnionFind, as_indices, matching_tables, mst_value_and_edges
 from .errors import PreconditionError
 from .matching import even_subset_masks
 from .metric import PointSet
@@ -66,7 +66,7 @@ def build_hst(ps: PointSet, subset, d: int) -> Hst:
     """
     if d < 1:
         raise PreconditionError("depth must be at least 1")
-    members = sorted(int(i) for i in subset)
+    members = sorted(as_indices(subset))
     if not members:
         raise PreconditionError("subset must be nonempty")
     dmat = ps.restrict(members).distance_matrix()
@@ -93,7 +93,7 @@ def embed_subset(ps: PointSet, subset, d: int = DEFAULT_DEPTH) -> tuple[Hst, Poi
     Returns the hierarchy and the rescaled sub-point-set (local indices
     follow the sorted subset order) used to build it.
     """
-    members = sorted(int(i) for i in subset)
+    members = sorted(as_indices(subset))
     if len(members) < 2:
         raise PreconditionError("need at least 2 points to embed")
     sub = ps.restrict(members).distance_matrix()
@@ -133,7 +133,7 @@ def hst_distance_matrix(hst: Hst) -> np.ndarray:
 
 def odd_component_counts(hst: Hst, z) -> list[int]:
     """Per level, the number of components holding an odd number of z's."""
-    zset = set(int(i) for i in z)
+    zset = set(as_indices(z))
     counts = []
     for t in range(hst.depth + 1):
         parity: dict[int, int] = {}
@@ -147,7 +147,7 @@ def odd_component_counts(hst: Hst, z) -> list[int]:
 def hst_mwm_odd_count(hst: Hst, z) -> float:
     """Matching cost of the even set z under the tree metric, computed as
     sum over levels of 2^-level times the number of odd-occupancy nodes."""
-    zlist = [int(i) for i in z]
+    zlist = as_indices(z)
     if len(zlist) % 2 != 0:
         raise PreconditionError("odd-count matching formula needs an even set")
     if len(set(zlist)) != len(zlist):
@@ -171,7 +171,7 @@ def verify_random_subset_bound(
     Uses one matching DP table over all sub-multisets of `members`, so both
     the per-draw values and the brute-force maximum are exact.
     """
-    mem = sorted(int(i) for i in members)
+    mem = sorted(as_indices(members))
     if not 1 <= len(mem) <= 14:
         raise PreconditionError("member set must hold 1 to 14 points for the even-subset brute force")
     if trials < 100:

@@ -8,9 +8,15 @@ the data's scale; algorithms themselves compare distances exactly, since
 they only need a consistent total order. A matrix with an entry so large
 that twice it overflows is rejected. The triangle check walks the upper
 triangle in row blocks with a running minimum over pivots, deciding exactly
-as a per-pivot scan would. A matrix-csv file is parsed by `np.loadtxt`;
-a file it cannot take as a square matrix, or one with a '#' after a field,
-is parsed again line by line, which names the offending line.
+as a per-pivot scan would. A block skips every pivot j for which, in each
+of its rows i != j, arr[i, j] plus row j's least off-diagonal entry comes
+within the tolerance of row i's largest entry: such a pivot cannot violate.
+In high dimensions, where distances concentrate, that is almost every pivot.
+A matrix-csv file is parsed from its bytes: ASCII data by `np.loadtxt`
+over the buffer itself, with no decoded text copy. Non-ASCII data, a file
+`np.loadtxt` cannot take as a square matrix, and one with a '#' after a
+field are decoded and parsed again line by line, which names the offending
+line. Only json and csv input is decoded as a whole.
 Every Euclidean distance, single, in a row or in a block, comes from one
 kernel (`_euclidean`), so the same pair always gets the same bits; the
 kernel is bitwise symmetric, so a column read equals a row read.
@@ -419,15 +425,22 @@ FORMATS = ("json", "csv", "matrix-csv")
 
 def load_pointset(document: str | bytes, format: str) -> PointSet:
     """Parse and validate a point file. See module docstring for grammars."""
-    if isinstance(document, bytes):
-        document = document.decode("utf-8")
     if format == "json":
-        return _load_json(document)
+        return _load_json(_utf8(document))
     if format == "csv":
-        return _load_csv(document)
+        return _load_csv(_utf8(document))
     if format == "matrix-csv":
-        return _load_matrix_csv(document)
+        return PointSet.from_matrix(_parse_matrix_csv(document))
     raise PreconditionError(f"unknown format {format!r}; expected one of {FORMATS}")
+
+
+def _utf8(document: str | bytes) -> str:
+    if isinstance(document, str):
+        return document
+    try:
+        return document.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise PreconditionError(f"point file is not UTF-8: {exc}") from exc
 
 
 def dump_pointset(ps: PointSet, format: str) -> str:
@@ -501,31 +514,30 @@ def _load_csv(text: str) -> PointSet:
     return PointSet.from_coords(np.asarray(rows, dtype=np.float64))
 
 
-def _load_matrix_csv(text: str) -> PointSet:
-    return PointSet.from_matrix(_parse_matrix_csv(text))
-
-
 # A '#' after a field on its line: `np.loadtxt` would drop the rest of the
 # line, where the line parser rejects the field.
-_INLINE_COMMENT = re.compile(r"[^\s#][^\S\n]*#")
+_INLINE_COMMENT = re.compile(rb"[^\s#][^\S\n]*#")
 
 
-def _parse_matrix_csv(text: str) -> np.ndarray:
-    """The matrix a matrix-csv file holds, parsed by `np.loadtxt` (every
-    field converted as `float()` converts it). Whatever it cannot take as a
-    square matrix is parsed again line by line, to raise that parser's
-    message."""
-    if "#" not in text or not _INLINE_COMMENT.search(text):
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", UserWarning)  # a file with no rows
-                arr = np.loadtxt(io.StringIO(text), dtype=np.float64, delimiter=",", comments="#", ndmin=2)
-        except ValueError:
-            pass
-        else:
-            if arr.size and arr.shape[0] == arr.shape[1]:
-                return arr
-    return _parse_matrix_csv_lines(text)
+def _parse_matrix_csv(data: str | bytes) -> np.ndarray:
+    """The matrix a matrix-csv file holds. ASCII data is parsed from its
+    bytes, in place, by `np.loadtxt` (every field converted as `float()`
+    converts it). Anything else, and whatever `np.loadtxt` cannot take as a
+    square matrix, is decoded and parsed again line by line, to give that
+    parser's result or message."""
+    if data.isascii():
+        raw = data.encode("ascii") if isinstance(data, str) else data
+        if b"#" not in raw or not _INLINE_COMMENT.search(raw):
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", UserWarning)  # a file with no rows
+                    arr = np.loadtxt(io.BytesIO(raw), dtype=np.float64, delimiter=",", comments="#", ndmin=2)
+            except ValueError:
+                pass
+            else:
+                if arr.size and arr.shape[0] == arr.shape[1]:
+                    return arr
+    return _parse_matrix_csv_lines(_utf8(data))
 
 
 def _parse_matrix_csv_lines(text: str) -> np.ndarray:
@@ -598,21 +610,46 @@ def _violates_triangle(arr: np.ndarray, tol: float) -> bool:
     `arr` is exactly symmetric, so (i, j, l) violates iff (l, j, i) does and
     only pairs i <= l are checked, a block of rows at a time. Rounded
     subtraction is monotone, so arr[i, l] minus the minimum over pivots j of
-    arr[i, j] + arr[j, l] exceeds tol exactly when one pivot's difference does.
+    arr[i, j] + arr[j, l] exceeds tol exactly when one pivot's difference
+    does; the minimum runs over the block's live pivots only.
     """
-    n = arr.shape[0]
-    for s in range(0, n, _ROW_BLOCK):
+    for s, pivots in _live_pivots(arr, tol):
         rows = arr[s : s + _ROW_BLOCK]
         block = rows[:, s:]
         low = block.copy()
         pivot_sum = np.empty_like(low)
-        for j in range(n):
+        for j in pivots:
             np.add(rows[:, j, None], arr[j, s:], out=pivot_sum)
             np.minimum(low, pivot_sum, out=low)
         np.subtract(block, low, out=low)
         if np.any(low > tol):
             return True
     return False
+
+
+def _live_pivots(arr: np.ndarray, tol: float):
+    """Yield (s, pivots) for each block of `_ROW_BLOCK` rows from s: the
+    pivots j, ascending, that can make some arr[i, l] - (arr[i, j] +
+    arr[j, l]) with i in the block and l >= s exceed tol.
+
+    `arr` has an exactly zero diagonal, so the difference is exactly 0 for
+    l = j and for j = i. For l != j it is at most the largest arr[i, l],
+    l >= s, minus (arr[i, j] + nn[j]), nn[j] being the least off-diagonal
+    entry of row j, since rounded + and - are monotone. A pivot is live if
+    this bound exceeds tol for some row i != j of the block.
+    """
+    n = arr.shape[0]
+    nn = np.empty(n)
+    for s in range(0, n, _ROW_BLOCK):
+        rows = arr[s : s + _ROW_BLOCK].copy()
+        np.fill_diagonal(rows[:, s:], np.inf)
+        rows.min(axis=1, out=nn[s : s + _ROW_BLOCK])
+    for s in range(0, n, _ROW_BLOCK):
+        rows = arr[s : s + _ROW_BLOCK]
+        bound = np.add(rows, nn)
+        np.subtract(rows[:, s:].max(axis=1)[:, None], bound, out=bound)
+        np.fill_diagonal(bound[:, s:], -np.inf)
+        yield s, np.flatnonzero(np.any(bound > tol, axis=0)).tolist()
 
 
 def _euclidean(coords: np.ndarray, centers: np.ndarray) -> np.ndarray:

@@ -158,6 +158,21 @@ def test_solve_overflowing_matrix_entries_exit_one(tmp_path, capsys):
     assert "overflow" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("fmt", ["matrix-csv", "csv"])
+@pytest.mark.parametrize("newline", ["\r\n", "\r"])
+def test_input_line_ends_read_as_a_text_mode_read_gives_them(fmt, newline, tmp_path):
+    text = dump_pointset(make_uniform_cube(12, 3, 5), fmt)
+    solutions = []
+    for name, content in (("lf", text), ("other", text.replace("\n", newline))):
+        (tmp_path / name).write_bytes(content.encode())
+        out = tmp_path / f"{name}.json"
+        argv = ["solve", "--objective", "pseudoforest", "--k", "3", "--input-format", fmt]
+        assert run_cli(argv + ["--input", str(tmp_path / name), "--output", str(out)]) == 0
+        report = read_json(out)
+        solutions.append((report["indices"], report["value"]))
+    assert solutions[0] == solutions[1]
+
+
 def test_solve_subnormal_net_distance_exit_one(tmp_path, capsys):
     # n < 2k keeps floor 0, so the smallest scaled distance (~5e-312) is
     # subnormal: more net levels than float(5 ** depth) can hold.
@@ -200,6 +215,8 @@ _SOLVE = ["solve", "--objective", "pseudoforest", "--k", "2", "--input", "{tmp}/
         pytest.param({}, ["verify", "--suite", "hst", "--seed", "-1", "--trials", "1"], id="verify-negative-seed"),
         pytest.param({}, _SOLVE[:-1] + ["{tmp}"], id="input-directory"),
         pytest.param({"points.json": b'{"dim": 1, "points": [[0], [1]]} \xff'}, _SOLVE, id="input-not-utf8"),
+        pytest.param({"points.csv": b"0,1\n1,0 \xff\n"}, _SOLVE[:-1] + ["{tmp}/points.csv", "--input-format", "matrix-csv"],
+                     id="matrix-input-not-utf8"),
         pytest.param({}, ["coreset", "--objective", "pseudoforest", "--k", "4", "--gmm-start", "99",
                           "--input", "{tmp}/points.json"], id="gmm-start-past-a-passthrough-part"),
         pytest.param({}, ["gen", "--kind", "uniform_cube", "--n", "5", "--output", "{tmp}/nodir/x.json"],

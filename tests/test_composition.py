@@ -56,6 +56,13 @@ def test_split_file_strategy_validates():
         split_dataset(ps, 2, "file", parts=[[0, 1, 2, 3], []])
 
 
+def test_split_file_parts_must_be_integers():
+    ps = random_euclidean(3, 6)
+    with pytest.raises(PreconditionError, match="not an integer"):
+        split_dataset(ps, 2, "file", parts=[[0.5, 1, 2], [3, 4, 5]])
+    assert split_dataset(ps, 2, "file", parts=[[0.0, 1, 2], [3, 4, 5]]).parts == [[0, 1, 2], [3, 4, 5]]
+
+
 def test_split_rejects_m_above_n():
     ps = random_euclidean(4, 3)
     with pytest.raises(PreconditionError):

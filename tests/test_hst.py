@@ -190,3 +190,22 @@ def test_subset_bound_equals_the_per_draw_loop_bit_for_bit(trials, seed):
         members = [int(i) for i in rng.permutation(24)[:size]]  # unsorted, not a prefix
         stats = verify_random_subset_bound(ps, members, trials, seed)
         assert repr(stats) == repr(random_subset_bound_by_draws(ps, members, trials, seed))
+
+
+@pytest.mark.parametrize("bad", [0.5, 2.7, float("nan"), "1"])
+def test_hst_indices_are_rejected_not_truncated(bad):
+    ps = random_euclidean(23, 6)
+    hst, _ = embed_subset(ps, range(4), d=6)
+    calls = (
+        lambda: build_hst(line_pointset([0.0, 0.25, 0.5, 0.75]), [bad, 1, 3], 4),
+        lambda: embed_subset(ps, [bad, 2, 3]),
+        lambda: hst_mwm_odd_count(hst, [bad, 3]),
+        lambda: odd_component_counts(hst, [bad, 3]),
+        lambda: verify_random_subset_bound(ps, [bad, 2, 3], 100, 0),
+    )
+    for call in calls:
+        with pytest.raises(PreconditionError, match="not an integer"):
+            call()
+    # An integral float still names its point.
+    assert embed_subset(ps, [0.0, 2, 3])[0].points == [0, 1, 2]
+    assert hst_mwm_odd_count(hst, [0.0, 3.0]) == hst_mwm_odd_count(hst, [0, 3])

@@ -282,7 +282,8 @@ def test_matrix_csv_fields_parse_as_python_floats(instance):
     text, fields = instance
     n = int(len(fields) ** 0.5)
     expected = np.array([float(f) for f in fields]).reshape(n, n)
-    assert metric._parse_matrix_csv(text).tobytes() == expected.tobytes()
+    for data in (text, text.encode()):
+        assert metric._parse_matrix_csv(data).tobytes() == expected.tobytes()
 
 
 def _parsed_or_error(parse, text):
@@ -321,8 +322,11 @@ def messy_matrix_csv_texts(draw):
 def test_matrix_csv_parse_agrees_with_the_line_parser(text):
     # Whatever np.loadtxt would take differently (a comment after a field,
     # a lone \r, a line of spaces, a ragged or non-square file) must end
-    # in the line parser's result or message.
-    assert _parsed_or_error(metric._parse_matrix_csv, text) == _parsed_or_error(metric._parse_matrix_csv_lines, text)
+    # in the line parser's result or message. The bytes of a non-ASCII
+    # text ("\xa0", "\u0661") take the line parser directly.
+    expected = _parsed_or_error(metric._parse_matrix_csv_lines, text)
+    for data in (text, text.encode()):
+        assert _parsed_or_error(metric._parse_matrix_csv, data) == expected
 
 
 def test_matrix_validation_accepts_large_scale_rounding():
@@ -359,17 +363,18 @@ def test_matrix_entries_whose_sums_overflow_are_rejected():
 
 
 @st.composite
-def near_metrics(draw):
-    """Euclidean distance matrices of 1 to 150 points in 1-3 dimensions,
-    often with coincident points, at a scale in 2^-500 .. 2^500, so the
-    triangle check runs one or more row blocks, often a partial last one.
+def near_metrics(draw, dims=st.integers(1, 3)):
+    """Euclidean distance matrices of 1 to 150 points in `dims` dimensions
+    (1-3 by default), often with coincident points, at a scale in
+    2^-500 .. 2^500, so the triangle check runs one or more row blocks,
+    often a partial last one.
     Optionally one pair is raised by a relative 1e-12 .. 1 past a pivot
     put at its midpoint (the pair in the last two rows, the pivot last, or
     anywhere), and optionally each entry gets round-trip noise of a
     relative 1e-13, below the validation tolerance."""
     n = draw(st.sampled_from([100, 66, 65, 64, 63, 3, 2, 1]) | st.integers(1, 150))
     rng = stream_rng(draw(st.integers(0, 2**32)), 0)
-    coords = rng.random((n, draw(st.integers(1, 3))))
+    coords = rng.random((n, draw(dims)))
     if draw(st.booleans()):
         coords = coords[rng.integers(0, draw(st.integers(1, n)), n)]
     where = draw(st.sampled_from(["last rows", "last pivot", "anywhere", None])) if n >= 3 else None
@@ -386,6 +391,17 @@ def near_metrics(draw):
 
 @given(near_metrics())
 def test_matrix_validation_decides_as_the_per_pivot_scan(d):
+    _assert_validation_decides_as_the_scan(d)
+
+
+@given(near_metrics(dims=st.integers(8, 32)))
+def test_pruned_triangle_check_decides_as_the_per_pivot_scan(d):
+    # In 8-32 dimensions the distances concentrate, so the prune skips most
+    # pivots; a planted violation must keep its pivot live.
+    _assert_validation_decides_as_the_scan(d)
+
+
+def _assert_validation_decides_as_the_scan(d):
     cleaned = symmetrized(d)
     violation = triangle_violation_scan(cleaned, VALIDATION_RTOL * float(np.abs(d).max()))
     if violation is None:
@@ -395,6 +411,41 @@ def test_matrix_validation_decides_as_the_per_pivot_scan(d):
         triple = ",".join(str(v) for v in violation)
         with pytest.raises(PreconditionError, match="^" + re.escape(f"triangle inequality violated for ({triple}):")):
             PointSet.from_matrix(d)
+
+
+def test_the_one_live_pivot_is_the_violating_one():
+    # Points 3, 70 and 90 form the only bad triangle, 2.5 > 1 + 1, across
+    # both row blocks; every other distance is 2. Pivot 70 is the only one
+    # the prune keeps, and the check still finds it.
+    d = np.full((100, 100), 2.0)
+    np.fill_diagonal(d, 0.0)
+    d[3, 70] = d[70, 3] = d[70, 90] = d[90, 70] = 1.0
+    d[3, 90] = d[90, 3] = 2.5
+    live = [(s, pivots) for s, pivots in metric._live_pivots(d, VALIDATION_RTOL * 2.5) if pivots]
+    assert live == [(0, [70])]
+    with pytest.raises(PreconditionError, match=re.escape("triangle inequality violated for (3,70,90): 2.5 > 1.0 + 1.0")):
+        PointSet.from_matrix(d)
+
+
+def test_triangle_prune_skips_most_pivots_of_a_32d_matrix():
+    d = random_euclidean(37, 500, dim=32).distance_matrix()
+    blocks = list(metric._live_pivots(d, VALIDATION_RTOL * float(d.max())))
+    assert len(blocks) == 8
+    assert sum(len(pivots) for _, pivots in blocks) < 0.1 * 8 * 500
+
+
+def test_matrix_csv_load_peaks_below_twice_the_file():
+    # ASCII bytes are parsed in place and a str is encoded once; neither is
+    # copied into a text buffer of 4 bytes per character.
+    text = dump_pointset(random_euclidean(37, 500, dim=32), "matrix-csv")
+    for data in (text.encode(), text):
+        tracemalloc.start()
+        try:
+            load_pointset(data, "matrix-csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * len(data), type(data).__name__
 
 
 def test_matrix_validation_peaks_below_two_square_matrices():
