@@ -29,7 +29,7 @@ from .costs import (
 from .errors import InternalInvariantError, PreconditionError
 from .gmm import GmmResult, VoronoiPartition, gmm, voronoi_partition
 from .hst import Hst, build_hst, embed_subset, hst_distance, hst_mwm_odd_count, verify_random_subset_bound
-from .matching import MatchingOfflineTrace, mwm_offline, random_even_subset
+from .matching import MatchingOfflineTrace, mwm_offline
 from .metric import (
     ClampedMetric,
     Objective,
@@ -63,7 +63,6 @@ __all__ = [
     "gmm",
     "voronoi_partition",
     "MatchingOfflineTrace",
-    "random_even_subset",
     "mwm_offline",
     "NetTree",
     "rescale_and_clamp",

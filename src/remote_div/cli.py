@@ -29,7 +29,7 @@ from .hst import embed_subset, hst_distance_matrix, hst_mwm_odd_count, verify_ra
 from .matching import mwm_offline
 from .metric import Objective, PointSet, RunConfig, dump_pointset, load_pointset
 from .nets import pf_offline
-from .rng import START_POINT_STREAM, stream_rng
+from .rng import START_POINT_STREAM, Stream, streams
 
 SCHEMA_VERSION = 1
 TIMING_KEYS = ("timings", "elapsed")
@@ -291,7 +291,7 @@ def _parse_params(raw: str) -> dict[str, float]:
 
 def _resolve_start(raw: str, n: int, seed: int) -> int:
     if raw == "random":
-        return int(stream_rng(seed, START_POINT_STREAM).integers(n))
+        return Stream(seed, START_POINT_STREAM).integers(0, n)
     try:
         start = int(raw)
     except ValueError as exc:
@@ -407,14 +407,19 @@ def _cmd_eval(args) -> int:
 # Verification suites
 # ---------------------------------------------------------------------------
 
+# Words each trial's stream is prefetched with: the hst suite's largest
+# trial takes one for its size, 24 for 12 points and about 8 for a sample
+# of 8; a stream that runs past them fetches more blocks itself.
+_SUITE_WORDS = 36
+
+
 def _suite_hst(seed: int, trials: int) -> dict:
     worst_stretch = 0.0
     max_identity_gap = 0.0
     checked_pairs = 0
     checked_sets = 0
-    for i in range(trials):
-        rng = stream_rng(seed, i)
-        n = int(rng.integers(4, 13))
+    for rng in streams(seed, range(trials), _SUITE_WORDS):
+        n = rng.integers(4, 13)
         ps = PointSet.from_coords(rng.random((n, 2)))
         hst, scaled = embed_subset(ps, range(n), d=40)
         dmat = scaled.distance_matrix()
@@ -425,7 +430,7 @@ def _suite_hst(seed: int, trials: int) -> dict:
                     worst_stretch = max(worst_stretch, hmat[a, b] / dmat[a, b])
                 checked_pairs += 1
         size = min(n - n % 2, 8)
-        members = sorted(int(v) for v in rng.choice(n, size=size, replace=False))
+        members = sorted(rng.sample(n, size))
         formula = hst_mwm_odd_count(hst, members)
         sub = [[float(hmat[a, b]) for b in members] for a in members]
         exact = matching_value(sub)
@@ -445,9 +450,8 @@ def _suite_hst(seed: int, trials: int) -> dict:
 def _suite_mstcc(seed: int, trials: int) -> dict:
     low = math.inf
     high = 0.0
-    for i in range(trials):
-        rng = stream_rng(seed, i)
-        n = int(rng.integers(2, 13))
+    for rng in streams(seed, range(trials), _SUITE_WORDS):
+        n = rng.integers(2, 13)
         ps = PointSet.from_coords(rng.random((n, 2)))
         subset = list(range(n))
         total = mst_component_sum(ps, subset)
@@ -462,9 +466,8 @@ def _suite_mstcc(seed: int, trials: int) -> dict:
 def _suite_lemma42(seed: int, trials: int, draws: int = 2000) -> dict:
     worst_margin = math.inf
     min_ratio = math.inf
-    for i in range(trials):
-        rng = stream_rng(seed, i)
-        size = int(rng.integers(2, 11))
+    for i, rng in enumerate(streams(seed, range(trials), _SUITE_WORDS)):
+        size = rng.integers(2, 11)
         ps = PointSet.from_coords(rng.random((size, 2)))
         stats = verify_random_subset_bound(ps, range(size), draws, seed=(seed + i + 1) % 2**64)
         margin = stats.sample_mean - (stats.best_even_value / 16.0 - 3.0 * stats.std_error)

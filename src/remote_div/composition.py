@@ -22,7 +22,7 @@ from .matching import mwm_offline
 from .metric import Objective, PointSet, RunConfig
 from .nets import pf_offline
 from .results import DiversitySolution
-from .rng import SPLIT_STREAM, stream_rng
+from .rng import SPLIT_STREAM, Stream
 
 ENUMERATION_CAP = 5_000_000
 BLOCK_ENTRIES = 1 << 16
@@ -96,8 +96,8 @@ def split_dataset(
     if strategy == "round_robin":
         part_lists = [list(range(j, n, m)) for j in range(m)]
     elif strategy == "random":
-        perm = stream_rng(seed, SPLIT_STREAM).permutation(n)
-        part_lists = [sorted(int(perm[i]) for i in range(j, n, m)) for j in range(m)]
+        perm = Stream(seed, SPLIT_STREAM).permutation(n)
+        part_lists = [sorted(perm[j::m].tolist()) for j in range(m)]
     elif strategy == "file":
         if parts is None:
             raise PreconditionError("file strategy needs explicit parts")
@@ -169,8 +169,7 @@ def _subset_blocks(m: int, k: int, block: int, order_seed: int | None = None):
     if order_seed is None:
         blocks = (np.arange(start, min(start + block, total)) for start in range(0, total, block))
     else:
-        shuffled = np.arange(total)
-        stream_rng(order_seed, SPLIT_STREAM).shuffle(shuffled)
+        shuffled = Stream(order_seed, SPLIT_STREAM).permutation(total)
         blocks = (np.sort(shuffled[start : start + block]) for start in range(0, total, block))
     for ranks in blocks:
         # Built position by position, so each column of `members` is contiguous.

@@ -7,7 +7,7 @@ import numpy as np
 
 from .errors import PreconditionError
 from .metric import PointSet
-from .rng import stream_rng
+from .rng import uniforms
 
 KINDS = ("uniform_cube", "clusters", "grid", "line")
 
@@ -16,8 +16,7 @@ def make_uniform_cube(n: int, dim: int, seed: int) -> PointSet:
     """n points drawn uniformly from the unit cube."""
     if n < 1 or dim < 1:
         raise PreconditionError("need n >= 1 and dim >= 1")
-    rng = stream_rng(seed, 0)
-    return PointSet.from_coords(rng.random((n, dim)))
+    return PointSet.from_coords(uniforms(seed, [0], n * dim).reshape(n, dim))
 
 
 def make_clusters(
@@ -36,8 +35,7 @@ def make_clusters(
         raise PreconditionError("need 1 <= clusters <= n")
     if separation <= 0 or width < 0:
         raise PreconditionError("need separation > 0 and width >= 0")
-    rng = stream_rng(seed, 0)
-    offsets = rng.random((n, dim)) * width - width / 2.0
+    offsets = uniforms(seed, [0], n * dim).reshape(n, dim) * width - width / 2.0
     coords = offsets.copy()
     for i in range(n):
         coords[i, 0] += (i % clusters) * separation

@@ -25,7 +25,7 @@ from .errors import InternalInvariantError, PreconditionError
 from .gmm import GmmResult, VoronoiPartition, gmm, voronoi_partition
 from .metric import PointSet, RunConfig
 from .results import DiversitySolution
-from .rng import stream_rng
+from .rng import uniforms
 
 
 @dataclass(frozen=True)
@@ -46,14 +46,6 @@ def even_subset_masks(centers: list[int], coins: np.ndarray) -> np.ndarray:
     heads = coins < 0.5
     top = np.where(heads, centers, -1).max(axis=1, initial=-1, keepdims=True)
     return heads & ((heads.sum(axis=1, keepdims=True) % 2 == 0) | (np.asarray(centers) != top))
-
-
-def random_even_subset(centers: list[int], rng: np.random.Generator) -> list[int]:
-    """One draw of `even_subset_masks` from `rng`, as a sorted list."""
-    if len(centers) == 0:
-        raise PreconditionError("need at least one center")
-    keep = even_subset_masks(centers, rng.random(len(centers))[None])[0]
-    return sorted(c for c, joined in zip(centers, keep) if joined)
 
 
 def same_cell_pairs(partition: VoronoiPartition, centers: list[int], count: int) -> list[int]:
@@ -102,8 +94,9 @@ def mwm_offline(
     y_value = mwm_exact(ps, y_sorted, with_witness=False).value
 
     pairs = same_cell_pairs(partition, g.centers, k // 2)
+    keep = even_subset_masks(g.centers, uniforms(cfg.seed, range(cfg.repeats), len(g.centers)))
     for t in range(cfg.repeats):
-        z = random_even_subset(g.centers, stream_rng(cfg.seed, t))
+        z = sorted(c for c, joined in zip(g.centers, keep[t]) if joined)
         w = sorted(z + pairs[: k - len(z)])
         value = mwm_exact(ps, w, with_witness=False).value
         if t == 0 or value > best_value:

@@ -591,11 +591,18 @@ def _validate_matrix(arr: np.ndarray) -> np.ndarray:
     arr /= 2.0
     np.maximum(arr, 0.0, out=arr)
     np.fill_diagonal(arr, 0.0)
-    if _violates_triangle(arr, tol):
-        for j in range(n):  # name the first violation: lowest j, then row-major (i, l)
-            bad = np.argwhere(arr - (arr[:, j, None] + arr[j]) > tol)
+    flagged = _violating_blocks(arr, tol)
+    if flagged:
+        # Name the first violation: lowest j, then row-major (i, l). Its pair
+        # has i < l (the difference is never positive for i = l), and the
+        # i <= l copy of every violating pair lies in a flagged block, so the
+        # flagged rows, read in order, hold it.
+        rows = np.concatenate([np.arange(s, min(s + _ROW_BLOCK, n)) for s in flagged])
+        flagged_rows = arr[rows]
+        for j in range(n):
+            bad = np.argwhere(flagged_rows - (flagged_rows[:, j, None] + arr[j]) > tol)
             if bad.size:
-                i, l = (int(v) for v in bad[0])
+                i, l = int(rows[bad[0, 0]]), int(bad[0, 1])
                 raise PreconditionError(
                     f"triangle inequality violated for ({i},{j},{l}): "
                     f"{arr[i, l]} > {arr[i, j]} + {arr[j, l]}"
@@ -604,8 +611,10 @@ def _validate_matrix(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _violates_triangle(arr: np.ndarray, tol: float) -> bool:
-    """Whether arr[i, l] - (arr[i, j] + arr[j, l]) > tol for some i, j, l.
+def _violating_blocks(arr: np.ndarray, tol: float) -> list[int]:
+    """Starts s of the blocks of `_ROW_BLOCK` rows holding a row i with
+    arr[i, l] - (arr[i, j] + arr[j, l]) > tol for some pivot j and some
+    l >= s; empty when `arr` satisfies the triangle inequality within tol.
 
     `arr` is exactly symmetric, so (i, j, l) violates iff (l, j, i) does and
     only pairs i <= l are checked, a block of rows at a time. Rounded
@@ -613,6 +622,7 @@ def _violates_triangle(arr: np.ndarray, tol: float) -> bool:
     arr[i, j] + arr[j, l] exceeds tol exactly when one pivot's difference
     does; the minimum runs over the block's live pivots only.
     """
+    flagged = []
     for s, pivots in _live_pivots(arr, tol):
         rows = arr[s : s + _ROW_BLOCK]
         block = rows[:, s:]
@@ -623,8 +633,8 @@ def _violates_triangle(arr: np.ndarray, tol: float) -> bool:
             np.minimum(low, pivot_sum, out=low)
         np.subtract(block, low, out=low)
         if np.any(low > tol):
-            return True
-    return False
+            flagged.append(s)
+    return flagged
 
 
 def _live_pivots(arr: np.ndarray, tol: float):

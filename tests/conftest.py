@@ -5,7 +5,7 @@ import pytest
 from hypothesis import settings
 
 from remote_div import PointSet
-from remote_div.rng import stream_rng
+from oracles import stream_rng
 
 
 def random_euclidean(seed: int, n: int, dim: int = 2, scale: float = 1.0) -> PointSet:

@@ -19,7 +19,10 @@ far counts over its rows, the dense-ball scan row by row and the peel's
 distances to S as columns, as it did before it read blocks of rows.
 The random-subset bound builds one generator per trial and fixes each
 draw's parity on a list, as `verify` did before it drew every trial's coins
-in one Philox block and fixed parity with masks.
+in one Philox block and fixed parity with masks. `stream_rng` is numpy's own
+generator over Philox keyed by (seed, stream), which the package once drew
+from: the tests draw their data from it, and `rng.uniforms` and
+`rng.Stream` are pinned against it.
 """
 from __future__ import annotations
 
@@ -33,7 +36,11 @@ from remote_div.errors import InternalInvariantError, PreconditionError
 from remote_div.gmm import gmm
 from remote_div.hst import SubsetBoundStats
 from remote_div.nets import _MAX_DEPTH, TARGET_DIAMETER, NetTree
-from remote_div.rng import stream_rng
+
+
+def stream_rng(seed: int, stream: int = 0) -> np.random.Generator:
+    """numpy's Generator over Philox keyed by (seed, stream)."""
+    return np.random.Generator(np.random.Philox(key=np.array([seed, stream], dtype=np.uint64)))
 
 
 def mwm_by_pairings(rows: list[list[float]]) -> float:

@@ -33,8 +33,7 @@ from remote_div import (
 from remote_div.cli import canonicalize_report, main as cli_main
 from remote_div.costs import matching_value
 from remote_div.hst import embed_subset, hst_distance_matrix
-from remote_div.rng import stream_rng
-from oracles import mwm_by_pairings
+from oracles import mwm_by_pairings, stream_rng
 
 from test_coresets import clumped_matrix, uniform_like_matrix
 

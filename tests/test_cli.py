@@ -3,11 +3,15 @@ from __future__ import annotations
 import argparse
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import remote_div
 from remote_div import InternalInvariantError, PointSet, dump_pointset, pf_offline
 from remote_div.cli import _emit, canonicalize_report, main
 from remote_div.generators import make_clusters, make_grid, make_line, make_uniform_cube
@@ -427,3 +431,35 @@ def test_bench_trace_targets_exist():
     metric = importlib.import_module("remote_div.metric")
     for class_name, method, _span, _count in inproc.METHODS:
         assert method in vars(getattr(metric, class_name)), f"{class_name}.{method}"
+
+
+_COMMANDS_WITHOUT_NUMPY_RANDOM = r"""
+import sys
+from remote_div.cli import main
+
+out, points = sys.argv[1] + "/report.json", sys.argv[1] + "/points.json"
+assert main(["gen", "--kind", "clusters", "--n", "30", "--dim", "2", "--seed", "4", "--output", points]) == 0
+runs = [
+    ["solve", "--objective", "matching", "--k", "4", "--seed", "2", "--gmm-start", "random", "--input", points],
+    ["solve", "--objective", "matching", "--k", "4", "--seed", "2", "--input", points],
+    ["compose", "--objective", "matching", "--k", "4", "--parts", "2", "--seed", "2", "--input", points],
+    ["compose", "--objective", "pseudoforest", "--k", "3", "--parts", "3", "--strategy", "random", "--input", points],
+    ["verify", "--suite", "all", "--seed", "5", "--trials", "3"],
+]
+for argv in runs:
+    assert main(argv + ["--output", out]) == 0, argv
+print("numpy.random" in sys.modules)
+"""
+
+
+def test_no_command_imports_numpy_random(tmp_path):
+    # The package draws from its own Philox block; importing numpy's random
+    # module would add megabytes to every command's peak memory.
+    package_root = Path(remote_div.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(package_root), os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run(
+        [sys.executable, "-c", _COMMANDS_WITHOUT_NUMPY_RANDOM, str(tmp_path)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"

@@ -16,7 +16,7 @@ from remote_div import (
     gmm,
 )
 from conftest import line_pointset, random_euclidean
-from remote_div.rng import stream_rng
+from oracles import stream_rng
 
 
 def uniform_like_matrix(seed: int, n: int, lo: float = 1.0, hi: float = 1.2) -> PointSet:

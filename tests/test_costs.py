@@ -19,9 +19,8 @@ from remote_div import (
     threshold_components,
 )
 from remote_div.costs import MATCHING_EXACT_CAP, matching_tables, pf_sum
-from remote_div.rng import stream_rng
 from conftest import line_pointset, random_euclidean, random_matrix_metric
-from oracles import matching_table, mst_by_pruefer, mwm_by_pairings, pf_sum_loop
+from oracles import matching_table, mst_by_pruefer, mwm_by_pairings, pf_sum_loop, stream_rng
 
 
 # -- matching ---------------------------------------------------------------

@@ -16,9 +16,8 @@ from remote_div import (
 )
 from remote_div.costs import matching_value
 from remote_div.hst import hst_distance_matrix, odd_component_counts
-from remote_div.rng import stream_rng
 from conftest import line_pointset, random_euclidean
-from oracles import random_subset_bound_by_draws
+from oracles import random_subset_bound_by_draws, stream_rng
 
 
 def test_two_points_split_at_level_one():

@@ -11,45 +11,38 @@ from remote_div import (
     gmm,
     mwm_exact,
     mwm_offline,
-    random_even_subset,
     voronoi_partition,
 )
 from remote_div.errors import InternalInvariantError
 from remote_div.matching import even_subset_masks, same_cell_pairs
-from remote_div.rng import stream_rng
 from conftest import random_euclidean, two_clusters
-from oracles import even_subset_by_list
+from oracles import even_subset_by_list, stream_rng
 
 
-class _FixedCoins:
-    """Stand-in generator yielding predetermined uniforms."""
-
-    def __init__(self, coins):
-        self.coins = list(coins)
-
-    def random(self, n):
-        assert n == len(self.coins)
-        return np.asarray(self.coins)
+def _one_draw(centers, coins):
+    """The subset `even_subset_masks` keeps for one row of coins, sorted."""
+    keep = even_subset_masks(centers, np.asarray([coins]))[0]
+    return sorted(c for c, joined in zip(centers, keep) if joined)
 
 
 def test_random_even_subset_all_heads_even_count():
     centers = [3, 5, 8, 11]
-    assert random_even_subset(centers, _FixedCoins([0.1] * 4)) == centers
+    assert _one_draw(centers, [0.1] * 4) == centers
 
 
 def test_random_even_subset_all_tails():
     centers = [3, 5, 8]
-    assert random_even_subset(centers, _FixedCoins([0.9] * 3)) == []
+    assert _one_draw(centers, [0.9] * 3) == []
 
 
 def test_random_even_subset_parity_fix_drops_highest_index():
     centers = [3, 5, 8]
-    assert random_even_subset(centers, _FixedCoins([0.1] * 3)) == [3, 5]
+    assert _one_draw(centers, [0.1] * 3) == [3, 5]
 
 
 def test_parity_fix_drops_the_largest_index_not_the_last_position():
     # GMM hands centers over unsorted, so the last head is not the one dropped.
-    assert random_even_subset([9, 2, 5], _FixedCoins([0.1] * 3)) == [2, 5]
+    assert _one_draw([9, 2, 5], [0.1] * 3) == [2, 5]
 
 
 @pytest.mark.parametrize("size", [1, 2, 5, 9, 14])
@@ -62,7 +55,6 @@ def test_even_subset_masks_equal_the_single_draw_rule_on_unsorted_centers(size):
     for row, mask in zip(coins, keep):
         expected = even_subset_by_list(centers, row)
         assert sorted(c for c, joined in zip(centers, mask) if joined) == expected
-        assert random_even_subset(centers, _FixedCoins(row)) == expected
 
 
 def test_fill_noop_when_already_at_target():

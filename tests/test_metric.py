@@ -21,12 +21,12 @@ from remote_div import (
 )
 from remote_div import metric
 from remote_div.metric import VALIDATION_RTOL, min_offdiag_distance
-from remote_div.rng import stream_rng
 from conftest import line_pointset, random_euclidean, random_matrix_metric
 from oracles import (
     diameter_by_rows,
     euclidean_rows,
     min_offdiag_by_rows,
+    stream_rng,
     symmetrized,
     triangle_violation_scan,
 )
@@ -425,6 +425,37 @@ def test_the_one_live_pivot_is_the_violating_one():
     assert live == [(0, [70])]
     with pytest.raises(PreconditionError, match=re.escape("triangle inequality violated for (3,70,90): 2.5 > 1.0 + 1.0")):
         PointSet.from_matrix(d)
+
+
+@pytest.mark.parametrize(
+    "planted",
+    [
+        [(150, 2, 190)],  # low pivot, pair in the last row block
+        [(1, 199, 40)],  # high pivot, pair in the first row block
+        [(1, 199, 40), (150, 2, 190)],  # the lowest pivot's pair is in a later flagged block
+        [(130, 5, 170), (10, 5, 60)],  # one pivot, pairs in two flagged blocks
+        [(190, 100, 20)],  # planted as i > l: named from its i < l copy in block 0
+        [(63, 64, 64 + 63)],  # pair on the last row of a block and the pivot on the next block's first
+    ],
+)
+def test_triangle_violation_is_named_from_the_flagged_rows_as_the_full_scan_names_it(planted):
+    # Each planted pair is raised just past its detour through a midpoint
+    # pivot; the message names the same triple and bits as the per-pivot
+    # scan over every row.
+    n = 200
+    coords = stream_rng(77, 0).random((n, 2))
+    for i, j, l in planted:
+        coords[j] = (coords[i] + coords[l]) / 2.0
+    d = PointSet.from_coords(coords).distance_matrix()
+    for i, _, l in planted:
+        d[i, l] = d[l, i] = d[i, l] * (1.0 + 1e-6)
+    cleaned = symmetrized(d)
+    i, j, l = triangle_violation_scan(cleaned, VALIDATION_RTOL * float(d.max()))
+    assert j == min(p[1] for p in planted)
+    expected = f"triangle inequality violated for ({i},{j},{l}): {cleaned[i, l]} > {cleaned[i, j]} + {cleaned[j, l]}"
+    with pytest.raises(PreconditionError) as err:
+        PointSet.from_matrix(d)
+    assert str(err.value) == expected
 
 
 def test_triangle_prune_skips_most_pivots_of_a_32d_matrix():

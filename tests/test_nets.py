@@ -22,9 +22,8 @@ from remote_div import (
     rescale_and_clamp,
 )
 from remote_div.nets import CLAMP_CONSTANT, NetTree
-from remote_div.rng import stream_rng
 from conftest import line_pointset, random_euclidean, two_clusters
-from oracles import max_antichain_value
+from oracles import max_antichain_value, stream_rng
 
 
 def _synthetic_tree(levels, parent):

@@ -45,7 +45,6 @@ from remote_div import metric
 from remote_div.errors import InternalInvariantError
 from remote_div.matching import same_cell_pairs
 from remote_div.metric import min_offdiag_distance
-from remote_div.rng import stream_rng
 from oracles import (
     cut_net_tree,
     diameter_by_rows,
@@ -55,6 +54,7 @@ from oracles import (
     min_offdiag_by_rows,
     net_tree_by_matrix,
     pf_coreset_by_matrix,
+    stream_rng,
 )
 
 
