@@ -237,10 +237,11 @@ def _write_text(path: str, text: str) -> None:
 
 
 def _read_pointset(args) -> PointSet:
-    data = _read_file(args.input, "input file", Path.read_bytes)
-    if b"\r" in data:  # line ends as a text-mode read gives them
-        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-    return load_pointset(data, args.input_format)
+    def load(path: Path) -> PointSet:
+        with path.open("rb") as file:  # a matrix-csv file is streamed
+            return load_pointset(file, args.input_format)
+
+    return _read_file(args.input, "input file", load)
 
 
 def _read_text(path: str, what: str) -> str:

@@ -12,11 +12,12 @@ as a per-pivot scan would. A block skips every pivot j for which, in each
 of its rows i != j, arr[i, j] plus row j's least off-diagonal entry comes
 within the tolerance of row i's largest entry: such a pivot cannot violate.
 In high dimensions, where distances concentrate, that is almost every pivot.
-A matrix-csv file is parsed from its bytes: ASCII data by `np.loadtxt`
-over the buffer itself, with no decoded text copy. Non-ASCII data, a file
-`np.loadtxt` cannot take as a square matrix, and one with a '#' after a
-field are decoded and parsed again line by line, which names the offending
-line. Only json and csv input is decoded as a whole.
+A matrix-csv file is streamed: `np.loadtxt` reads an open file a line at
+a time (a document through a buffer over its bytes), as ASCII with no
+comments. A file it cannot take as a square matrix, any with a '#' or a
+non-ASCII byte among them, is read again whole and parsed line by line,
+which names the offending line. Only json and csv input is decoded as a
+whole. An open file is read with the line ends a text-mode read gives.
 Every Euclidean distance, single, in a row or in a block, comes from one
 kernel (`_euclidean`), so the same pair always gets the same bits; the
 kernel is bitwise symmetric, so a column read equals a row read.
@@ -44,9 +45,9 @@ import enum
 import io
 import json
 import math
-import re
 import warnings
 from dataclasses import dataclass
+from typing import BinaryIO
 
 import numpy as np
 
@@ -407,7 +408,8 @@ def _cell_grid(ps: PointSet) -> _CellGrid:
                 break
             cell = np.minimum(np.floor((coords - low) / side), shape - 1.0).astype(np.int64)
             ids = cell @ np.cumprod(np.concatenate(([1.0], shape[:-1]))).astype(np.int64)
-            if np.unique(ids).size * 4 >= wanted:
+            # Distinct cells, counted without `np.unique` (which imports numpy.ma).
+            if (np.count_nonzero(np.diff(np.sort(ids))) + 1) * 4 >= wanted:
                 break
             side /= 2.0
     return _CellGrid(ids, coords)
@@ -423,15 +425,24 @@ def _cell_grid(ps: PointSet) -> _CellGrid:
 FORMATS = ("json", "csv", "matrix-csv")
 
 
-def load_pointset(document: str | bytes, format: str) -> PointSet:
-    """Parse and validate a point file. See module docstring for grammars."""
-    if format == "json":
-        return _load_json(_utf8(document))
-    if format == "csv":
-        return _load_csv(_utf8(document))
+def load_pointset(source: str | bytes | BinaryIO, format: str) -> PointSet:
+    """Parse and validate a point file, given as a document or as a file
+    open for binary reading. See module docstring for grammars."""
     if format == "matrix-csv":
-        return PointSet.from_matrix(_parse_matrix_csv(document))
-    raise PreconditionError(f"unknown format {format!r}; expected one of {FORMATS}")
+        return PointSet.from_matrix(_parse_matrix_csv(source))
+    if format not in FORMATS:
+        raise PreconditionError(f"unknown format {format!r}; expected one of {FORMATS}")
+    text = _utf8(source if isinstance(source, (str, bytes)) else _read_whole(source))
+    return _load_json(text) if format == "json" else _load_csv(text)
+
+
+def _read_whole(file: BinaryIO) -> bytes:
+    """The rest of an open binary file, with \\r\\n and lone \\r line ends
+    turned into \\n, as a text-mode read gives them."""
+    data = file.read()
+    if b"\r" in data:
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    return data
 
 
 def _utf8(document: str | bytes) -> str:
@@ -514,30 +525,37 @@ def _load_csv(text: str) -> PointSet:
     return PointSet.from_coords(np.asarray(rows, dtype=np.float64))
 
 
-# A '#' after a field on its line: `np.loadtxt` would drop the rest of the
-# line, where the line parser rejects the field.
-_INLINE_COMMENT = re.compile(rb"[^\s#][^\S\n]*#")
-
-
-def _parse_matrix_csv(data: str | bytes) -> np.ndarray:
-    """The matrix a matrix-csv file holds. ASCII data is parsed from its
-    bytes, in place, by `np.loadtxt` (every field converted as `float()`
-    converts it). Anything else, and whatever `np.loadtxt` cannot take as a
-    square matrix, is decoded and parsed again line by line, to give that
-    parser's result or message."""
-    if data.isascii():
-        raw = data.encode("ascii") if isinstance(data, str) else data
-        if b"#" not in raw or not _INLINE_COMMENT.search(raw):
-            try:
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore", UserWarning)  # a file with no rows
-                    arr = np.loadtxt(io.BytesIO(raw), dtype=np.float64, delimiter=",", comments="#", ndmin=2)
-            except ValueError:
-                pass
-            else:
-                if arr.size and arr.shape[0] == arr.shape[1]:
-                    return arr
-    return _parse_matrix_csv_lines(_utf8(data))
+def _parse_matrix_csv(source: str | bytes | BinaryIO) -> np.ndarray:
+    """The matrix a matrix-csv document or open binary file holds.
+    `np.loadtxt` streams it as ASCII with no comments, converting every
+    field as `float()` does. Whatever it rejects or cannot take as a square
+    matrix (a '#', a non-ASCII byte, a line of spaces, a \\r inside a line)
+    is read whole and parsed again line by line, to give that parser's
+    result or message."""
+    if isinstance(source, str):
+        # Any non-ASCII character stays non-ASCII, a lone surrogate too, so
+        # the ASCII parse rejects it.
+        stream = io.BytesIO(source.encode("utf-8", "surrogatepass"))
+    elif isinstance(source, bytes):
+        stream = io.BytesIO(source)
+    elif source.seekable():
+        stream, start = source, source.tell()
+    else:  # a pipe cannot be read twice
+        source = _read_whole(source)
+        stream = io.BytesIO(source)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # a file with no rows
+            arr = np.loadtxt(stream, dtype=np.float64, delimiter=",", comments=None, ndmin=2, encoding="ascii")
+    except ValueError:  # UnicodeDecodeError included
+        pass
+    else:
+        if arr.size and arr.shape[0] == arr.shape[1]:
+            return arr
+    if stream is source:
+        source.seek(start)
+        source = _read_whole(source)
+    return _parse_matrix_csv_lines(_utf8(source))
 
 
 def _parse_matrix_csv_lines(text: str) -> np.ndarray:

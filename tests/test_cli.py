@@ -1,11 +1,14 @@
 from __future__ import annotations
 
 import argparse
+import errno
 import importlib.util
+import io
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -13,9 +16,10 @@ import pytest
 
 import remote_div
 from remote_div import InternalInvariantError, PointSet, dump_pointset, pf_offline
-from remote_div.cli import _emit, canonicalize_report, main
+from remote_div.cli import _emit, _read_pointset, canonicalize_report, main
 from remote_div.generators import make_clusters, make_grid, make_line, make_uniform_cube
 from remote_div.metric import load_pointset
+from conftest import random_euclidean
 
 
 def run_cli(args):
@@ -242,6 +246,63 @@ def test_bad_input_exits_one_with_an_error_line(files, argv, tmp_path, capsys):
     assert "remote-div: error:" in capsys.readouterr().err
 
 
+def test_matrix_csv_with_a_lone_non_ascii_byte_is_not_utf8(tmp_path, capsys):
+    # Decoded as latin-1, numpy's default for a binary file, the 0xA0 byte
+    # would read as whitespace and give a valid 2x2 matrix.
+    data = tmp_path / "points.csv"
+    data.write_bytes(b"0,1\xa0\n1,0\n")
+    code = run_cli(_SOLVE[:-1] + [str(data), "--input-format", "matrix-csv"])
+    assert code == 1
+    assert "not UTF-8" in capsys.readouterr().err
+
+
+class _FailingRead(io.RawIOBase):
+    """A seekable file at offset 0 whose every read fails."""
+
+    def readable(self):
+        return True
+
+    def seekable(self):
+        return True
+
+    def seek(self, offset, whence=io.SEEK_SET):
+        return 0
+
+    def readinto(self, buffer):
+        raise OSError(errno.EIO, "Input/output error")
+
+
+@pytest.mark.parametrize("fmt", ["matrix-csv", "json"])
+def test_input_read_error_exits_one(fmt, tmp_path, monkeypatch, capsys):
+    data = tmp_path / "points"
+    data.write_text("0,1\n1,0\n")
+    opened = Path.open
+
+    def failing_open(self, mode="r", *args, **kwargs):
+        return io.BufferedReader(_FailingRead()) if mode == "rb" else opened(self, mode, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "open", failing_open)
+    code = run_cli(_SOLVE[:-1] + [str(data), "--input-format", fmt])
+    assert code == 1
+    assert "cannot read input file" in capsys.readouterr().err
+
+
+def test_matrix_csv_input_read_peaks_below_three_square_matrices(tmp_path):
+    # The file (4.6 MB) is streamed, never held whole: the peak is the
+    # parsed matrix, the validated copy and a few row blocks.
+    n = 500
+    data = tmp_path / "points.csv"
+    data.write_text(dump_pointset(random_euclidean(37, n, dim=32), "matrix-csv"))
+    args = argparse.Namespace(input=str(data), input_format="matrix-csv")
+    tracemalloc.start()
+    try:
+        _read_pointset(args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * n * n * 8
+
+
 def test_solve_missing_input(tmp_path):
     code = run_cli(["solve", "--objective", "matching", "--k", "4", "--input", str(tmp_path / "nope.json")])
     assert code == 1
@@ -459,6 +520,36 @@ def test_no_command_imports_numpy_random(tmp_path):
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(package_root), os.environ.get("PYTHONPATH", "")])}
     done = subprocess.run(
         [sys.executable, "-c", _COMMANDS_WITHOUT_NUMPY_RANDOM, str(tmp_path)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
+
+
+_PSEUDOFOREST_COMMANDS = r"""
+import sys
+from remote_div.cli import main
+
+out, points = sys.argv[1] + "/report.json", sys.argv[1] + "/points.json"
+assert main(["gen", "--kind", "uniform_cube", "--n", "400", "--dim", "2", "--seed", "4", "--output", points]) == 0
+runs = [
+    ["solve", "--objective", "pseudoforest", "--k", "5", "--input", points],
+    ["coreset", "--objective", "pseudoforest", "--k", "5", "--input", points],
+    ["compose", "--objective", "pseudoforest", "--k", "5", "--parts", "2", "--input", points],
+]
+for argv in runs:
+    assert main(argv + ["--output", out]) == 0, argv
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_no_command_imports_numpy_ma(tmp_path):
+    # numpy.ma (about 15 ms to import) comes in through np.unique; the
+    # Euclidean cell grid that pseudoforest commands build must not use it.
+    package_root = Path(remote_div.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(package_root), os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run(
+        [sys.executable, "-c", _PSEUDOFOREST_COMMANDS, str(tmp_path)],
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert done.returncode == 0, done.stderr

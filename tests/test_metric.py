@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import io
+import os
 import re
 import tracemalloc
 
@@ -282,7 +284,7 @@ def test_matrix_csv_fields_parse_as_python_floats(instance):
     text, fields = instance
     n = int(len(fields) ** 0.5)
     expected = np.array([float(f) for f in fields]).reshape(n, n)
-    for data in (text, text.encode()):
+    for data in (text, text.encode(), io.BytesIO(text.encode())):
         assert metric._parse_matrix_csv(data).tobytes() == expected.tobytes()
 
 
@@ -322,11 +324,31 @@ def messy_matrix_csv_texts(draw):
 def test_matrix_csv_parse_agrees_with_the_line_parser(text):
     # Whatever np.loadtxt would take differently (a comment after a field,
     # a lone \r, a line of spaces, a ragged or non-square file) must end
-    # in the line parser's result or message. The bytes of a non-ASCII
-    # text ("\xa0", "\u0661") take the line parser directly.
+    # in the line parser's result or message, as must a non-ASCII text
+    # ("\xa0", "\u0661"). An open file is read with the line ends a
+    # text-mode read gives, so it must agree with the line parser there.
     expected = _parsed_or_error(metric._parse_matrix_csv_lines, text)
     for data in (text, text.encode()):
         assert _parsed_or_error(metric._parse_matrix_csv, data) == expected
+    text_mode = text.replace("\r\n", "\n").replace("\r", "\n")
+    expected = _parsed_or_error(metric._parse_matrix_csv_lines, text_mode)
+    assert _parsed_or_error(metric._parse_matrix_csv, io.BytesIO(text.encode())) == expected
+
+
+def test_matrix_csv_from_a_pipe_is_read_once():
+    # A file that cannot be read twice (a pipe) is read whole, so the line
+    # parser can still take what np.loadtxt rejects (here, a comment line).
+    read, write = os.pipe()
+    os.write(write, b"# c\r\n0,1\r\n1,0\r\n")
+    os.close(write)
+    with os.fdopen(read, "rb") as pipe:
+        assert load_pointset(pipe, "matrix-csv").distance(0, 1) == 1.0
+
+
+def test_matrix_csv_fallback_rereads_from_where_the_file_was():
+    file = io.BytesIO(b"header\n0,1\n# c\n1,0\n")
+    file.readline()
+    assert load_pointset(file, "matrix-csv").distance(0, 1) == 1.0
 
 
 def test_matrix_validation_accepts_large_scale_rounding():
