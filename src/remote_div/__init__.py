@@ -4,90 +4,80 @@ Implements constant-factor offline algorithms for the remote-matching and
 remote-pseudoforest objectives, composable coreset constructions for both,
 exact evaluators and brute-force oracles for verification, and the
 threshold-graph / tree-metric machinery the guarantees rest on.
+
+Every public name below is imported from its module on first access
+(PEP 562), so `import remote_div` loads only `errors`, `metric` and `gmm`,
+and a caller pays for the layers it uses.
 """
+from importlib import import_module
+
+# `gmm` names both a submodule and its function, and importing a submodule
+# binds the package attribute to the module; bound here first, the function
+# keeps the name.
+from .gmm import gmm
 
 __version__ = "0.1.0"
 
-from .composition import (
-    PartitionedDataset,
-    PipelineReport,
-    brute_force_diversity,
-    compose_coresets,
-    run_pipeline,
-    split_dataset,
-)
-from .coresets import Coreset, StPair, find_separated_sets, k_outlier_radius, mwm_coreset, pf_coreset
-from .costs import (
-    SubsetCostReport,
-    ThresholdComponents,
-    mst_component_sum,
-    mst_cost,
-    mwm_exact,
-    pf_cost,
-    threshold_components,
-)
-from .errors import InternalInvariantError, PreconditionError
-from .gmm import GmmResult, VoronoiPartition, gmm, voronoi_partition
-from .hst import Hst, build_hst, embed_subset, hst_distance, hst_mwm_odd_count, verify_random_subset_bound
-from .matching import MatchingOfflineTrace, mwm_offline
-from .metric import (
-    ClampedMetric,
-    Objective,
-    PointSet,
-    RunConfig,
-    diameter,
-    dump_pointset,
-    load_pointset,
-)
-from .nets import NetTree, build_net_tree, dp_antichain, pf_offline, rescale_and_clamp
-from .results import DiversitySolution
+# Public name -> the module that defines it, in `__all__` order.
+_EXPORTS = {
+    "PointSet": "metric",
+    "ClampedMetric": "metric",
+    "RunConfig": "metric",
+    "Objective": "metric",
+    "diameter": "metric",
+    "load_pointset": "metric",
+    "dump_pointset": "metric",
+    "SubsetCostReport": "costs",
+    "ThresholdComponents": "costs",
+    "mwm_exact": "costs",
+    "mst_cost": "costs",
+    "pf_cost": "costs",
+    "threshold_components": "costs",
+    "mst_component_sum": "costs",
+    "GmmResult": "gmm",
+    "VoronoiPartition": "gmm",
+    "gmm": "gmm",
+    "voronoi_partition": "gmm",
+    "MatchingOfflineTrace": "matching",
+    "mwm_offline": "matching",
+    "NetTree": "nets",
+    "rescale_and_clamp": "nets",
+    "build_net_tree": "nets",
+    "dp_antichain": "nets",
+    "pf_offline": "nets",
+    "Coreset": "coresets",
+    "StPair": "coresets",
+    "k_outlier_radius": "coresets",
+    "find_separated_sets": "coresets",
+    "pf_coreset": "coresets",
+    "mwm_coreset": "coresets",
+    "PartitionedDataset": "composition",
+    "PipelineReport": "composition",
+    "split_dataset": "composition",
+    "compose_coresets": "composition",
+    "brute_force_diversity": "composition",
+    "run_pipeline": "composition",
+    "Hst": "hst",
+    "build_hst": "hst",
+    "embed_subset": "hst",
+    "hst_distance": "hst",
+    "hst_mwm_odd_count": "hst",
+    "verify_random_subset_bound": "hst",
+    "DiversitySolution": "results",
+    "PreconditionError": "errors",
+    "InternalInvariantError": "errors",
+}
 
-__all__ = [
-    "__version__",
-    "PointSet",
-    "ClampedMetric",
-    "RunConfig",
-    "Objective",
-    "diameter",
-    "load_pointset",
-    "dump_pointset",
-    "SubsetCostReport",
-    "ThresholdComponents",
-    "mwm_exact",
-    "mst_cost",
-    "pf_cost",
-    "threshold_components",
-    "mst_component_sum",
-    "GmmResult",
-    "VoronoiPartition",
-    "gmm",
-    "voronoi_partition",
-    "MatchingOfflineTrace",
-    "mwm_offline",
-    "NetTree",
-    "rescale_and_clamp",
-    "build_net_tree",
-    "dp_antichain",
-    "pf_offline",
-    "Coreset",
-    "StPair",
-    "k_outlier_radius",
-    "find_separated_sets",
-    "pf_coreset",
-    "mwm_coreset",
-    "PartitionedDataset",
-    "PipelineReport",
-    "split_dataset",
-    "compose_coresets",
-    "brute_force_diversity",
-    "run_pipeline",
-    "Hst",
-    "build_hst",
-    "embed_subset",
-    "hst_distance",
-    "hst_mwm_odd_count",
-    "verify_random_subset_bound",
-    "DiversitySolution",
-    "PreconditionError",
-    "InternalInvariantError",
-]
+__all__ = ["__version__", *_EXPORTS]
+
+
+def __getattr__(name: str):
+    try:
+        module = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    return getattr(import_module(f".{module}", __name__), name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

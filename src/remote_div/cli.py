@@ -20,16 +20,11 @@ import time
 from pathlib import Path
 
 from . import __version__
-from .composition import ENUMERATION_CAP, brute_force_diversity, run_pipeline
-from .coresets import mwm_coreset, pf_coreset
-from .costs import matching_value, mst_component_sum, mst_cost
 from .errors import InternalInvariantError, PreconditionError
-from .generators import KINDS, make_clusters, make_grid, make_line, make_uniform_cube
-from .hst import embed_subset, hst_distance_matrix, hst_mwm_odd_count, verify_random_subset_bound
-from .matching import mwm_offline
 from .metric import Objective, PointSet, RunConfig, dump_pointset, load_pointset
-from .nets import pf_offline
-from .rng import START_POINT_STREAM, Stream, streams
+
+# Each command imports the layers it runs, before it reads any input, so a
+# command loads only its own modules.
 
 SCHEMA_VERSION = 1
 TIMING_KEYS = ("timings", "elapsed")
@@ -130,6 +125,8 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    from .generators import KINDS
+
     parser = _Parser(prog="remote-div", description=__doc__)
     parser.add_argument("--version", action="version", version=f"remote-div {__version__}")
     parser.add_argument("--schema", action="store_true", help="print the report JSON schema and exit")
@@ -292,6 +289,8 @@ def _parse_params(raw: str) -> dict[str, float]:
 
 def _resolve_start(raw: str, n: int, seed: int) -> int:
     if raw == "random":
+        from .rng import START_POINT_STREAM, Stream
+
         return Stream(seed, START_POINT_STREAM).integers(0, n)
     try:
         start = int(raw)
@@ -303,6 +302,8 @@ def _resolve_start(raw: str, n: int, seed: int) -> int:
 
 
 def _cmd_gen(args) -> int:
+    from .generators import make_clusters, make_grid, make_line, make_uniform_cube
+
     params = _parse_params(args.params)
     if args.kind == "uniform_cube":
         ps = make_uniform_cube(args.n, args.dim, args.seed)
@@ -329,9 +330,13 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_solve(args) -> int:
+    objective = Objective.parse(args.objective)
+    if objective is Objective.REMOTE_MATCHING:
+        from .matching import mwm_offline
+    else:
+        from .nets import pf_offline
     started = time.perf_counter()
     ps = _read_pointset(args)
-    objective = Objective.parse(args.objective)
     if objective is Objective.REMOTE_MATCHING:
         cfg = RunConfig(k=args.k, seed=args.seed, repeats=args.repeats, objective=objective)
         start = _resolve_start(args.gmm_start, ps.n, args.seed)
@@ -364,6 +369,8 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_coreset(args) -> int:
+    from .coresets import mwm_coreset, pf_coreset
+
     started = time.perf_counter()
     ps = _read_pointset(args)
     objective = Objective.parse(args.objective)
@@ -376,6 +383,8 @@ def _cmd_coreset(args) -> int:
 
 
 def _cmd_compose(args) -> int:
+    from .composition import run_pipeline
+
     started = time.perf_counter()
     ps = _read_pointset(args)
     objective = Objective.parse(args.objective)
@@ -390,6 +399,8 @@ def _cmd_compose(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    from .composition import ENUMERATION_CAP, brute_force_diversity
+
     started = time.perf_counter()
     ps = _read_pointset(args)
     objective = Objective.parse(args.objective)
@@ -415,6 +426,10 @@ _SUITE_WORDS = 36
 
 
 def _suite_hst(seed: int, trials: int) -> dict:
+    from .costs import matching_value
+    from .hst import embed_subset, hst_distance_matrix, hst_mwm_odd_count
+    from .rng import streams
+
     worst_stretch = 0.0
     max_identity_gap = 0.0
     checked_pairs = 0
@@ -449,6 +464,9 @@ def _suite_hst(seed: int, trials: int) -> dict:
 
 
 def _suite_mstcc(seed: int, trials: int) -> dict:
+    from .costs import mst_component_sum, mst_cost
+    from .rng import streams
+
     low = math.inf
     high = 0.0
     for rng in streams(seed, range(trials), _SUITE_WORDS):
@@ -465,6 +483,9 @@ def _suite_mstcc(seed: int, trials: int) -> dict:
 
 
 def _suite_lemma42(seed: int, trials: int, draws: int = 2000) -> dict:
+    from .hst import verify_random_subset_bound
+    from .rng import streams
+
     worst_margin = math.inf
     min_ratio = math.inf
     for i, rng in enumerate(streams(seed, range(trials), _SUITE_WORDS)):

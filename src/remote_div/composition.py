@@ -5,24 +5,28 @@ a dataset into parts, build one coreset per part, take the union, solve
 the diversity objective on the union, and optionally compare against the
 exhaustive optimum on the full dataset. The brute-force evaluator doubles
 as the verification oracle for all the solvers.
+
+The coreset and solver layers are imported where the pipeline runs them,
+for its objective, so the brute-force evaluator loads neither.
 """
 from __future__ import annotations
 
 import math
 import time
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import costs
-from .coresets import Coreset, mwm_coreset, pf_coreset
 from .errors import InternalInvariantError, PreconditionError
 from .gmm import gmm
-from .matching import mwm_offline
 from .metric import Objective, PointSet, RunConfig
-from .nets import pf_offline
 from .results import DiversitySolution
 from .rng import SPLIT_STREAM, Stream
+
+if TYPE_CHECKING:
+    from .coresets import Coreset
 
 ENUMERATION_CAP = 5_000_000
 BLOCK_ENTRIES = 1 << 16
@@ -124,6 +128,8 @@ def build_part_coreset(
 ) -> tuple[Coreset, list[int]]:
     """Coreset of one part, returned with its indices mapped back to the
     global dataset."""
+    from .coresets import mwm_coreset, pf_coreset
+
     sub = ps.restrict(part_indices)
     if objective is Objective.REMOTE_MATCHING:
         core = mwm_coreset(sub, k, part_id=part_id)
@@ -324,10 +330,14 @@ def _lower_bound_on_union(ps: PointSet, union: list[int], cfg: RunConfig) -> tup
     candidates: list[tuple[float, list[int]]] = []
     try:
         if cfg.objective is Objective.REMOTE_MATCHING:
+            from .matching import mwm_offline
+
             # mwm_offline already keeps the better of its W and its Y, the
             # same GMM centers the fallback below scores: its answer is final.
             sol, _trace = mwm_offline(sub, k, cfg)
             return sol.value, sorted(union[i] for i in sol.indices)
+        from .nets import pf_offline
+
         sol, _tree = pf_offline(sub, k)
         candidates.append((sol.value, sorted(union[i] for i in sol.indices)))
     except PreconditionError:

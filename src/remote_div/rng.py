@@ -34,27 +34,50 @@ def _check_seed(seed: int) -> None:
         raise PreconditionError("seed must fit in 64 unsigned bits")
 
 
-def _mulhilo(a: np.ndarray, b: int) -> tuple[np.ndarray, np.ndarray]:
-    """High and low words of the 128-bit products a*b, from 32-bit halves."""
-    a0, a1, b0, b1 = a & 0xFFFFFFFF, a >> 32, b & 0xFFFFFFFF, b >> 32
-    cross = ((a0 * b0) >> 32) + ((a1 * b0) & 0xFFFFFFFF) + a0 * b1
-    return a1 * b1 + ((a1 * b0) >> 32) + (cross >> 32), a * b
+def _mulhilo(a: np.ndarray, b: int, hi: np.ndarray, lo: np.ndarray, s: np.ndarray, t: np.ndarray) -> None:
+    """Write the high and low words of the 128-bit products a*b into `hi`
+    and `lo`, from 32-bit halves; `s` and `t` are scratch of a's shape."""
+    b0, b1 = b & _U32, b >> 32
+    np.bitwise_and(a, _U32, out=s)  # a0
+    np.multiply(s, b0, out=t)
+    np.right_shift(t, 32, out=t)
+    np.multiply(s, b1, out=s)
+    np.add(t, s, out=t)  # (a0*b0 >> 32) + a0*b1 < 2**64
+    np.right_shift(a, 32, out=s)  # a1
+    np.multiply(s, b1, out=hi)
+    np.multiply(s, b0, out=s)
+    np.right_shift(s, 32, out=lo)
+    np.add(hi, lo, out=hi)
+    np.bitwise_and(s, _U32, out=s)
+    np.add(t, s, out=t)  # the cross sum: the low 64 bits' carry is t >> 32
+    np.right_shift(t, 32, out=t)
+    np.add(hi, t, out=hi)
+    np.multiply(a, b, out=lo)
 
 
 def _words(seed: int, streams, m: int, first_block: int = 0) -> np.ndarray:
     """Row i holds the m 64-bit words of stream streams[i] from block
     `first_block` on. Philox is a pure function of (key, counter): numpy
     makes block b of stream s from key (seed, s) and counter (b+1, 0, 0, 0),
-    so all streams' blocks are computed together."""
+    so all streams' blocks are computed together. The rounds run in ten
+    preallocated arrays: each round writes its products into the four the
+    previous round's state leaves free, and the two sets swap."""
     _check_seed(seed)
     k1 = np.asarray(streams, dtype=np.uint64).reshape(-1, 1)
     k0 = np.full_like(k1, seed)
     c0 = np.arange(first_block + 1, first_block + (m + 3) // 4 + 1, dtype=np.uint64) + np.zeros_like(k1)
-    c1 = c2 = c3 = np.zeros_like(c0)
+    c1, c2, c3 = (np.zeros_like(c0) for _ in range(3))
+    hi0, lo0, hi1, lo1, s, t = (np.empty_like(c0) for _ in range(6))
     for _ in range(10):
-        (hi0, lo0), (hi1, lo1) = _mulhilo(c0, _M0), _mulhilo(c2, _M1)
-        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
-        k0, k1 = k0 + _W0, k1 + _W1
+        _mulhilo(c0, _M0, hi0, lo0, s, t)
+        _mulhilo(c2, _M1, hi1, lo1, s, t)
+        hi1 ^= c1
+        hi1 ^= k0
+        hi0 ^= c3
+        hi0 ^= k1
+        (c0, c1, c2, c3), (hi0, lo0, hi1, lo1) = (hi1, lo1, hi0, lo0), (c0, c1, c2, c3)
+        k0 += _W0
+        k1 += _W1
     return np.stack([c0, c1, c2, c3], axis=-1).reshape(len(k1), 4 * c0.shape[1])[:, :m]
 
 

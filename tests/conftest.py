@@ -1,11 +1,29 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import settings
 
+import remote_div
 from remote_div import PointSet
 from oracles import stream_rng
+
+
+def run_fresh(script: str, *args: str) -> str:
+    """Run `script` in a fresh interpreter that imports the package under
+    test, with `args` as sys.argv[1:]; return its stdout once it exits 0."""
+    package_root = Path(remote_div.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(package_root), os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run(
+        [sys.executable, "-c", script, *args], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
 
 
 def random_euclidean(seed: int, n: int, dim: int = 2, scale: float = 1.0) -> PointSet:

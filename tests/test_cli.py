@@ -5,21 +5,17 @@ import errno
 import importlib.util
 import io
 import json
-import os
-import subprocess
-import sys
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-import remote_div
 from remote_div import InternalInvariantError, PointSet, dump_pointset, pf_offline
 from remote_div.cli import _emit, _read_pointset, canonicalize_report, main
 from remote_div.generators import make_clusters, make_grid, make_line, make_uniform_cube
 from remote_div.metric import load_pointset
-from conftest import random_euclidean
+from conftest import random_euclidean, run_fresh
 
 
 def run_cli(args):
@@ -516,14 +512,7 @@ print("numpy.random" in sys.modules)
 def test_no_command_imports_numpy_random(tmp_path):
     # The package draws from its own Philox block; importing numpy's random
     # module would add megabytes to every command's peak memory.
-    package_root = Path(remote_div.__file__).resolve().parents[1]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(package_root), os.environ.get("PYTHONPATH", "")])}
-    done = subprocess.run(
-        [sys.executable, "-c", _COMMANDS_WITHOUT_NUMPY_RANDOM, str(tmp_path)],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "False"
+    assert run_fresh(_COMMANDS_WITHOUT_NUMPY_RANDOM, str(tmp_path)).strip() == "False"
 
 
 _PSEUDOFOREST_COMMANDS = r"""
@@ -546,11 +535,94 @@ print("numpy.ma" in sys.modules)
 def test_no_command_imports_numpy_ma(tmp_path):
     # numpy.ma (about 15 ms to import) comes in through np.unique; the
     # Euclidean cell grid that pseudoforest commands build must not use it.
-    package_root = Path(remote_div.__file__).resolve().parents[1]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(package_root), os.environ.get("PYTHONPATH", "")])}
-    done = subprocess.run(
-        [sys.executable, "-c", _PSEUDOFOREST_COMMANDS, str(tmp_path)],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "False"
+    assert run_fresh(_PSEUDOFOREST_COMMANDS, str(tmp_path)).strip() == "False"
+
+
+# Each command runs from an empty package: the remote_div modules are
+# dropped from sys.modules before it, so the set it leaves is what its own
+# imports reach. The shapes are the benchmark's commands (both composes at
+# k=10 take the lower-bound path there and here), plus gen, --version,
+# --schema, and the package's loader on its own.
+_IMPORT_BUDGET = r"""
+import contextlib, io, json, sys
+
+out, points, matrix = (sys.argv[1] + name for name in ("/report.json", "/points.json", "/dist.csv"))
+
+def purge():
+    for name in [m for m in sys.modules if m == "remote_div" or m.startswith("remote_div.")]:
+        del sys.modules[name]
+
+def fresh_main():
+    purge()
+    from remote_div.cli import main
+    return main
+
+def loaded():
+    return sorted(m[len("remote_div."):] for m in sys.modules if m.startswith("remote_div."))
+
+main = fresh_main()
+assert main(["gen", "--kind", "uniform_cube", "--n", "60", "--dim", "2", "--seed", "3", "--output", points]) == 0
+import remote_div
+with open(matrix, "w") as file:
+    file.write(remote_div.dump_pointset(remote_div.load_pointset(open(points).read(), "json"), "matrix-csv"))
+runs = {
+    "gen": ["gen", "--kind", "grid", "--n", "9", "--output", out],
+    "--version": ["--version"],
+    "--schema": ["--schema"],
+    "solve matching": ["solve", "--objective", "matching", "--k", "10", "--input", points, "--output", out],
+    "solve pseudoforest": ["solve", "--objective", "pseudoforest", "--k", "10", "--input", points, "--output", out],
+    "solve pseudoforest matrix-csv": [
+        "solve", "--objective", "pseudoforest", "--k", "10", "--input", matrix, "--input-format", "matrix-csv",
+        "--output", out,
+    ],
+    "coreset pseudoforest": ["coreset", "--objective", "pseudoforest", "--k", "8", "--input", points, "--output", out],
+    "compose matching": ["compose", "--objective", "matching", "--k", "10", "--parts", "2", "--input", points, "--output", out],
+    "compose pseudoforest": [
+        "compose", "--objective", "pseudoforest", "--k", "10", "--parts", "2", "--input", points, "--output", out,
+    ],
+    "compose matching --oracle": [
+        "compose", "--objective", "matching", "--k", "2", "--parts", "3", "--oracle", "--input", points, "--output", out,
+    ],
+    "eval matching": ["eval", "--objective", "matching", "--k", "2", "--input", points, "--output", out],
+    "eval pseudoforest": ["eval", "--objective", "pseudoforest", "--k", "2", "--input", points, "--output", out],
+    "verify": ["verify", "--suite", "all", "--trials", "2", "--output", out],
+}
+sets = {}
+for name, argv in runs.items():
+    main = fresh_main()
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0, argv
+    sets[name] = loaded()
+purge()
+import remote_div
+remote_div.load_pointset(open(points).read(), "json")
+sets["load_pointset"] = loaded()
+print(json.dumps(sets))
+"""
+
+
+def test_each_command_imports_only_its_layers(tmp_path):
+    # Without a bytecode cache, every module a command imports is compiled
+    # on each run, and each layer's tables add to peak memory, so a command
+    # loads the modules it runs and no others.
+    sets = json.loads(run_fresh(_IMPORT_BUDGET, str(tmp_path)))
+    parser = {"cli", "errors", "generators", "gmm", "metric", "rng"}  # generators: the --kind choices
+    solver = parser | {"costs", "results"}
+    coreset = solver | {"coresets", "matching"}
+    expected = {
+        "gen": parser,
+        "--version": parser,
+        "--schema": parser,
+        "solve matching": solver | {"matching"},
+        "solve pseudoforest": solver | {"nets"},
+        "solve pseudoforest matrix-csv": solver | {"nets"},
+        "coreset pseudoforest": coreset,
+        "compose matching": coreset | {"composition"},
+        "compose pseudoforest": coreset | {"composition", "nets"},
+        "compose matching --oracle": coreset | {"composition"},
+        "eval matching": solver | {"composition"},
+        "eval pseudoforest": solver | {"composition"},
+        "verify": solver | {"hst", "matching"},
+        "load_pointset": {"errors", "gmm", "metric"},
+    }
+    assert {name: set(modules) for name, modules in sets.items()} == expected
