@@ -12,11 +12,13 @@ most the constant.
 On the clamped metric we grow nested greedy nets: level l keeps a maximal
 set of points pairwise separated by 5^-l/20, each level extending the one
 above, down to the first level that holds every point. Linking every net
-point to its closest point one level up gives a tree whose nodes are
-(point, level) pairs. Each point's clamped row is read once, when it joins
-a net, so no n-by-n matrix is formed; at a level whose separation is at
-most the floor every remaining point joins without reading its row, and
-its parent comes from blocks of distances to the level above. Selecting k
+point to its closest point one level up gives a tree, stored level by
+level: each level's points in ascending order, and for each point its
+parent's position in the level above. Each point's clamped row is read
+once, when it joins a net, so no n-by-n matrix is formed; at a level whose
+separation is at most the floor every remaining point joins without
+reading its row, and its parent comes from blocks of distances to the
+level above. Selecting k
 nodes that form an antichain (no node an ancestor of another) and
 maximizing the sum of 5^-level values is solved exactly by a
 knapsack-style dynamic program over children; the selected nodes map to k
@@ -42,25 +44,24 @@ _MAX_DEPTH = 441  # the largest d with float(5 ** d) finite
 Node = tuple[int, int]  # (level, point index)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NetTree:
+    """levels[l] holds the level-l points in ascending order; parents[l][i] is
+    the position in levels[l] of the parent of levels[l + 1][i] (a point that
+    continues is its own parent). Compare trees by `to_json()`: `==` is identity."""
+
     levels: list[list[int]]
-    parent: dict[Node, Node]
-    children: dict[Node, list[Node]]
-    depth: int
+    parents: list[np.ndarray]
 
     @property
-    def root(self) -> Node:
-        return (0, self.levels[0][0])
-
-    def nodes(self):
-        for level, members in enumerate(self.levels):
-            for p in members:
-                yield (level, p)
+    def depth(self) -> int:
+        return len(self.levels) - 1
 
     def to_json(self) -> str:
         parents = {
-            f"{p}@{lvl}": f"{pp}@{plvl}" for (lvl, p), (plvl, pp) in sorted(self.parent.items())
+            f"{p}@{lvl + 1}": f"{above[pos]}@{lvl}"
+            for lvl, (above, below) in enumerate(zip(self.levels, self.levels[1:]))
+            for p, pos in zip(below, self.parents[lvl].tolist())
         }
         return json.dumps({"levels": self.levels, "parents": parents})
 
@@ -105,7 +106,7 @@ def build_net_tree(metric: ClampedMetric, root: int = 0) -> NetTree:
     in_net[root] = True
     mind = _net_row(metric, root)  # distance to the current net
     levels = [[root]]
-    parent: dict[Node, Node] = {}
+    parents = []
     while len(levels[-1]) < n:
         level = len(levels)
         # dp_antichain divides by float(5 ** depth), which must stay finite.
@@ -115,15 +116,12 @@ def build_net_tree(metric: ClampedMetric, root: int = 0) -> NetTree:
             )
         sep = 5.0 ** (-level) / 20.0
         above = np.asarray(levels[-1])
-        for p in levels[-1]:
-            parent[(level, p)] = (level - 1, p)
+        parent = np.arange(n)
         if sep <= metric.floor:
             # Every clamped distance is at least the floor: all the rest join.
             joining = np.flatnonzero(~in_net)
             for start, block in metric.blocks_between(joining, above):
-                nearest = above[np.argmin(block, axis=1)].tolist()
-                for q, p in zip(joining[start : start + len(block)].tolist(), nearest):
-                    parent[(level, q)] = (level - 1, p)
+                parent[joining[start : start + len(block)]] = above[np.argmin(block, axis=1)]
             in_net[:] = True
         # mind only falls, so no point outside this candidate list can join.
         for q in np.flatnonzero(~in_net & (mind >= sep)).tolist():
@@ -131,14 +129,11 @@ def build_net_tree(metric: ClampedMetric, root: int = 0) -> NetTree:
                 row = _net_row(metric, q)
                 in_net[q] = True
                 np.minimum(mind, row, out=mind)
-                parent[(level, q)] = (level - 1, int(above[np.argmin(row[above])]))
-        levels.append(np.flatnonzero(in_net).tolist())
-
-    children: dict[Node, list[Node]] = {(lvl, p): [] for lvl, members in enumerate(levels) for p in members}
-    for level in range(1, len(levels)):
-        for p in levels[level]:
-            children[parent[(level, p)]].append((level, p))
-    return NetTree(levels=levels, parent=parent, children=children, depth=len(levels) - 1)
+                parent[q] = above[np.argmin(row[above])]
+        members = np.flatnonzero(in_net)
+        levels.append(members.tolist())
+        parents.append(np.searchsorted(above, parent[members]))
+    return NetTree(levels=levels, parents=parents)
 
 
 def _net_row(metric: ClampedMetric, q: int) -> np.ndarray:
@@ -156,36 +151,37 @@ def dp_antichain(tree: NetTree, k: int) -> tuple[float, list[Node]]:
     of 5^-level values. Returns that sum and the selected nodes.
 
     The table is computed with exact integer weights (5^(depth-level)), so
-    reconstruction can test equality safely.
+    reconstruction can test equality safely. table[l][i] is the row of
+    levels[l][i]; kids[l][i] holds its children's positions in levels[l + 1].
     """
     n = len(tree.levels[-1])
     if not (1 <= k <= n):
         raise PreconditionError(f"k must satisfy 1 <= k <= n; got k={k}, n={n}")
     depth = tree.depth
-    table: dict[Node, list[int]] = {}
-
-    for level in range(depth, -1, -1):
-        for p in tree.levels[level]:
-            node = (level, p)
-            kids = tree.children[node]
+    # Every leaf is on the last level and shares one row.
+    table: list[list[list[int]]] = [[] for _ in range(depth)] + [[[0, 1] + [-1] * (k - 1)] * n]
+    kids: list[list[np.ndarray]] = [[] for _ in range(depth)]
+    for level in range(depth - 1, -1, -1):
+        below = tree.parents[level]
+        order = np.argsort(below, kind="stable")
+        kids[level] = np.split(order, np.searchsorted(below[order], np.arange(1, len(tree.levels[level]))))
+        for group in kids[level]:
             row = [0, 5 ** (depth - level)] + [-1] * (k - 1)
-            if kids and k >= 2:
-                row[2:] = _fold_children(table, kids, k)[-1][2:]
-            table[node] = row
+            if len(group) and k >= 2:
+                row[2:] = _fold_children([table[level + 1][j] for j in group.tolist()], k)[-1][2:]
+            table[level].append(row)
 
-    root = tree.root
-    if table[root][k] < 0:
+    if table[0][0][k] < 0:
         raise InternalInvariantError("antichain of size k must exist when k <= n")
-    return table[root][k] / float(5 ** depth), _reconstruct(tree, table, root, k)
+    return table[0][0][k] / float(5 ** depth), _reconstruct(tree, table, kids, 0, 0, k)
 
 
-def _fold_children(table: dict[Node, list[int]], kids: list[Node], k: int) -> list[list[int]]:
+def _fold_children(child_rows: list[list[int]], k: int) -> list[list[int]]:
     """Best totals over the first 1, 2, ... children: entry j of fold i is
-    the best sum of j nodes taken from kids[0..i]."""
-    folds = [table[kids[0]][:]]
-    for child in kids[1:]:
+    the best sum of j nodes taken from the children 0..i."""
+    folds = [child_rows[0][:]]
+    for child_row in child_rows[1:]:
         fold = folds[-1]
-        child_row = table[child]
         nxt = [-1] * (k + 1)
         for have in range(k + 1):
             base = fold[have]
@@ -201,30 +197,33 @@ def _fold_children(table: dict[Node, list[int]], kids: list[Node], k: int) -> li
     return folds
 
 
-def _reconstruct(tree: NetTree, table: dict[Node, list[int]], node: Node, count: int) -> list[Node]:
+def _reconstruct(
+    tree: NetTree, table: list[list[list[int]]], kids: list[list[np.ndarray]], level: int, pos: int, count: int
+) -> list[Node]:
     if count == 0:
         return []
-    level, _ = node
-    if count == 1 and table[node][1] == 5 ** (tree.depth - level):
-        return [node]
-    kids = tree.children[node]
-    folds = _fold_children(table, kids, len(table[node]) - 1)
+    row = table[level][pos]
+    if count == 1 and row[1] == 5 ** (tree.depth - level):
+        return [(level, tree.levels[level][pos])]
+    group = kids[level][pos].tolist()
+    child_rows = [table[level + 1][j] for j in group]
+    folds = _fold_children(child_rows, len(row) - 1)
     chosen: list[Node] = []
     remaining = count
-    for pos in range(len(kids) - 1, 0, -1):
-        child_row = table[kids[pos]]
-        prev = folds[pos - 1]
+    for i in range(len(group) - 1, 0, -1):
+        child_row = child_rows[i]
+        prev = folds[i - 1]
         for take in range(0, remaining + 1):
             if child_row[take] < 0 or prev[remaining - take] < 0:
                 continue
-            if child_row[take] + prev[remaining - take] == folds[pos][remaining]:
+            if child_row[take] + prev[remaining - take] == folds[i][remaining]:
                 if take:
-                    chosen.extend(_reconstruct(tree, table, kids[pos], take))
+                    chosen.extend(_reconstruct(tree, table, kids, level + 1, group[i], take))
                 remaining -= take
                 break
         else:
             raise InternalInvariantError("dp reconstruction failed to split the fold")
-    chosen.extend(_reconstruct(tree, table, kids[0], remaining))
+    chosen.extend(_reconstruct(tree, table, kids, level + 1, group[0], remaining))
     chosen.sort()
     return chosen
 

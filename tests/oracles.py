@@ -12,10 +12,12 @@ padding is the greedy that rescans the cells for every pair it appends.
 The net tree is grown on the whole clamped matrix to a depth taken from the
 smallest distance, with a separate parent pass, as the solver grew it
 before it read one row per joining point and stopped at the first full
-level. Euclidean rows come one at a time from the row kernel that blocks
-of rows replaced, and `diameter` and the smallest distance reduce over
-them. The pseudoforest coreset reads the whole n-by-n matrix: radii and
-far counts over its rows, the dense-ball scan row by row and the peel's
+level; it keeps its parents in a dict keyed by (level, point) and encodes
+its own JSON, which `NetTree.to_json` must match byte for byte. Euclidean
+rows come one at a time from the row kernel that blocks of rows replaced,
+and `diameter` and the smallest distance reduce over them. The
+pseudoforest coreset reads the whole n-by-n matrix: radii and far counts
+over its rows, the dense-ball scan row by row and the peel's
 distances to S as columns, as it did before it read blocks of rows.
 The random-subset bound builds one generator per trial and fixes each
 draw's parity on a list, as `verify` did before it drew every trial's coins
@@ -27,7 +29,9 @@ from: the tests draw their data from it, and `rng.uniforms` and
 from __future__ import annotations
 
 import itertools
+import json
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -184,50 +188,46 @@ def _pruefer_to_edges(seq: tuple[int, ...], s: int) -> list[tuple[int, int]]:
     return edges
 
 
-def max_antichain_value(tree, k: int) -> float:
+def max_antichain_value(tree: NetTree, k: int) -> float:
     """Best sum of 5^-level over k-node antichains, by pruned search."""
-    nodes = sorted(tree.nodes())
+    nodes = [(lvl, pos) for lvl, members in enumerate(tree.levels) for pos in range(len(members))]
     values = [5.0 ** (-lvl) for lvl, _ in nodes]
 
     ancestors: dict[tuple[int, int], set[tuple[int, int]]] = {}
     for node in nodes:
         chain = set()
-        cur = node
-        while cur in tree.parent:
-            cur = tree.parent[cur]
-            chain.add(cur)
+        lvl, pos = node
+        while lvl > 0:
+            lvl, pos = lvl - 1, int(tree.parents[lvl - 1][pos])
+            chain.add((lvl, pos))
         ancestors[node] = chain
 
     order = sorted(range(len(nodes)), key=lambda i: -values[i])
     best = -math.inf
-
-    def recurse(pos: int, taken: list[int], total: float) -> None:
-        nonlocal best
+    # Depth-first with an explicit stack (a deep tree has more nodes than
+    # the recursion limit), taking each node before skipping it.
+    stack: list[tuple[int, tuple[int, ...], float]] = [(0, (), 0.0)]
+    while stack:
+        pos, taken, total = stack.pop()
         if len(taken) == k:
             best = max(best, total)
-            return
-        if pos >= len(order):
-            return
+            continue
         need = k - len(taken)
         if len(order) - pos < need:
-            return
+            continue
         # Optimistic bound: grab the next `need` values ignoring structure.
         bound = total + sum(values[order[i]] for i in range(pos, pos + need))
         if bound <= best:
-            return
+            continue
         idx = order[pos]
         node = nodes[idx]
+        stack.append((pos + 1, taken, total))
         compatible = all(
             node not in ancestors[nodes[t]] and nodes[t] not in ancestors[node] and nodes[t] != node
             for t in taken
         )
         if compatible:
-            taken.append(idx)
-            recurse(pos + 1, taken, total + values[idx])
-            taken.pop()
-        recurse(pos + 1, taken, total)
-
-    recurse(0, [], 0.0)
+            stack.append((pos + 1, taken + (idx,), total + values[idx]))
     return best
 
 
@@ -273,14 +273,39 @@ def fill_same_cell_pairs(selected: list[int], blocked: set[int], cells: list[lis
     return result
 
 
-def net_tree_by_matrix(metric, root: int = 0) -> NetTree:
+@dataclass(frozen=True)
+class DictNetTree:
+    """A net tree whose parents are a dict keyed by (level, point)."""
+
+    levels: list[list[int]]
+    parent: dict[tuple[int, int], tuple[int, int]]
+
+    @property
+    def depth(self) -> int:
+        return len(self.levels) - 1
+
+    def to_json(self) -> str:
+        parents = {f"{p}@{lvl}": f"{pp}@{plvl}" for (lvl, p), (plvl, pp) in sorted(self.parent.items())}
+        return json.dumps({"levels": self.levels, "parents": parents})
+
+
+def net_tree_of(levels: list[list[int]], parent: dict[tuple[int, int], tuple[int, int]]) -> NetTree:
+    """The `NetTree` with these levels and (level, point) parents."""
+    parents = []
+    for level in range(1, len(levels)):
+        position = {p: i for i, p in enumerate(levels[level - 1])}
+        parents.append(np.array([position[parent[(level, p)][1]] for p in levels[level]], dtype=np.int64))
+    return NetTree(levels=levels, parents=parents)
+
+
+def net_tree_by_matrix(metric, root: int = 0) -> DictNetTree:
     """Nested greedy nets on the dense clamped matrix, down to level
     ceil(-log5 of the smallest distance), which holds every point."""
     n = metric.n
     if not (0 <= root < n):
         raise PreconditionError(f"root index {root} out of range for n={n}")
     if n == 1:
-        return NetTree(levels=[[root]], parent={}, children={(0, root): []}, depth=0)
+        return DictNetTree(levels=[[root]], parent={})
     dmat = np.maximum(metric.base.distance_matrix() * metric.scale, metric.floor)
     np.fill_diagonal(dmat, 0.0)
     if float(dmat.max()) > TARGET_DIAMETER * (1.0 + 1e-12):
@@ -312,28 +337,22 @@ def net_tree_by_matrix(metric, root: int = 0) -> NetTree:
         raise InternalInvariantError("net tree failed to absorb all points")
 
     parent = {}
-    children = {(lvl, p): [] for lvl, members in enumerate(levels) for p in members}
     for level in range(1, depth + 1):
         prev = levels[level - 1]
         prev_arr = np.asarray(prev)
         prev_set = set(prev)
         for p in levels[level]:
             if p in prev_set:
-                par = (level - 1, p)
+                parent[(level, p)] = (level - 1, p)
             else:
                 col = dmat[p, prev_arr]
-                par = (level - 1, int(prev_arr[int(np.argmin(col))]))
-            parent[(level, p)] = par
-            children[par].append((level, p))
-    return NetTree(levels=levels, parent=parent, children=children, depth=depth)
+                parent[(level, p)] = (level - 1, int(prev_arr[int(np.argmin(col))]))
+    return DictNetTree(levels=levels, parent=parent)
 
 
-def cut_net_tree(tree: NetTree, depth: int) -> NetTree:
+def cut_net_tree(tree: DictNetTree, depth: int) -> DictNetTree:
     """`tree` without its levels below `depth`."""
-    levels = tree.levels[: depth + 1]
-    parent = {node: par for node, par in tree.parent.items() if node[0] <= depth}
-    children = {node: (kids if node[0] < depth else []) for node, kids in tree.children.items() if node[0] <= depth}
-    return NetTree(levels=levels, parent=parent, children=children, depth=depth)
+    return DictNetTree(tree.levels[: depth + 1], {node: par for node, par in tree.parent.items() if node[0] <= depth})
 
 
 def euclidean_rows(coords: np.ndarray) -> np.ndarray:

@@ -144,6 +144,30 @@ def test_dumped_net_tree_is_the_solver_tree(tmp_path):
         assert tree_path.read_text() == tree.to_json() + "\n", f"seed {seed}"
 
 
+_GOLDEN_NET_TREE = (
+    b'{"levels": [[0], [0, 3, 5], [0, 1, 2, 3, 4, 5, 6], [0, 1, 2, 3, 4, 5, 6, 7], [0, 1, 2, 3, 4, 5, '
+    b'6, 7, 8]], "parents": {"0@1": "0@0", "3@1": "0@0", "5@1": "0@0", "0@2": "0@1", "1@2": "0@1", "2@'
+    b'2": "0@1", "3@2": "3@1", "4@2": "3@1", "5@2": "5@1", "6@2": "5@1", "0@3": "0@2", "1@3": "1@2", "'
+    b'2@3": "2@2", "3@3": "3@2", "4@3": "4@2", "5@3": "5@2", "6@3": "6@2", "7@3": "2@2", "0@4": "0@3",'
+    b' "1@4": "1@3", "2@4": "2@3", "3@4": "3@3", "4@4": "4@3", "5@4": "5@3", "6@4": "6@3", "7@4": "7@3'
+    b'", "8@4": "3@3"}}\n'
+)
+
+
+def test_dumped_net_tree_matches_golden_bytes(tmp_path):
+    # n < 2k, so the floor is 0: the close pairs (2, 7) and (3, 8) add
+    # levels 3 and 4, where 7 and 8 join under parents other than themselves.
+    data, tree_path = tmp_path / "points.json", tmp_path / "tree.json"
+    points = [[0, 0], [1, 0], [0, 1], [5, 5], [5, 6], [9, 0], [8, 1], [0.1, 0.9], [5.02, 5]]
+    data.write_text(json.dumps({"dim": 2, "points": points}))
+    code = run_cli([
+        "solve", "--objective", "pseudoforest", "--k", "5", "--input", str(data),
+        "--output", str(tmp_path / "report.json"), "--dump-net-tree", str(tree_path),
+    ])
+    assert code == 0
+    assert tree_path.read_bytes() == _GOLDEN_NET_TREE
+
+
 def test_solve_overflowing_coordinates_exit_one(tmp_path, capsys):
     data = tmp_path / "huge.json"
     data.write_text(json.dumps({"dim": 2, "points": [[1e200 * i, 1e200] for i in range(5)]}))

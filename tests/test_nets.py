@@ -23,16 +23,7 @@ from remote_div import (
 )
 from remote_div.nets import CLAMP_CONSTANT, NetTree
 from conftest import line_pointset, random_euclidean, two_clusters
-from oracles import max_antichain_value, stream_rng
-
-
-def _synthetic_tree(levels, parent):
-    children = {(lvl, p): [] for lvl, members in enumerate(levels) for p in members}
-    for node, par in parent.items():
-        children[par].append(node)
-    for kids in children.values():
-        kids.sort()
-    return NetTree(levels=levels, parent=parent, children=children, depth=len(levels) - 1)
+from oracles import cut_net_tree, max_antichain_value, net_tree_by_matrix, net_tree_of, stream_rng
 
 
 # -- rescale_and_clamp ---------------------------------------------------------
@@ -121,9 +112,10 @@ def test_net_separation_and_parent_distance(seed):
             for b in members[i + 1 :]:
                 assert dmat[a, b] >= sep - 1e-15
     assert sorted(tree.levels[-1]) == list(range(n))
-    for (lvl, p), (plvl, pp) in tree.parent.items():
-        assert plvl == lvl - 1
-        assert dmat[p, pp] <= 5.0 ** (-(lvl - 1)) / 20.0 + 1e-15
+    for lvl in range(1, len(tree.levels)):
+        for p, pos in zip(tree.levels[lvl], tree.parents[lvl - 1].tolist()):
+            pp = tree.levels[lvl - 1][pos]
+            assert dmat[p, pp] <= 5.0 ** (-(lvl - 1)) / 20.0 + 1e-15
     for level in range(1, len(tree.levels)):
         assert set(tree.levels[level - 1]) <= set(tree.levels[level])
 
@@ -131,14 +123,14 @@ def test_net_separation_and_parent_distance(seed):
 # -- dp_antichain ------------------------------------------------------------------
 
 def test_dp_k1_returns_root():
-    tree = _synthetic_tree([[0], [0, 1]], {(1, 0): (0, 0), (1, 1): (0, 0)})
+    tree = net_tree_of([[0], [0, 1]], {(1, 0): (0, 0), (1, 1): (0, 0)})
     value, nodes = dp_antichain(tree, 1)
     assert nodes == [(0, 0)]
     assert value == 1.0
 
 
 def test_dp_star_three_children_k2():
-    tree = _synthetic_tree(
+    tree = net_tree_of(
         [[0], [0, 1, 2]],
         {(1, 0): (0, 0), (1, 1): (0, 0), (1, 2): (0, 0)},
     )
@@ -149,24 +141,24 @@ def test_dp_star_three_children_k2():
 
 
 def test_dp_two_leaf_tree_k2_picks_both_leaves():
-    tree = _synthetic_tree([[0], [0, 1]], {(1, 0): (0, 0), (1, 1): (0, 0)})
+    tree = net_tree_of([[0], [0, 1]], {(1, 0): (0, 0), (1, 1): (0, 0)})
     _value, nodes = dp_antichain(tree, 2)
     assert sorted(nodes) == [(1, 0), (1, 1)]
 
 
 def test_dp_rejects_k_above_point_count():
-    tree = _synthetic_tree([[0], [0, 1]], {(1, 0): (0, 0), (1, 1): (0, 0)})
+    tree = net_tree_of([[0], [0, 1]], {(1, 0): (0, 0), (1, 1): (0, 0)})
     with pytest.raises(PreconditionError):
         dp_antichain(tree, 3)
 
 
 def _no_ancestor_pairs(tree: NetTree, nodes) -> bool:
     chosen = set(nodes)
-    for node in nodes:
-        cur = node
-        while cur in tree.parent:
-            cur = tree.parent[cur]
-            if cur in chosen:
+    for lvl, p in nodes:
+        pos = tree.levels[lvl].index(p)
+        while lvl > 0:
+            lvl, pos = lvl - 1, int(tree.parents[lvl - 1][pos])
+            if (lvl, tree.levels[lvl][pos]) in chosen:
                 return False
     return True
 
@@ -211,6 +203,29 @@ def test_dp_matches_bruteforce_on_larger_tree():
     _value, nodes = dp_antichain(tree, 3)
     dp_value = sum(5.0 ** (-lvl) for lvl, _ in nodes)
     assert dp_value == pytest.approx(max_antichain_value(tree, 3), rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "ps, depth",
+    [
+        # 1e-150 apart: below about 1e-154 the squares underflow and the floor fires.
+        (line_pointset([0.0, 1e-150, 1.0, 2.0]), 216),
+        (PointSet.from_matrix(np.array([[0, 1e-290, 1, 2], [1e-290, 0, 1, 2], [1, 1, 0, 1], [2, 2, 1, 0.0]])), 416),
+    ],
+)
+def test_dp_on_a_deep_tree_with_no_floor(ps, depth):
+    # n < 2k keeps the floor at 0, so one close pair sets the depth, the
+    # weights 5^(depth - level) run to hundreds of digits, and the
+    # reconstruction recurses through every level.
+    k = 3
+    clamped = rescale_and_clamp(ps, k)
+    assert clamped.floor == 0.0
+    solution, tree = pf_offline(ps, k)
+    assert tree.depth == depth
+    assert tree.to_json() == cut_net_tree(net_tree_by_matrix(clamped), depth).to_json()
+    value, nodes = dp_antichain(tree, k)
+    assert value == pytest.approx(max_antichain_value(tree, k), rel=1e-12)
+    assert sorted(p for _lvl, p in nodes) == solution.indices == [0, 2, 3]
 
 
 # -- pf_offline -----------------------------------------------------------------------
@@ -262,19 +277,22 @@ def test_pf_offline_peaks_below_a_tenth_of_one_square_matrix():
 
 
 def test_pf_offline_and_pf_coreset_peak_below_a_hundredth_of_one_square_matrix():
-    # At n=20,000 in 2-D the grid's cell bounds, the candidate blocks and the
-    # last net level's parent blocks hold O(n) floats; the tree's own
-    # dictionaries set the peak.
+    # At n=20,000 in 2-D the grid's cell bounds, the candidate blocks, the
+    # last net level's parent blocks and the tree's per-level arrays hold
+    # O(n) values. pf_offline peaks near 0.0006 of the matrix, so a tree or
+    # DP that goes back to per-node dicts (0.004) fails its own bound.
     n = 20000
     ps = random_euclidean(54, n)
+    peaks = []
     for run in (lambda: pf_offline(ps, 10), lambda: pf_coreset(ps, 10, 1.0)):
         tracemalloc.start()
         try:
             run()
-            peak = tracemalloc.get_traced_memory()[1]
+            peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-        assert peak <= 0.01 * n * n * 8
+        assert peaks[-1] <= 0.01 * n * n * 8
+    assert peaks[0] <= 0.001 * n * n * 8
 
 
 @pytest.mark.parametrize("seed", range(30))

@@ -53,6 +53,7 @@ from oracles import (
     k_outlier_radius_by_matrix,
     min_offdiag_by_rows,
     net_tree_by_matrix,
+    net_tree_of,
     pf_coreset_by_matrix,
     stream_rng,
 )
@@ -69,7 +70,7 @@ def instances(draw):
 
 def _selections(ps: PointSet, k: int):
     solution, tree = pf_offline(ps, k)
-    out = [solution.indices, tree, pf_coreset(ps, k, 1.0).indices]
+    out = [solution.indices, tree.to_json(), pf_coreset(ps, k, 1.0).indices]
     k_even = k - k % 2
     candidates = range(min(ps.n, 12))  # keeps the enumeration small
     for objective, size in ((Objective.REMOTE_PSEUDOFOREST, k), (Objective.REMOTE_MATCHING, k_even)):
@@ -176,11 +177,11 @@ def test_net_tree_is_the_matrix_tree_cut_at_its_first_full_level(instance):
         assert len(tree.levels[-1]) == ps.n
         assert tree.depth == 0 or len(tree.levels[-2]) < ps.n
         assert tree.depth <= full.depth
-        assert tree == cut_net_tree(full, tree.depth)
-        _value, nodes = dp_antichain(full, k)
+        assert tree.to_json() == cut_net_tree(full, tree.depth).to_json()
+        _value, nodes = dp_antichain(net_tree_of(full.levels, full.parent), k)
         points = sorted(p for _lvl, p in nodes)
         solution, solved_on = pf_offline(ps, k, root)
-        assert solved_on == tree
+        assert solved_on.to_json() == tree.to_json()
         assert solution.indices == points
         assert solution.value.hex() == pf_cost(ps, points, with_witness=False).value.hex()
 
@@ -359,7 +360,7 @@ def test_pf_offline_around_n_2k_is_the_matrix_tree_solution(k, offset, dim):
     assert (5.0 ** (-tree.depth) / 20.0 <= clamped.floor) == (n >= 2 * k)
     full = net_tree_by_matrix(clamped)
     assert tree.to_json() == cut_net_tree(full, tree.depth).to_json()
-    _value, nodes = dp_antichain(full, k)
+    _value, nodes = dp_antichain(net_tree_of(full.levels, full.parent), k)
     assert solution.indices == sorted(p for _lvl, p in nodes)
 
 

@@ -4,32 +4,40 @@ the enumeration cap), marked `slow` and left out of the default run
 from __future__ import annotations
 
 import json
-import os
-import subprocess
 import sys
-import time
-from pathlib import Path
 
 import pytest
 
-import remote_div
 from remote_div import load_pointset, pf_cost
+from conftest import run_fresh
 
-_SRC = str(Path(remote_div.__file__).resolve().parent.parent)
+# A child's max-RSS from `wait4` also counts the high-water mark of the
+# process that started it, so this small interpreter, not pytest, starts
+# the CLI and reports its wall time and max-RSS.
+_LAUNCH = """
+import os, sys, time
+start = time.perf_counter()
+stdout = [(os.POSIX_SPAWN_OPEN, 1, os.devnull, os.O_WRONLY, 0)]
+pid = os.posix_spawn(sys.argv[1], sys.argv[1:], os.environ, file_actions=stdout)
+_, status, usage = os.wait4(pid, 0)
+print(time.perf_counter() - start, usage.ru_maxrss / 1024.0)
+sys.exit(os.waitstatus_to_exitcode(status))
+"""
 
 
-def _cli(*args: str) -> float:
-    """Run the CLI in a fresh interpreter; return its wall time."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")])))
-    start = time.perf_counter()
-    subprocess.run([sys.executable, "-m", "remote_div", *args], check=True, env=env, capture_output=True)
-    return time.perf_counter() - start
+def _cli(*args: str) -> tuple[float, float]:
+    """Run the CLI in a fresh interpreter; return its wall time and its
+    max-RSS in MB."""
+    seconds, max_rss = run_fresh(_LAUNCH, sys.executable, "-m", "remote_div", *args).split()
+    return float(seconds), float(max_rss)
 
 
 @pytest.mark.slow
 def test_pseudoforest_on_a_hundred_thousand_points_runs_in_seconds(tmp_path):
     # The coreset's outlier radius reads only the cells whose floors reach
-    # the best radius, so clustered and 3-D points take seconds too.
+    # the best radius, so clustered and 3-D points take seconds too. The net
+    # tree and its DP keep per-level arrays, so `solve` peaks no higher than
+    # `coreset` does on the same points.
     for kind, dim, commands, bound in (
         ("uniform_cube", 2, ("solve", "coreset"), 60.0),
         ("clusters", 2, ("coreset",), 8.0),
@@ -37,11 +45,16 @@ def test_pseudoforest_on_a_hundred_thousand_points_runs_in_seconds(tmp_path):
     ):
         points = tmp_path / f"{kind}-{dim}.json"
         _cli("gen", "--kind", kind, "--n", "100000", "--dim", str(dim), "--seed", "1", "--output", str(points))
+        max_rss = {}
         for command in commands:
             report = tmp_path / f"{command}.json"
-            elapsed = _cli(command, "--objective", "pseudoforest", "--k", "10", "--input", str(points), "--output", str(report))
+            elapsed, max_rss[command] = _cli(
+                command, "--objective", "pseudoforest", "--k", "10", "--input", str(points), "--output", str(report)
+            )
             assert elapsed < bound, f"{command} on {dim}-D {kind} took {elapsed:.1f} s"
             assert len(json.loads(report.read_text())["indices"]) <= 50
+        if "solve" in max_rss:
+            assert max_rss["solve"] <= 1.1 * max_rss["coreset"], f"max-RSS {max_rss} MB on {dim}-D {kind}"
 
 
 @pytest.mark.slow
@@ -51,7 +64,9 @@ def test_pseudoforest_brute_force_at_the_enumeration_cap_runs_in_seconds(tmp_pat
     points = tmp_path / "points.json"
     _cli("gen", "--kind", "uniform_cube", "--n", "40", "--dim", "2", "--seed", "1", "--output", str(points))
     report = tmp_path / "eval.json"
-    elapsed = _cli("eval", "--objective", "pseudoforest", "--k", "6", "--input", str(points), "--output", str(report))
+    elapsed, _max_rss = _cli(
+        "eval", "--objective", "pseudoforest", "--k", "6", "--input", str(points), "--output", str(report)
+    )
     assert elapsed < 10.0, f"eval took {elapsed:.1f} s"
     result = json.loads(report.read_text())
     ps = load_pointset(points.read_text(), "json")
