@@ -12,7 +12,6 @@ an internal invariant (including a verification suite check) fails.
 from __future__ import annotations
 
 import argparse
-import copy
 import json
 import math
 import sys
@@ -40,29 +39,24 @@ class _Parser(argparse.ArgumentParser):
 
 
 def canonicalize_report(report: dict) -> dict:
-    """Blank every timing field so reports can be compared byte-for-byte."""
-    out = copy.deepcopy(report)
+    """A copy of `report` with every timing field blanked, so reports can be
+    compared byte-for-byte."""
 
     def scrub(node):
         if isinstance(node, dict):
-            for key in list(node):
-                if key in TIMING_KEYS:
-                    node[key] = None
-                else:
-                    scrub(node[key])
-        elif isinstance(node, list):
-            for item in node:
-                scrub(item)
+            return {key: None if key in TIMING_KEYS else scrub(value) for key, value in node.items()}
+        if isinstance(node, list):
+            return [scrub(item) for item in node]
+        return node
 
-    scrub(out)
-    return out
+    return scrub(report)
 
 
 REPORT_SCHEMA = {
     "schema_version": SCHEMA_VERSION,
     "common_fields": {
         "schema_version": "int",
-        "command": "gen|solve|coreset|compose|eval|verify",
+        "command": "solve|coreset|compose|eval|verify (gen writes a dataset, not a report)",
         "flags": "object: full echo of the parsed flags",
         "timings": {"total_seconds": "float (blanked by canonicalization)"},
     },
@@ -74,7 +68,8 @@ REPORT_SCHEMA = {
         "indices": "[int]",
         "algorithm": "string",
         "seed": "int",
-        "trace": "object (matching: chosen/z_subset/w_set; pseudoforest: tree depth)",
+        "trace": "object (matching: chosen/trial/z_subset/w_set/gmm_centers/gmm_radius; "
+        "pseudoforest: net_tree_depth with --dump-net-tree, else empty)",
     },
     "coreset": {
         "part": "int",
@@ -89,16 +84,23 @@ REPORT_SCHEMA = {
         "k": "int",
         "m": "int",
         "epsilon": "float",
+        "strategy": "round_robin|random|file",
+        "seed": "int",
         "coreset_sizes": "[int]",
+        "passthrough_flags": "[bool]",
         "union_size": "int",
+        "union_indices": "[int]",
+        "solution_indices": "[int]",
         "value_on_union": "float",
         "bound_kind": "exact|lower_bound",
         "lower_bound": "bool",
         "oracle_value": "float|null",
+        "oracle_indices": "[int]|null",
         "ratio": "float|null",
+        "elapsed": "{stage: float} (blanked by canonicalization)",
     },
-    "eval": {"objective": "string", "k": "int", "value": "float", "indices": "[int]"},
-    "verify": {"suite": "hst|mstcc|lemma42|all", "suites": "{name: {pass: bool, ...}}"},
+    "eval": {"objective": "string", "k": "int", "value": "float", "indices": "[int]", "enumeration_cap": "int"},
+    "verify": {"suite": "hst|mstcc|lemma42|all", "suites": "{name: {pass: bool, ...}}", "pass": "bool"},
 }
 
 
@@ -267,23 +269,19 @@ def _read_parts(path: str) -> list[list[int]]:
 
 def _parse_params(raw: str) -> dict[str, float]:
     params: dict[str, float] = {}
-    if not raw.strip():
-        return params
     for item in raw.split(","):
         item = item.strip()
         if not item:
             continue
-        if "=" in item:
-            key, _, value = item.partition("=")
-            try:
-                params[key.strip()] = float(value)
-            except ValueError as exc:
-                raise PreconditionError(f"bad parameter {item!r}: {exc}") from exc
+        key, named, value = item.partition("=")
+        try:
+            number = float(value if named else item)
+        except ValueError as exc:
+            raise PreconditionError(f"bad parameter {item!r}: {exc}") from exc
+        if named:
+            params[key.strip()] = number
         else:
-            try:
-                params.setdefault("values", []).append(float(item))  # type: ignore[union-attr]
-            except ValueError as exc:
-                raise PreconditionError(f"bad parameter {item!r}: {exc}") from exc
+            params.setdefault("values", []).append(number)  # type: ignore[union-attr]
     return params
 
 
@@ -426,6 +424,8 @@ _SUITE_WORDS = 36
 
 
 def _suite_hst(seed: int, trials: int) -> dict:
+    import numpy as np
+
     from .costs import matching_value
     from .hst import embed_subset, hst_distance_matrix, hst_mwm_odd_count
     from .rng import streams
@@ -438,13 +438,11 @@ def _suite_hst(seed: int, trials: int) -> dict:
         n = rng.integers(4, 13)
         ps = PointSet.from_coords(rng.random((n, 2)))
         hst, scaled = embed_subset(ps, range(n), d=40)
-        dmat = scaled.distance_matrix()
         hmat = hst_distance_matrix(hst)
-        for a in range(n):
-            for b in range(a + 1, n):
-                if dmat[a, b] > 0:
-                    worst_stretch = max(worst_stretch, hmat[a, b] / dmat[a, b])
-                checked_pairs += 1
+        pairs = np.triu_indices(n, 1)
+        dist, tree = scaled.distance_matrix()[pairs], hmat[pairs]
+        worst_stretch = max(worst_stretch, float((tree[dist > 0] / dist[dist > 0]).max(initial=0.0)))
+        checked_pairs += len(dist)
         size = min(n - n % 2, 8)
         members = sorted(rng.sample(n, size))
         formula = hst_mwm_odd_count(hst, members)

@@ -5,8 +5,10 @@
 * minimum spanning tree, via a dense Prim scan,
 * pseudoforest cost (sum of nearest-neighbor distances), batched likewise,
 
-plus the threshold-graph component counter and the dyadic component sum
-that brackets the MST cost. Each cost has one evaluator over distances
+plus threshold-graph components and the dyadic component sum that
+brackets the MST cost, both read off one MST: `threshold_labels` merges
+its edges in order of weight to label the components at every radius of
+an ascending list. Each cost has one evaluator over distances
 (`matching_tables`, `mst_value_and_edges`, `pf_sum`), shared by the subset
 reports and the brute-force search. The two batched ones take a square
 distance matrix `dmat` and a (B, s) array `members` of row indices into
@@ -54,32 +56,6 @@ class ThresholdComponents:
     count: int
 
 
-class UnionFind:
-    """Array-based union-find with path compression."""
-
-    __slots__ = ("parent",)
-
-    def __init__(self, size: int):
-        self.parent = list(range(size))
-
-    def find(self, a: int) -> int:
-        root = a
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[a] != root:
-            self.parent[a], a = root, self.parent[a]
-        return root
-
-    def union(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        if rb < ra:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        return True
-
-
 def as_indices(values) -> list[int]:
     """The entries of `values` as ints; an entry that is not an integral
     number is a PreconditionError, never truncated."""
@@ -102,11 +78,6 @@ def _as_subset(subset, n: int) -> list[int]:
     if len(set(idx)) != len(idx):
         raise PreconditionError("subset indices must be distinct")
     return idx
-
-
-def _subset_rows(ps: PointSet, subset: list[int]) -> list[list[float]]:
-    """Pairwise distances among `subset`, as plain float rows for fast lookup."""
-    return ps.restrict(subset).distance_matrix().tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +210,7 @@ def mst_cost(ps: PointSet, subset, *, with_witness: bool = True) -> SubsetCostRe
     idx = _as_subset(subset, ps.n)
     if len(idx) < 1:
         raise PreconditionError("mst needs a nonempty subset")
-    rows = _subset_rows(ps, idx)
+    rows = ps.restrict(idx).distance_matrix().tolist()
     value, edges = mst_value_and_edges(rows)
     witness = None
     if with_witness:
@@ -286,6 +257,26 @@ def pf_cost(ps: PointSet, subset, *, with_witness: bool = True) -> SubsetCostRep
 # Threshold graphs
 # ---------------------------------------------------------------------------
 
+def threshold_labels(dmat: np.ndarray, radii) -> np.ndarray:
+    """labels[i, a] is the lowest position joined to position a in the graph
+    that joins pairs at distance <= radii[i], for ascending `radii`.
+
+    That graph has the components of the MST edges of weight <= r, so one
+    Prim pass answers every radius: its edges are merged in order of weight
+    while the radii rise, each merge relabelling the higher label to the lower.
+    """
+    rows = dmat.tolist()
+    edges = sorted(mst_value_and_edges(rows)[1], key=lambda e: rows[e[0]][e[1]])
+    label = np.arange(len(rows))
+    labels = np.empty((len(radii), len(rows)), dtype=np.int64)
+    for i, r in enumerate(radii):
+        while edges and rows[edges[0][0]][edges[0][1]] <= r:
+            lo, hi = sorted(label[list(edges.pop(0))])
+            label[label == hi] = lo
+        labels[i] = label
+    return labels
+
+
 def threshold_components(ps: PointSet, subset, r: float) -> ThresholdComponents:
     """Connected components of the graph joining pairs at distance <= r.
 
@@ -294,22 +285,11 @@ def threshold_components(ps: PointSet, subset, r: float) -> ThresholdComponents:
     idx = _as_subset(subset, ps.n)
     if len(idx) < 1:
         raise PreconditionError("need at least one point")
-    if r < 0:
+    if not r >= 0:
         raise PreconditionError("radius must be nonnegative")
-    rows = _subset_rows(ps, idx)
-    uf = UnionFind(len(idx))
-    for a in range(len(idx)):
-        row = rows[a]
-        for b in range(a + 1, len(idx)):
-            if row[b] <= r:
-                uf.union(a, b)
-    smallest: dict[int, int] = {}
-    for a in range(len(idx)):
-        root = uf.find(a)
-        if root not in smallest or idx[a] < smallest[root]:
-            smallest[root] = idx[a]
-    component_of = {idx[a]: smallest[uf.find(a)] for a in range(len(idx))}
-    return ThresholdComponents(float(r), component_of, len(smallest))
+    label = threshold_labels(ps.restrict(idx).distance_matrix(), [r])[0]
+    component_of = {p: idx[a] for p, a in zip(idx, label.tolist())}
+    return ThresholdComponents(float(r), component_of, len(set(component_of.values())))
 
 
 def mst_component_sum(ps: PointSet, subset) -> float:
@@ -326,7 +306,7 @@ def mst_component_sum(ps: PointSet, subset) -> float:
     idx = _as_subset(subset, ps.n)
     if len(idx) < 2:
         raise PreconditionError("component sum needs at least 2 points")
-    rows = _subset_rows(ps, idx)
+    rows = ps.restrict(idx).distance_matrix().tolist()
     s = len(idx)
     _value, edges = mst_value_and_edges(rows)
     weights = sorted(rows[a][b] for a, b in edges)

@@ -5,7 +5,10 @@ each level t, one node per connected component of the graph joining points
 at distance <= 2^-t. Level t+1 components refine level t components, so
 the hierarchy is a tree; with edge weights 2^-t from a depth-t node to its
 parent it becomes a hierarchically well-separated tree whose leaf distance
-depends only on the depth of the least common ancestor.
+depends only on the depth of the least common ancestor. The hierarchy is
+one array of labels, every level from one `costs.threshold_labels` pass,
+and the tree distances and odd-occupancy counts are array operations over
+it.
 
 Two executable identities live here: the matching cost of an even leaf set
 under the tree metric equals a weighted count of odd-occupancy nodes, and
@@ -15,12 +18,13 @@ the verification CLI and the acceptance suite.
 """
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .costs import UnionFind, as_indices, matching_tables, mst_value_and_edges
+from .costs import as_indices, matching_tables, threshold_labels
 from .errors import PreconditionError
 from .matching import even_subset_masks
 from .metric import PointSet
@@ -30,23 +34,19 @@ DEFAULT_DEPTH = 40
 EMBED_DIAMETER = 1.0 - 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Hst:
     """Component hierarchy over an embedded subset.
 
-    component_of[t] maps each embedded point to its level-t component id
-    (the smallest member index); levels run t = 0..depth.
+    labels[t, a] is the position in `points` of the lowest point in the
+    level-t component of points[a]; levels run t = 0..depth. Levels nest,
+    so two points share exactly the levels 0..t for some t. `==` is
+    identity: the hierarchy holds an array.
     """
 
     depth: int
     points: list[int]
-    component_of: list[dict[int, int]]
-
-    def components(self, t: int) -> dict[int, list[int]]:
-        groups: dict[int, list[int]] = {}
-        for p in self.points:
-            groups.setdefault(self.component_of[t][p], []).append(p)
-        return groups
+    labels: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -69,22 +69,7 @@ def build_hst(ps: PointSet, subset, d: int) -> Hst:
     members = sorted(as_indices(subset))
     if not members:
         raise PreconditionError("subset must be nonempty")
-    dmat = ps.restrict(members).distance_matrix()
-    if float(dmat.max()) > 1.0:
-        raise PreconditionError("subset diameter exceeds 1; rescale before embedding")
-    # The graph joining pairs at distance <= r has the components of the MST
-    # edges <= r, so one MST, merged in order of weight, gives every level.
-    _value, edges = mst_value_and_edges(dmat.tolist())
-    edges.sort(key=lambda e: dmat[e])
-    uf = UnionFind(len(members))
-    component_of = []
-    for t in range(d, -1, -1):
-        while edges and dmat[edges[0]] <= 2.0 ** (-t):
-            uf.union(*edges.pop(0))
-        # union() keeps the smaller local index as root: the smallest member.
-        component_of.append({p: members[uf.find(a)] for a, p in enumerate(members)})
-    component_of.reverse()
-    return Hst(depth=d, points=members, component_of=component_of)
+    return _hierarchy(ps.restrict(members).distance_matrix(), members, d)
 
 
 def embed_subset(ps: PointSet, subset, d: int = DEFAULT_DEPTH) -> tuple[Hst, PointSet]:
@@ -101,47 +86,56 @@ def embed_subset(ps: PointSet, subset, d: int = DEFAULT_DEPTH) -> tuple[Hst, Poi
     if diam > 0.0:
         sub = sub * (EMBED_DIAMETER / diam)
     sub.flags.writeable = False
+    if d < 1:
+        raise PreconditionError("depth must be at least 1")
     # A positive multiple of a metric is a metric, so it is not validated
     # again: the subset's own scale could make the parent's rounding fail.
-    scaled = PointSet("matrix", None, sub)
-    hst = build_hst(scaled, range(len(members)), d)
-    return hst, scaled
+    return _hierarchy(sub, list(range(len(members))), d), PointSet("matrix", None, sub)
+
+
+def _hierarchy(dmat: np.ndarray, points: list[int], d: int) -> Hst:
+    """The hierarchy over `points`, whose distance matrix is `dmat`."""
+    if float(dmat.max()) > 1.0:
+        raise PreconditionError("subset diameter exceeds 1; rescale before embedding")
+    # Radii rise from 2^-d to 2^0, so the labels come out deepest level first.
+    labels = threshold_labels(dmat, [2.0 ** (-t) for t in range(d, -1, -1)])[::-1]
+    return Hst(depth=d, points=points, labels=labels)
+
+
+def _positions(hst: Hst, z) -> list[int]:
+    """The positions in `hst.points` of the points `z`."""
+    out = []
+    for p in as_indices(z):
+        a = bisect.bisect_left(hst.points, p)
+        if a == len(hst.points) or hst.points[a] != p:
+            raise PreconditionError(f"point {p} is not embedded in the hierarchy")
+        out.append(a)
+    return out
 
 
 def hst_distance(hst: Hst, v: int, w: int) -> float:
     """Tree distance between two embedded points: 2*(2^-t - 2^-d) where t is
     the deepest level at which they still share a component."""
-    for p in (v, w):
-        if p not in hst.component_of[0]:
-            raise PreconditionError(f"point {p} is not embedded in the hierarchy")
-    if hst.component_of[hst.depth][v] == hst.component_of[hst.depth][w]:
-        return 0.0
-    t = 0
-    while t + 1 <= hst.depth and hst.component_of[t + 1][v] == hst.component_of[t + 1][w]:
-        t += 1
-    return 2.0 * (2.0 ** (-t) - 2.0 ** (-hst.depth))
+    a, b = _positions(hst, (v, w))
+    # Levels nest, so the points share levels 0..t: t+1 of them.
+    shared = int(np.count_nonzero(hst.labels[:, a] == hst.labels[:, b]))
+    return 2.0 * (2.0 ** (1 - shared) - 2.0 ** (-hst.depth))
 
 
 def hst_distance_matrix(hst: Hst) -> np.ndarray:
-    pts = hst.points
-    out = np.zeros((len(pts), len(pts)))
-    for a in range(len(pts)):
-        for b in range(a + 1, len(pts)):
-            out[a, b] = out[b, a] = hst_distance(hst, pts[a], pts[b])
-    return out
+    """`hst_distance` between every two embedded points, by position."""
+    shared = np.count_nonzero(hst.labels[:, :, None] == hst.labels[:, None, :], axis=0)
+    return 2.0 * (2.0 ** (1 - shared) - 2.0 ** (-hst.depth))
 
 
 def odd_component_counts(hst: Hst, z) -> list[int]:
     """Per level, the number of components holding an odd number of z's."""
-    zset = set(as_indices(z))
-    counts = []
-    for t in range(hst.depth + 1):
-        parity: dict[int, int] = {}
-        for p in zset:
-            cid = hst.component_of[t][p]
-            parity[cid] = parity.get(cid, 0) ^ 1
-        counts.append(sum(parity.values()))
-    return counts
+    pos = sorted(set(_positions(hst, z)))
+    size = len(hst.points)
+    # Level t's labels are offset by t*size, so one count covers every level.
+    offset = hst.labels[:, pos] + size * np.arange(hst.depth + 1)[:, None]
+    occupancy = np.bincount(offset.ravel(), minlength=size * (hst.depth + 1))
+    return np.count_nonzero(occupancy.reshape(hst.depth + 1, size) % 2, axis=1).tolist()
 
 
 def hst_mwm_odd_count(hst: Hst, z) -> float:
@@ -152,11 +146,7 @@ def hst_mwm_odd_count(hst: Hst, z) -> float:
         raise PreconditionError("odd-count matching formula needs an even set")
     if len(set(zlist)) != len(zlist):
         raise PreconditionError("z must hold distinct points")
-    for p in zlist:
-        if p not in hst.component_of[0]:
-            raise PreconditionError(f"point {p} is not embedded in the hierarchy")
-    counts = odd_component_counts(hst, zlist)
-    return sum(2.0 ** (-t) * m for t, m in enumerate(counts))
+    return sum(2.0 ** (-t) * m for t, m in enumerate(odd_component_counts(hst, zlist)))
 
 
 def verify_random_subset_bound(

@@ -87,12 +87,13 @@ class PointSet:
     dataset's matrix.
     """
 
-    __slots__ = ("kind", "n", "dim", "_coords", "_matrix")
+    __slots__ = ("kind", "n", "dim", "_coords", "_matrix", "_diameter")
 
     def __init__(self, kind: str, coords: np.ndarray | None, matrix: np.ndarray | None):
         self.kind = kind
         self._coords = coords
         self._matrix = matrix
+        self._diameter = None  # set by the first `diameter(self)`
         if kind == "euclidean":
             assert coords is not None
             self.n = coords.shape[0]
@@ -281,7 +282,14 @@ class RunConfig:
 def diameter(ps: PointSet) -> float:
     """Maximum pairwise distance; 0 for a single point. Distances are
     symmetric, so only the cell pairs (c, c') with c <= c' whose upper
-    bound reaches the best distance so far are read."""
+    bound reaches the best distance so far are read. The point set is
+    immutable, so it keeps the result for later calls."""
+    if ps._diameter is None:
+        ps._diameter = _diameter(ps)
+    return ps._diameter
+
+
+def _diameter(ps: PointSet) -> float:
     grid = _cell_grid(ps)
     # The double sweep from point 0 gives a pair's distance to start from.
     best, far = 0.0, 0

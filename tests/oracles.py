@@ -19,6 +19,11 @@ and `diameter` and the smallest distance reduce over them. The
 pseudoforest coreset reads the whole n-by-n matrix: radii and far counts
 over its rows, the dense-ball scan row by row and the peel's
 distances to S as columns, as it did before it read blocks of rows.
+Threshold-graph components come from a union-find over every pair within
+the radius, not from an MST, and tree distances from walking each pair of
+points down the hierarchy's levels one at a time, as `costs` and `hst`
+computed them before every radius was read off one MST pass and every
+distance off one broadcast over the labels.
 The random-subset bound builds one generator per trial and fixes each
 draw's parity on a list, as `verify` did before it drew every trial's coins
 in one Philox block and fixed parity with masks. `stream_rng` is numpy's own
@@ -38,7 +43,7 @@ import numpy as np
 from remote_div.coresets import Coreset, StPair
 from remote_div.errors import InternalInvariantError, PreconditionError
 from remote_div.gmm import gmm
-from remote_div.hst import SubsetBoundStats
+from remote_div.hst import Hst, SubsetBoundStats
 from remote_div.nets import _MAX_DEPTH, TARGET_DIAMETER, NetTree
 
 
@@ -114,6 +119,63 @@ def random_subset_bound_by_draws(ps, members, trials: int, seed: int) -> SubsetB
     mean = float(values.mean())
     stderr = float(values.std(ddof=1) / math.sqrt(trials))
     return SubsetBoundStats(trials, mean, stderr, best, mean / best if best > 0 else 1.0)
+
+
+class UnionFind:
+    """Array-based union-find with path compression; a root is the smallest
+    index of its set."""
+
+    __slots__ = ("parent",)
+
+    def __init__(self, size: int):
+        self.parent = list(range(size))
+
+    def find(self, a: int) -> int:
+        root = a
+        while self.parent[root] != root:
+            root = self.parent[root]
+        while self.parent[a] != root:
+            self.parent[a], a = root, self.parent[a]
+        return root
+
+    def union(self, a: int, b: int) -> bool:
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return False
+        if rb < ra:
+            ra, rb = rb, ra
+        self.parent[rb] = ra
+        return True
+
+
+def threshold_components_by_pairs(ps, subset, r: float) -> dict[int, int]:
+    """Components of the graph joining the pairs of `subset` at distance <= r,
+    as {point: smallest point of its component}."""
+    idx = sorted(subset)
+    rows = ps.restrict(idx).distance_matrix().tolist()
+    uf = UnionFind(len(idx))
+    for a in range(len(idx)):
+        for b in range(a + 1, len(idx)):
+            if rows[a][b] <= r:
+                uf.union(a, b)
+    return {p: idx[uf.find(a)] for a, p in enumerate(idx)}
+
+
+def hst_distance_matrix_by_walk(hst: Hst) -> np.ndarray:
+    """Tree distances by position: each pair walks down the levels while it
+    shares a component, to the deepest shared level t, and is 2*(2^-t - 2^-d)
+    apart, or 0 if it shares the last level."""
+    labels, depth = hst.labels.tolist(), hst.depth
+    out = np.zeros((len(hst.points), len(hst.points)))
+    for a in range(len(hst.points)):
+        for b in range(a + 1, len(hst.points)):
+            if labels[depth][a] == labels[depth][b]:
+                continue
+            t = 0
+            while t + 1 <= depth and labels[t + 1][a] == labels[t + 1][b]:
+                t += 1
+            out[a, b] = out[b, a] = 2.0 * (2.0 ** (-t) - 2.0 ** (-depth))
+    return out
 
 
 def pf_sum_loop(rows: list[list[float]], members) -> float:

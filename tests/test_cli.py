@@ -467,6 +467,28 @@ def test_schema_flag(capsys):
     assert "solve" in schema and "verify" in schema
 
 
+def test_schema_names_exactly_the_report_keys(dataset, tmp_path, capsys):
+    assert run_cli(["--schema"]) == 0
+    schema = json.loads(capsys.readouterr().out)
+    points = ["--input", str(dataset)]
+    shapes = [
+        ["solve", "--objective", "matching", "--k", "4", "--repeats", "2", *points],
+        ["solve", "--objective", "pseudoforest", "--k", "4", *points],
+        ["solve", "--objective", "pseudoforest", "--k", "4", "--dump-net-tree", str(tmp_path / "tree.json"), *points],
+        ["coreset", "--objective", "matching", "--k", "4", *points],
+        ["coreset", "--objective", "pseudoforest", "--k", "4", *points],
+        ["compose", "--objective", "matching", "--k", "4", "--parts", "2", *points],
+        ["compose", "--objective", "pseudoforest", "--k", "2", "--parts", "2", "--oracle", *points],
+        ["eval", "--objective", "pseudoforest", "--k", "2", *points],
+        ["verify", "--suite", "all", "--trials", "2"],
+    ]
+    for argv in shapes:
+        out = tmp_path / "report.json"
+        assert run_cli(argv + ["--output", str(out)]) == 0, argv
+        report = read_json(out)
+        assert set(report) == set(schema["common_fields"]) | set(schema[argv[0]]), argv
+
+
 def test_usage_error_exit_one(capsys):
     assert run_cli(["solve", "--objective", "bogus", "--k", "4", "--input", "x"]) == 1
     assert "error" in capsys.readouterr().err

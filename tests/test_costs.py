@@ -18,9 +18,16 @@ from remote_div import (
     pf_cost,
     threshold_components,
 )
-from remote_div.costs import MATCHING_EXACT_CAP, matching_tables, pf_sum
+from remote_div.costs import MATCHING_EXACT_CAP, matching_tables, pf_sum, threshold_labels
 from conftest import line_pointset, random_euclidean, random_matrix_metric
-from oracles import matching_table, mst_by_pruefer, mwm_by_pairings, pf_sum_loop, stream_rng
+from oracles import (
+    matching_table,
+    mst_by_pruefer,
+    mwm_by_pairings,
+    pf_sum_loop,
+    stream_rng,
+    threshold_components_by_pairs,
+)
 
 
 # -- matching ---------------------------------------------------------------
@@ -237,6 +244,31 @@ def test_threshold_full_and_empty(line3):
 def test_threshold_closed_at_radius():
     ps = line_pointset([0.0, 2.0])
     assert threshold_components(ps, [0, 1], 2.0).count == 1
+
+
+@pytest.mark.parametrize("radius", [float("nan"), -1.0, -0.0 - 1e-300])
+def test_threshold_rejects_a_radius_that_is_not_nonnegative(line3, radius):
+    with pytest.raises(PreconditionError, match="nonnegative"):
+        threshold_components(line3, [0, 1, 2], radius)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_threshold_components_equal_all_pairs_union_find_at_every_distance(seed):
+    rng = stream_rng(2600 + seed, 0)
+    n = int(rng.integers(1, 16))
+    # Grid coordinates tie many distances, with coincident points; the
+    # matrix metric has no coordinates at all.
+    for ps in (PointSet.from_coords(rng.integers(0, 4, (n, 2)) / 4.0), random_matrix_metric(2600 + seed, n)):
+        members = sorted(int(v) for v in rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False))
+        dmat = ps.restrict(members).distance_matrix()
+        radii = sorted({0.0, math.inf, *dmat.ravel().tolist(), *(dmat.ravel() * 0.999).tolist()})
+        labels = threshold_labels(dmat, radii)
+        for r, label in zip(radii, labels.tolist()):
+            expected = threshold_components_by_pairs(ps, members, r)
+            comp = threshold_components(ps, members, r)
+            assert comp.component_of == expected
+            assert comp.count == len(set(expected.values()))
+            assert [members[a] for a in label] == [expected[p] for p in members]
 
 
 # -- dyadic component sum -------------------------------------------------------

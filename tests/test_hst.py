@@ -17,48 +17,98 @@ from remote_div import (
 from remote_div.costs import matching_value
 from remote_div.hst import hst_distance_matrix, odd_component_counts
 from conftest import line_pointset, random_euclidean
-from oracles import random_subset_bound_by_draws, stream_rng
+from oracles import (
+    hst_distance_matrix_by_walk,
+    random_subset_bound_by_draws,
+    stream_rng,
+    threshold_components_by_pairs,
+)
+
+
+def _components(hst, t: int) -> dict[int, list[int]]:
+    """The level-t components, as {label: [points]}."""
+    groups: dict[int, list[int]] = {}
+    for p, label in zip(hst.points, hst.labels[t].tolist()):
+        groups.setdefault(label, []).append(p)
+    return groups
+
+
+def _tie_heavy(seed: int):
+    """(point set, subset) pairs of diameter at most 1: a 1/16-grid line and
+    a coarse plane grid with coincident points, whose distances tie, are 0
+    and equal level radii 2^-t exactly, and random points in the plane."""
+    rng = stream_rng(2400 + seed, 0)
+    n = int(rng.integers(2, 14))
+    line = line_pointset(rng.integers(0, 17, n) / 16.0)
+    plane = PointSet.from_coords(rng.random((n, 2)) / 2.0)
+    grid = PointSet.from_coords(rng.integers(0, 5, (n, 2)) / 8.0)
+    return [
+        (ps, sorted(int(v) for v in rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)))
+        for ps in (line, plane, grid)
+    ]
 
 
 def test_two_points_split_at_level_one():
     ps = line_pointset([0.0, 0.6])
     hst = build_hst(ps, [0, 1], 2)
-    assert hst.component_of[0][0] == hst.component_of[0][1]
-    assert hst.component_of[1][0] != hst.component_of[1][1]  # 0.6 > 1/2
+    assert hst.labels[0, 0] == hst.labels[0, 1]
+    assert hst.labels[1, 0] != hst.labels[1, 1]  # 0.6 > 1/2
 
 
 def test_single_point_chain():
     ps = line_pointset([0.3])
     hst = build_hst(ps, [0], 5)
-    assert all(hst.component_of[t][0] == 0 for t in range(6))
+    assert hst.labels.tolist() == [[0]] * 6
 
 
 def test_refinement_property():
     ps = random_euclidean(21, 10)
     hst, _ = embed_subset(ps, range(10), d=12)
     for t in range(hst.depth):
-        coarse = hst.components(t)
-        fine = hst.components(t + 1)
-        for members in fine.values():
-            parents = {hst.component_of[t][p] for p in members}
+        for members in _components(hst, t + 1).values():
+            parents = {int(hst.labels[t, hst.points.index(p)]) for p in members}
             assert len(parents) == 1
-    # sanity: level-(t+1) components partition each level-t component
+    # sanity: level-(t+1) components partition each level-t component, and
+    # each is labelled by the position of its lowest point
     for t in range(hst.depth):
-        assert sorted(i for ms in hst.components(t).values() for i in ms) == hst.points
+        groups = _components(hst, t)
+        assert sorted(i for ms in groups.values() for i in ms) == hst.points
+        assert all(hst.points[label] == min(ms) for label, ms in groups.items())
 
 
 @pytest.mark.parametrize("seed", range(8))
 def test_levels_equal_per_level_threshold_components(seed):
-    rng = stream_rng(2400 + seed, 0)
-    n = int(rng.integers(2, 14))
-    # On a 1/16 grid many distances tie, some are 0, and many equal a level
-    # radius 2^-t exactly.
-    line = line_pointset(rng.integers(0, 17, n) / 16.0)
-    plane = PointSet.from_coords(rng.random((n, 2)) / 2.0)
-    for ps in (line, plane):
-        members = sorted(int(v) for v in rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False))
+    for ps, members in _tie_heavy(seed):
         hst = build_hst(ps, members, 8)
-        assert hst.component_of == [threshold_components(ps, members, 2.0 ** (-t)).component_of for t in range(9)]
+        levels = [{p: hst.points[label] for p, label in zip(hst.points, hst.labels[t].tolist())} for t in range(9)]
+        assert levels == [threshold_components_by_pairs(ps, members, 2.0 ** (-t)) for t in range(9)]
+        assert levels == [threshold_components(ps, members, 2.0 ** (-t)).component_of for t in range(9)]
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_distance_matrix_equals_the_level_walk_bit_for_bit(seed):
+    for ps, members in _tie_heavy(seed):
+        hst = build_hst(ps, members, 8)
+        hmat = hst_distance_matrix(hst)
+        assert hmat.tobytes() == hst_distance_matrix_by_walk(hst).tobytes()
+        for a, v in enumerate(members):
+            assert [hst_distance(hst, v, w).hex() for w in members] == [x.hex() for x in hmat[a].tolist()]
+    hst, _ = embed_subset(random_euclidean(2500 + seed, 12), range(12), d=40)
+    assert hst_distance_matrix(hst).tobytes() == hst_distance_matrix_by_walk(hst).tobytes()
+
+
+def test_points_outside_the_hierarchy_are_rejected():
+    hst = build_hst(line_pointset([0.0, 0.25, 0.5, 0.75]), [0, 1, 3], 4)
+    calls = (
+        (7, lambda: odd_component_counts(hst, [7])),
+        (2, lambda: odd_component_counts(hst, [0, 2])),
+        (7, lambda: hst_mwm_odd_count(hst, [0, 7])),
+        (7, lambda: hst_distance(hst, 0, 7)),
+        (-1, lambda: hst_distance(hst, -1, 0)),
+    )
+    for point, call in calls:
+        with pytest.raises(PreconditionError, match=f"point {point} is not embedded"):
+            call()
 
 
 def test_depth_check():

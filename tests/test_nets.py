@@ -22,7 +22,7 @@ from remote_div import (
     rescale_and_clamp,
 )
 from remote_div.nets import CLAMP_CONSTANT, NetTree
-from conftest import line_pointset, random_euclidean, two_clusters
+from conftest import line_pointset, random_euclidean, random_matrix_metric, two_clusters
 from oracles import cut_net_tree, max_antichain_value, net_tree_by_matrix, net_tree_of, stream_rng
 
 
@@ -97,6 +97,22 @@ def test_tree_rejects_oversized_diameter():
     base = PointSet.from_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
     with pytest.raises(PreconditionError):
         build_net_tree(ClampedMetric(base, 0.0))
+
+
+@pytest.mark.parametrize("matrix", [False, True])
+def test_pf_offline_builds_the_cell_grid_once(monkeypatch, matrix):
+    # n >= 2k, so the floor rule reads no smallest distance: the rescale's
+    # diameter is the one reduction over all pairs, and the tree's bound
+    # check reuses it, as does a second solve on the same point set.
+    import remote_div.metric as metric
+
+    ps = random_matrix_metric(31, 40) if matrix else random_euclidean(31, 40)
+    original, built = metric._cell_grid, []
+    monkeypatch.setattr(metric, "_cell_grid", lambda p: built.append(p.n) or original(p))
+    first, _tree = pf_offline(ps, 4)
+    assert built == [40]
+    assert pf_offline(ps, 4)[0] == first
+    assert built == [40]
 
 
 @pytest.mark.parametrize("seed", range(15))
