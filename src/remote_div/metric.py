@@ -6,7 +6,13 @@ validated on load (symmetry, zero diagonal, nonnegativity, triangle
 inequality) within 1e-9 times the largest entry, so the tolerance follows
 the data's scale; algorithms themselves compare distances exactly, since
 they only need a consistent total order. A matrix with an entry so large
-that twice it overflows is rejected. The triangle check walks the upper
+that twice it overflows is rejected. Validation checks and cleans the array
+in place, a block of `_ROW_BLOCK` rows at a time, so it allocates no n-by-n
+temporary: finiteness and negatives are read from the largest and least
+entries, symmetry from each block's rows against the matching columns.
+`from_matrix` validates one copy of the caller's array, which it never
+writes; a matrix-csv load hands over the array it parsed, so its peak is
+that matrix and a few blocks of rows. The triangle check walks the upper
 triangle in row blocks with a running minimum over pivots, deciding exactly
 as a per-pivot scan would. A block skips every pivot j for which, in each
 of its rows i != j, arr[i, j] plus row j's least off-diagonal entry comes
@@ -54,7 +60,7 @@ import numpy as np
 from .errors import InternalInvariantError, PreconditionError
 
 VALIDATION_RTOL = 1e-9
-_ROW_BLOCK = 64  # rows per block of the triangle check
+_ROW_BLOCK = 64  # rows per block of matrix validation and its triangle check
 _BLOCK_ENTRIES = 1 << 12  # floats in the largest temporary of one row block
 _GRID_MAX_DIM = 3  # Euclidean dimensions up to this one reduce over a cell grid
 # A cell-pair bound widens by this much, relative and absolute, so that it
@@ -105,34 +111,39 @@ class PointSet:
 
     @classmethod
     def from_coords(cls, coords) -> "PointSet":
-        arr = np.asarray(coords, dtype=np.float64)
+        arr = _float_array(coords, "coordinates must be an array of real numbers")
         if arr.ndim != 2:
             raise PreconditionError("coordinates must be a 2-D array of shape (n, dim)")
         if arr.shape[0] < 1 or arr.shape[1] < 1:
             raise PreconditionError("need n >= 1 points of dimension >= 1")
-        if not np.all(np.isfinite(arr)):
+        # NaN propagates through both extremes, and an infinity shows in one.
+        hi, lo = arr.max(axis=0), arr.min(axis=0)
+        if not (np.all(np.isfinite(hi)) and np.all(np.isfinite(lo))):
             raise PreconditionError("coordinates must be finite")
         # Every squared difference is at most extent^2, so the kernel's sum
         # stays finite (with a factor 2 of slack for rounding) below this.
         with np.errstate(over="ignore"):
-            extent = float(np.max(arr.max(axis=0) - arr.min(axis=0)))
+            extent = float(np.max(hi - lo))
         if not math.isfinite(2.0 * arr.shape[1] * extent * extent):
             raise PreconditionError("coordinates too far apart: pairwise distances overflow")
-        arr = arr.copy()
         arr.flags.writeable = False
         return cls("euclidean", arr, None)
 
     @classmethod
-    def from_matrix(cls, matrix) -> "PointSet":
-        arr = np.asarray(matrix, dtype=np.float64)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+    def from_matrix(cls, matrix, *, copy: bool = True) -> "PointSet":
+        """The metric of a distance matrix, validated and cleaned. By
+        default that is done on one copy, so the caller's array is never
+        written. With copy=False, a writeable float64 array is taken over:
+        it is cleaned in place and kept, and the caller must not use it."""
+        if copy or not (isinstance(matrix, np.ndarray) and matrix.dtype == np.float64 and matrix.flags.writeable):
+            matrix = _float_array(matrix, "distance matrix must be an array of real numbers")
+        if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
             raise PreconditionError("distance matrix must be square")
-        if arr.shape[0] < 1:
+        if matrix.shape[0] < 1:
             raise PreconditionError("need n >= 1 points")
-        # Validation only reads the caller's array and returns a fresh one.
-        arr = _validate_matrix(arr)
-        arr.flags.writeable = False
-        return cls("matrix", None, arr)
+        _validate_matrix(matrix)
+        matrix.flags.writeable = False
+        return cls("matrix", None, matrix)
 
     @property
     def coords(self) -> np.ndarray:
@@ -437,7 +448,7 @@ def load_pointset(source: str | bytes | BinaryIO, format: str) -> PointSet:
     """Parse and validate a point file, given as a document or as a file
     open for binary reading. See module docstring for grammars."""
     if format == "matrix-csv":
-        return PointSet.from_matrix(_parse_matrix_csv(source))
+        return PointSet.from_matrix(_parse_matrix_csv(source), copy=False)
     if format not in FORMATS:
         raise PreconditionError(f"unknown format {format!r}; expected one of {FORMATS}")
     text = _utf8(source if isinstance(source, (str, bytes)) else _read_whole(source))
@@ -491,10 +502,7 @@ def _load_json(text: str) -> PointSet:
         raise PreconditionError("JSON point file must be an object with a 'points' field")
     points = obj["points"]
     dim = obj.get("dim")
-    try:
-        arr = np.asarray(points, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise PreconditionError(f"invalid point rows: {exc}") from exc
+    arr = _float_array(points, "invalid point rows")
     if arr.ndim != 2:
         raise PreconditionError("points must be a list of equal-length coordinate rows")
     if dim is not None and type(dim) is not int:
@@ -585,24 +593,40 @@ def _parse_matrix_csv_lines(text: str) -> np.ndarray:
     return np.asarray(list(rows.values()), dtype=np.float64)
 
 
-def _validate_matrix(arr: np.ndarray) -> np.ndarray:
+def _float_array(values, message: str) -> np.ndarray:
+    """A fresh C-ordered float64 array of `values`, or a PreconditionError
+    led by `message` when they are ragged, not numbers, or complex."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", np.exceptions.ComplexWarning)
+            return np.array(values, dtype=np.float64, order="C")
+    except (TypeError, ValueError, np.exceptions.ComplexWarning) as exc:
+        raise PreconditionError(f"{message}: {exc}") from exc
+
+
+def _validate_matrix(arr: np.ndarray) -> None:
+    """Check the square float64 matrix `arr` and clean it in place: the
+    entries are made exactly symmetric, nonnegative and zero on the
+    diagonal. Every pass runs over blocks of `_ROW_BLOCK` rows, so none
+    allocates an n-by-n temporary unless it raises."""
     n = arr.shape[0]
-    if not np.all(np.isfinite(arr)):
+    top, least = float(arr.max()), float(arr.min())
+    # NaN propagates through both extremes, and an infinity shows in one.
+    if not (math.isfinite(top) and math.isfinite(least)):
         raise PreconditionError("distance matrix entries must be finite")
-    top = float(arr.max())
-    tol = VALIDATION_RTOL * max(top, -float(arr.min()))
-    bad = np.argwhere(arr < -tol)
-    if bad.size:
-        i, j = (int(v) for v in bad[0])
+    tol = VALIDATION_RTOL * max(top, -least)
+    if least < -tol:
+        i, j = (int(v) for v in np.argwhere(arr < -tol)[0])
         raise PreconditionError(f"negative distance at ({i},{j}): {arr[i, j]}")
-    asym = arr - arr.T
-    np.abs(asym, out=asym)
-    bad = np.argwhere(asym > tol)
-    if bad.size:
-        i, j = sorted(int(v) for v in bad[0])
-        raise PreconditionError(
-            f"asymmetric distances at ({i},{j}): {arr[i, j]} vs {arr[j, i]}"
-        )
+    # arr[i, j] - arr[j, i] is exactly the negation of arr[j, i] - arr[i, j],
+    # so the first asymmetric pair in row-major order has i < j: it lies in
+    # its block's rows, right of the diagonal, read against the columns.
+    for s in range(0, n, _ROW_BLOCK):
+        diff = np.subtract(arr[s : s + _ROW_BLOCK, s:], arr[s:, s : s + _ROW_BLOCK].T)
+        np.abs(diff, out=diff)
+        if diff.max() > tol:
+            i, j = (s + int(v) for v in np.argwhere(diff > tol)[0])
+            raise PreconditionError(f"asymmetric distances at ({i},{j}): {arr[i, j]} vs {arr[j, i]}")
     diag = np.abs(np.diagonal(arr))
     if diag.max(initial=0.0) > tol:
         i = int(np.argmax(diag))
@@ -612,10 +636,15 @@ def _validate_matrix(arr: np.ndarray) -> np.ndarray:
     if not math.isfinite(2.0 * top):
         raise PreconditionError("distance matrix entries too large: sums of two distances overflow")
     # Normalize round-trip noise, then check the triangle inequality exactly
-    # once on the cleaned matrix, which is exactly symmetric.
-    arr = np.add(arr, arr.T, out=asym)
-    arr /= 2.0
-    np.maximum(arr, 0.0, out=arr)
+    # once on the cleaned matrix, which is exactly symmetric. A block's
+    # upper rows and their mirror columns are read before either is written,
+    # and no later block reads them.
+    for s in range(0, n, _ROW_BLOCK):
+        mean = np.add(arr[s : s + _ROW_BLOCK, s:], arr[s:, s : s + _ROW_BLOCK].T)
+        mean /= 2.0
+        np.maximum(mean, 0.0, out=mean)
+        arr[s : s + _ROW_BLOCK, s:] = mean
+        arr[s:, s : s + _ROW_BLOCK] = mean.T
     np.fill_diagonal(arr, 0.0)
     flagged = _violating_blocks(arr, tol)
     if flagged:
@@ -634,7 +663,6 @@ def _validate_matrix(arr: np.ndarray) -> np.ndarray:
                     f"{arr[i, l]} > {arr[i, j]} + {arr[j, l]}"
                 )
         raise InternalInvariantError("blocked triangle check found a violation the pivot scan does not")
-    return arr
 
 
 def _violating_blocks(arr: np.ndarray, tol: float) -> list[int]:
@@ -648,19 +676,22 @@ def _violating_blocks(arr: np.ndarray, tol: float) -> list[int]:
     arr[i, j] + arr[j, l] exceeds tol exactly when one pivot's difference
     does; the minimum runs over the block's live pivots only.
     """
-    flagged = []
-    for s, pivots in _live_pivots(arr, tol):
-        rows = arr[s : s + _ROW_BLOCK]
-        block = rows[:, s:]
-        low = block.copy()
-        pivot_sum = np.empty_like(low)
-        for j in pivots:
-            np.add(rows[:, j, None], arr[j, s:], out=pivot_sum)
-            np.minimum(low, pivot_sum, out=low)
-        np.subtract(block, low, out=low)
-        if np.any(low > tol):
-            flagged.append(s)
-    return flagged
+    return [s for s, pivots in _live_pivots(arr, tol) if _block_violates(arr, s, pivots, tol)]
+
+
+def _block_violates(arr: np.ndarray, s: int, pivots: list[int], tol: float) -> bool:
+    """Whether the block of rows from s holds a violation through one of
+    `pivots`. Its temporaries are freed when it returns, before the next
+    block's pivots are found."""
+    rows = arr[s : s + _ROW_BLOCK]
+    block = rows[:, s:]
+    low = block.copy()
+    pivot_sum = np.empty_like(low)
+    for j in pivots:
+        np.add(rows[:, j, None], arr[j, s:], out=pivot_sum)
+        np.minimum(low, pivot_sum, out=low)
+    np.subtract(block, low, out=low)
+    return bool(low.max() > tol)
 
 
 def _live_pivots(arr: np.ndarray, tol: float):
@@ -685,7 +716,9 @@ def _live_pivots(arr: np.ndarray, tol: float):
         bound = np.add(rows, nn)
         np.subtract(rows[:, s:].max(axis=1)[:, None], bound, out=bound)
         np.fill_diagonal(bound[:, s:], -np.inf)
-        yield s, np.flatnonzero(np.any(bound > tol, axis=0)).tolist()
+        live = np.flatnonzero(np.any(bound > tol, axis=0)).tolist()
+        del bound  # not kept alive while the caller scans the block
+        yield s, live
 
 
 def _euclidean(coords: np.ndarray, centers: np.ndarray) -> np.ndarray:

@@ -502,8 +502,9 @@ def test_matrix_csv_load_peaks_below_twice_the_file():
 
 
 def test_matrix_validation_peaks_below_two_square_matrices():
-    # The symmetrized matrix is the one new n-by-n array; the caller's is
-    # not copied, and the triangle check keeps only a few blocks of rows.
+    # The copy of the caller's matrix, validated and cleaned in place, is
+    # the one new n-by-n array; the triangle check keeps only a few blocks
+    # of rows.
     dmat = random_euclidean(37, 500, dim=32).distance_matrix()
     tracemalloc.start()
     try:
@@ -521,6 +522,111 @@ def test_from_matrix_is_unaffected_by_later_writes_to_the_input():
     dmat[0, 1] = dmat[1, 0] = 123.0
     dmat[2] = 7.0
     assert np.array_equal(ps.distance_matrix(), before)
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        [[0, 1], [1]],
+        [["a"]],
+        [[0, 1j], [1j, 0]],
+        np.array([[0, 1j], [1j, 0]]),
+        np.array([[0, 1j], [1j, 0]], dtype=object),
+    ],
+    ids=["ragged", "string", "complex list", "complex array", "complex objects"],
+)
+def test_inputs_that_are_not_real_arrays_are_precondition_errors(values):
+    with pytest.raises(PreconditionError, match="^distance matrix must be an array of real numbers: "):
+        PointSet.from_matrix(values)
+    with pytest.raises(PreconditionError, match="^coordinates must be an array of real numbers: "):
+        PointSet.from_coords(values)
+
+
+def test_from_matrix_never_writes_into_its_input():
+    # Points on a line, 140 coincident with 3, with a sub-tolerance
+    # asymmetry, a tiny negative and a tiny diagonal planted: the cleaning
+    # changes those entries, so a write into the input would show. Every
+    # plant is a power of two, exact in float32 too.
+    x = np.arange(150.0)
+    x[140] = x[3]
+    line = np.abs(x[:, None] - x[None, :])
+    d = line.copy()
+    d[0, 1] += 2.0**-23  # the tolerance is 149e-9
+    d[3, 140] = d[140, 3] = -(2.0**-27)
+    d[77, 77] = 2.0**-27
+    assert not np.array_equal(symmetrized(d), d)
+    read_only = d.copy()
+    read_only.flags.writeable = False
+    inputs = {
+        "float64": d,
+        "read-only": read_only,
+        "float32": d.astype(np.float32),
+        "int": line.astype(np.int64),
+        "nested list": d.tolist(),
+    }
+    for name, values in inputs.items():
+        before = values.tobytes() if isinstance(values, np.ndarray) else repr(values)
+        stored = PointSet.from_matrix(values).distance_matrix()
+        after = values.tobytes() if isinstance(values, np.ndarray) else repr(values)
+        assert after == before, name
+        assert not stored.flags.writeable, name
+        as_floats = np.asarray(values, dtype=np.float64)
+        assert stored.tobytes() == symmetrized(as_floats).tobytes(), name
+
+
+def _three_block_metric(n: int = 150) -> np.ndarray:
+    """A writeable metric on n >= 130 points: three or more row blocks."""
+    return random_euclidean(41, n, dim=2).distance_matrix()
+
+
+@pytest.mark.parametrize(
+    "plant",
+    [
+        {(149, 5): np.nan, (0, 7): -1.0},  # NaN in the last row, negative in row 0
+        {(140, 20): np.inf},
+        {(20, 140): -np.inf},
+    ],
+    ids=["nan-after-negative", "inf", "minus-inf"],
+)
+def test_finiteness_is_checked_before_anything_else_across_row_blocks(plant):
+    d = _three_block_metric()
+    for (i, j), value in plant.items():
+        d[i, j] = value
+    with pytest.raises(PreconditionError, match="^distance matrix entries must be finite$"):
+        PointSet.from_matrix(d)
+
+
+def test_a_negative_in_a_later_block_is_reported_before_asymmetry_in_block_zero():
+    d = _three_block_metric()
+    d[2, 9] += 0.5  # asymmetric, in block 0
+    d[135, 140] = d[140, 135] = -0.25  # negative, in block 2
+    with pytest.raises(PreconditionError, match=re.escape("negative distance at (135,140): -0.25")):
+        PointSet.from_matrix(d)
+
+
+@pytest.mark.parametrize("lower, first", [((140, 20), (20, 140)), ((140, 70), (70, 140))])
+def test_the_row_major_first_asymmetric_pair_is_named_across_row_blocks(lower, first):
+    # A plant in block 2's lower triangle names its mirror pair, in row 20
+    # of block 0 or row 70 of block 1, before the upper-triangle plant at
+    # (100, 120) in block 1.
+    d = _three_block_metric()
+    d[lower] += 0.5
+    d[100, 120] += 0.5
+    i, j = first
+    with pytest.raises(PreconditionError) as err:
+        PointSet.from_matrix(d)
+    assert str(err.value) == f"asymmetric distances at ({i},{j}): {d[i, j]} vs {d[j, i]}"
+
+
+def test_a_nonzero_diagonal_is_reported_before_an_overflow():
+    d = _three_block_metric()
+    d *= 1.5e308 / d.max()
+    d[131, 131] = 1e300
+    with pytest.raises(PreconditionError, match=re.escape("nonzero diagonal at (131,131): 1e+300")):
+        PointSet.from_matrix(d)
+    np.fill_diagonal(d, 0.0)
+    with pytest.raises(PreconditionError, match="overflow"):
+        PointSet.from_matrix(d)
 
 
 def test_coords_whose_distances_overflow_are_rejected():
