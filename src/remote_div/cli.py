@@ -137,9 +137,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen", parents=[], help="generate a dataset file")
     p.add_argument("--kind", required=True, choices=KINDS)
     p.add_argument("--n", required=True, type=int)
-    p.add_argument("--dim", type=int, default=2)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--params", default="", help="kind-specific settings, e.g. 'c=2,sep=100,width=1'")
+    p.add_argument("--dim", type=int, default=None, help="coordinates per point (default 2; line takes only 1)")
+    p.add_argument("--seed", type=int, default=0, help="draw seed (grid and line draw nothing)")
+    p.add_argument(
+        "--params",
+        default="",
+        help="kind-specific settings: clusters 'c=2,sep=100,width=1', grid 'spacing=1', line bare coordinates '0,1,5'",
+    )
     _common_flags(p)
     p.set_defaults(handler=_cmd_gen)
 
@@ -267,22 +271,38 @@ def _read_parts(path: str) -> list[list[int]]:
     return parts
 
 
-def _parse_params(raw: str) -> dict[str, float]:
-    params: dict[str, float] = {}
+# The named settings each --kind takes; only line takes bare numbers.
+_GEN_PARAMS = {"uniform_cube": (), "clusters": ("c", "sep", "width"), "grid": ("spacing",), "line": ()}
+
+
+def _parse_params(raw: str, kind: str) -> tuple[dict[str, float], list[float]]:
+    """The named settings and the bare numbers in `raw`. A name `kind` does
+    not take, a name given twice, or bare numbers for a kind other than line
+    is a PreconditionError."""
+    named: dict[str, float] = {}
+    bare: list[float] = []
     for item in raw.split(","):
         item = item.strip()
         if not item:
             continue
-        key, named, value = item.partition("=")
+        key, eq, value = item.partition("=")
+        key = key.strip()
         try:
-            number = float(value if named else item)
+            number = float(value if eq else item)
         except ValueError as exc:
             raise PreconditionError(f"bad parameter {item!r}: {exc}") from exc
-        if named:
-            params[key.strip()] = number
+        if not eq:
+            bare.append(number)
+        elif key not in _GEN_PARAMS[kind]:
+            names = ", ".join(_GEN_PARAMS[kind]) or "none"
+            raise PreconditionError(f"--kind {kind} takes no parameter {key!r} (its parameters: {names})")
+        elif key in named:
+            raise PreconditionError(f"parameter {key!r} given twice")
         else:
-            params.setdefault("values", []).append(number)  # type: ignore[union-attr]
-    return params
+            named[key] = number
+    if bare and kind != "line":
+        raise PreconditionError(f"--kind {kind} takes no bare values; only line does")
+    return named, bare
 
 
 def _resolve_start(raw: str, n: int, seed: int) -> int:
@@ -301,24 +321,31 @@ def _resolve_start(raw: str, n: int, seed: int) -> int:
 
 def _cmd_gen(args) -> int:
     from .generators import make_clusters, make_grid, make_line, make_uniform_cube
+    from .rng import check_seed
 
-    params = _parse_params(args.params)
+    params, values = _parse_params(args.params, args.kind)
+    check_seed(args.seed)
+    dim = 2 if args.dim is None else args.dim
     if args.kind == "uniform_cube":
-        ps = make_uniform_cube(args.n, args.dim, args.seed)
+        ps = make_uniform_cube(args.n, dim, args.seed)
     elif args.kind == "clusters":
+        clusters = params.get("c", 2.0)
+        if not clusters.is_integer():  # never truncated
+            raise PreconditionError(f"c={clusters!r} is not an integer")
         ps = make_clusters(
             args.n,
-            args.dim,
+            dim,
             args.seed,
-            clusters=int(params.get("c", 2)),
-            separation=float(params.get("sep", 100.0)),
-            width=float(params.get("width", 1.0)),
+            clusters=int(clusters),
+            separation=params.get("sep", 100.0),
+            width=params.get("width", 1.0),
         )
     elif args.kind == "grid":
-        ps = make_grid(args.n, args.dim, spacing=float(params.get("spacing", 1.0)))
+        ps = make_grid(args.n, dim, spacing=params.get("spacing", 1.0))
     else:
-        values = params.get("values")
-        ps = make_line(args.n, values if values is None else list(values))
+        if args.dim not in (None, 1):
+            raise PreconditionError(f"--kind line makes 1-D points; got --dim {args.dim}")
+        ps = make_line(args.n, values or None)
     document = dump_pointset(ps, "json")
     if args.output:
         _write_text(args.output, document)
@@ -335,9 +362,9 @@ def _cmd_solve(args) -> int:
         from .nets import pf_offline
     started = time.perf_counter()
     ps = _read_pointset(args)
+    start = _resolve_start(args.gmm_start, ps.n, args.seed)  # checked for either objective
     if objective is Objective.REMOTE_MATCHING:
         cfg = RunConfig(k=args.k, seed=args.seed, repeats=args.repeats, objective=objective)
-        start = _resolve_start(args.gmm_start, ps.n, args.seed)
         solution, trace = mwm_offline(ps, args.k, cfg, gmm_start=start)
         trace_payload = {
             "chosen": trace.chosen,

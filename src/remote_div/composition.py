@@ -30,7 +30,6 @@ if TYPE_CHECKING:
 
 ENUMERATION_CAP = 5_000_000
 BLOCK_ENTRIES = 1 << 16
-SHUFFLE_CAP = 250_000
 
 STRATEGIES = ("round_robin", "random", "file")
 
@@ -156,12 +155,10 @@ def compose_coresets(partition: PartitionedDataset, per_part_global: list[list[i
     return sorted(union)
 
 
-def _subset_blocks(m: int, k: int, block: int, order_seed: int | None = None):
-    """Every k-subset of range(m) once, in blocks of at most `block`: yields
-    (ranks, members), where `ranks` holds ascending lexicographic ranks and
-    row b of the (B, k) array `members` is the subset of rank ranks[b], in
-    ascending order. Without `order_seed` the blocks run through the ranks
-    in order; with it, through one Philox shuffle of all of them.
+def _subset_blocks(m: int, k: int, block: int):
+    """Every k-subset of range(m) once, in lexicographic order, in blocks of
+    at most `block`: yields (B, k) arrays whose rows are the subsets, each in
+    ascending order.
 
     Unranking goes through the combinatorial number system (Buckles and
     Lybanon, ACM TOMS Algorithm 515): the subset c of lexicographic rank r
@@ -172,12 +169,8 @@ def _subset_blocks(m: int, k: int, block: int, order_seed: int | None = None):
     """
     total = math.comb(m, k)
     table = np.array([[min(math.comb(d, j), total) for d in range(m)] for j in range(k + 1)], dtype=np.int64)
-    if order_seed is None:
-        blocks = (np.arange(start, min(start + block, total)) for start in range(0, total, block))
-    else:
-        shuffled = Stream(order_seed, SPLIT_STREAM).permutation(total)
-        blocks = (np.sort(shuffled[start : start + block]) for start in range(0, total, block))
-    for ranks in blocks:
+    for start in range(0, total, block):
+        ranks = np.arange(start, min(start + block, total))
         # Built position by position, so each column of `members` is contiguous.
         members = np.empty((k, len(ranks)), dtype=np.intp)
         left = total - 1 - ranks
@@ -186,7 +179,7 @@ def _subset_blocks(m: int, k: int, block: int, order_seed: int | None = None):
             d = binomials.searchsorted(left, side="right") - 1
             left -= binomials.take(d)
             np.subtract(m - 1, d, out=members[i])
-        yield ranks, members.T
+        yield members.T
 
 
 def brute_force_diversity(
@@ -195,14 +188,11 @@ def brute_force_diversity(
     objective: Objective,
     candidates: list[int] | None = None,
     enumeration_cap: int = ENUMERATION_CAP,
-    order_seed: int | None = None,
 ) -> DiversitySolution:
     """Exact optimum by exhaustive k-subset enumeration.
 
     Returns the lexicographically first optimal subset (the lowest rank at
-    the maximum value) regardless of the enumeration order; `order_seed`
-    shuffles the order (small instances only) to guard against
-    order-dependent bugs.
+    the maximum value).
     """
     cand = sorted(range(ps.n)) if candidates is None else sorted(set(costs.as_indices(candidates)))
     m = len(cand)
@@ -220,10 +210,6 @@ def brute_force_diversity(
         raise PreconditionError(
             f"C({m},{k}) = {total} subsets exceeds the enumeration cap {enumeration_cap}"
         )
-    if order_seed is not None and total > SHUFFLE_CAP:
-        raise PreconditionError(
-            f"shuffled enumeration materializes every subset's rank; cap is {SHUFFLE_CAP}"
-        )
 
     dmat = ps.restrict(cand).distance_matrix()
     if objective is Objective.REMOTE_MATCHING:
@@ -235,20 +221,21 @@ def brute_force_diversity(
         entries = k * k
 
     # Score subsets in blocks whose DP tables stay within BLOCK_ENTRIES
-    # floats; each block's first maximum is its lowest-rank one.
-    best_value, best_rank, best = -math.inf, total, None
-    for ranks, members in _subset_blocks(m, k, max(1, BLOCK_ENTRIES // entries), order_seed):
+    # floats. Blocks come in rank order and argmax takes a block's first
+    # maximum, so the first strict improvement is the lowest-rank optimum.
+    best_value, best = -math.inf, None
+    for members in _subset_blocks(m, k, max(1, BLOCK_ENTRIES // entries)):
         values = evaluate(dmat, members)
         top = int(values.argmax())
-        if values[top] > best_value or (values[top] == best_value and ranks[top] < best_rank):
-            best_value, best_rank, best = float(values[top]), int(ranks[top]), members[top].tolist()
+        if values[top] > best_value:
+            best_value, best = float(values[top]), members[top].tolist()
     assert best is not None
     return DiversitySolution(
         indices=[cand[p] for p in best],
         value=best_value,
         objective=objective.value,
         algorithm="brute-force",
-        seed=order_seed,
+        seed=None,
     )
 
 

@@ -25,9 +25,12 @@ class GmmResult:
     step_radii: list[float]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VoronoiPartition:
-    cell_of: dict[int, int]
+    """cell_of[i] is the rank of point i's center; cells[r] lists the
+    points of rank r's cell in ascending order. `==` is identity."""
+
+    cell_of: np.ndarray
     cells: list[list[int]]
 
 
@@ -84,4 +87,4 @@ def voronoi_partition(ps: PointSet, centers: list[int]) -> VoronoiPartition:
     cells = [[] for _ in centers]
     for i in range(n):
         cells[int(cell[i])].append(i)
-    return VoronoiPartition({i: int(cell[i]) for i in range(n)}, cells)
+    return VoronoiPartition(cell, cells)

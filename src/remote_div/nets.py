@@ -21,9 +21,10 @@ reading its row, and its parent comes from blocks of distances to the
 level above. Selecting k
 nodes that form an antichain (no node an ancestor of another) and
 maximizing the sum of 5^-level values is solved exactly by a
-knapsack-style dynamic program over children; the selected nodes map to k
-distinct points whose pseudoforest cost is within a constant factor of the
-best possible.
+knapsack-style dynamic program over children, each row stopping at
+min(k, leaves in its subtree) so that no entry is infeasible; the selected
+nodes map to k distinct points whose pseudoforest cost is within a
+constant factor of the best possible.
 """
 from __future__ import annotations
 
@@ -152,47 +153,46 @@ def dp_antichain(tree: NetTree, k: int) -> tuple[float, list[Node]]:
 
     The table is computed with exact integer weights (5^(depth-level)), so
     reconstruction can test equality safely. table[l][i] is the row of
-    levels[l][i]; kids[l][i] holds its children's positions in levels[l + 1].
+    levels[l][i]: entry j is the best sum of j nodes under it, for each j up
+    to min(k, its leaves), so no entry is infeasible. kids[l][i] holds its
+    children's positions in levels[l + 1].
     """
     n = len(tree.levels[-1])
     if not (1 <= k <= n):
         raise PreconditionError(f"k must satisfy 1 <= k <= n; got k={k}, n={n}")
     depth = tree.depth
     # Every leaf is on the last level and shares one row.
-    table: list[list[list[int]]] = [[] for _ in range(depth)] + [[[0, 1] + [-1] * (k - 1)] * n]
+    table: list[list[list[int]]] = [[] for _ in range(depth)] + [[[0, 1]] * n]
     kids: list[list[np.ndarray]] = [[] for _ in range(depth)]
     for level in range(depth - 1, -1, -1):
         below = tree.parents[level]
         order = np.argsort(below, kind="stable")
         kids[level] = np.split(order, np.searchsorted(below[order], np.arange(1, len(tree.levels[level]))))
         for group in kids[level]:
-            row = [0, 5 ** (depth - level)] + [-1] * (k - 1)
-            if len(group) and k >= 2:
-                row[2:] = _fold_children([table[level + 1][j] for j in group.tolist()], k)[-1][2:]
+            # The last fold is a fresh list even for one child, never its row.
+            row = _fold_children([table[level + 1][j] for j in group.tolist()], k)[-1]
+            row[1] = 5 ** (depth - level)
             table[level].append(row)
 
-    if table[0][0][k] < 0:
+    if len(table[0][0]) <= k:
         raise InternalInvariantError("antichain of size k must exist when k <= n")
     return table[0][0][k] / float(5 ** depth), _reconstruct(tree, table, kids, 0, 0, k)
 
 
 def _fold_children(child_rows: list[list[int]], k: int) -> list[list[int]]:
     """Best totals over the first 1, 2, ... children: entry j of fold i is
-    the best sum of j nodes taken from the children 0..i."""
+    the best sum of j nodes taken from the children 0..i, for every j up to
+    min(k, their leaves)."""
     folds = [child_rows[0][:]]
     for child_row in child_rows[1:]:
         fold = folds[-1]
-        nxt = [-1] * (k + 1)
-        for have in range(k + 1):
-            base = fold[have]
-            if base < 0:
-                continue
-            for take in range(0, k + 1 - have):
-                add = child_row[take]
-                if add < 0:
-                    continue
-                if base + add > nxt[have + take]:
-                    nxt[have + take] = base + add
+        # Entries past the fold take at least one node, so 0 is always beaten.
+        nxt = fold + [0] * (min(len(fold) + len(child_row) - 1, k + 1) - len(fold))
+        for take in range(1, len(child_row)):
+            add = child_row[take]
+            for j, base in enumerate(fold[: len(nxt) - take], take):
+                if base + add > nxt[j]:
+                    nxt[j] = base + add
         folds.append(nxt)
     return folds
 
@@ -202,20 +202,17 @@ def _reconstruct(
 ) -> list[Node]:
     if count == 0:
         return []
-    row = table[level][pos]
-    if count == 1 and row[1] == 5 ** (tree.depth - level):
+    if count == 1:  # the node outweighs anything under it
         return [(level, tree.levels[level][pos])]
     group = kids[level][pos].tolist()
     child_rows = [table[level + 1][j] for j in group]
-    folds = _fold_children(child_rows, len(row) - 1)
+    folds = _fold_children(child_rows, len(table[level][pos]) - 1)
     chosen: list[Node] = []
     remaining = count
     for i in range(len(group) - 1, 0, -1):
         child_row = child_rows[i]
         prev = folds[i - 1]
-        for take in range(0, remaining + 1):
-            if child_row[take] < 0 or prev[remaining - take] < 0:
-                continue
+        for take in range(max(0, remaining - len(prev) + 1), min(remaining + 1, len(child_row))):
             if child_row[take] + prev[remaining - take] == folds[i][remaining]:
                 if take:
                     chosen.extend(_reconstruct(tree, table, kids, level + 1, group[i], take))

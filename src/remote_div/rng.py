@@ -29,7 +29,7 @@ _U32 = 0xFFFFFFFF
 SAMPLE_MAX_N = 10_000
 
 
-def _check_seed(seed: int) -> None:
+def check_seed(seed: int) -> None:
     if not 0 <= seed < 2**64:
         raise PreconditionError("seed must fit in 64 unsigned bits")
 
@@ -62,7 +62,7 @@ def _words(seed: int, streams, m: int, first_block: int = 0) -> np.ndarray:
     so all streams' blocks are computed together. The rounds run in ten
     preallocated arrays: each round writes its products into the four the
     previous round's state leaves free, and the two sets swap."""
-    _check_seed(seed)
+    check_seed(seed)
     k1 = np.asarray(streams, dtype=np.uint64).reshape(-1, 1)
     k0 = np.full_like(k1, seed)
     c0 = np.arange(first_block + 1, first_block + (m + 3) // 4 + 1, dtype=np.uint64) + np.zeros_like(k1)
@@ -100,7 +100,7 @@ class Stream:
     counter are fetched only when a draw runs past them."""
 
     def __init__(self, seed: int, stream: int, words: np.ndarray | None = None):
-        _check_seed(seed)
+        check_seed(seed)
         self.seed, self.stream = seed, stream
         self._buf = np.empty(0, dtype=np.uint64) if words is None else words
         self._pos = 0

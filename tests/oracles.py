@@ -6,8 +6,10 @@ Prüfer sequences, and antichain selection is a pruned exhaustive search.
 The per-mask matching DP, the per-subset pseudoforest sum and the
 per-subset brute force are the pure-Python loops the batched evaluators
 replaced; they do the same float additions, so results must agree bit for
-bit. The triangle scan checks one pivot at a time over the whole matrix,
-as matrix validation did before it ran in row blocks. The same-cell
+bit. The per-subset brute force can also visit the subsets in a shuffled
+order, so the batched one is checked against an order it never uses. The
+triangle scan checks one pivot at a time over the whole matrix, as matrix
+validation did before it ran in row blocks. The same-cell
 padding is the greedy that rescans the cells for every pair it appends.
 The net tree is grown on the whole clamped matrix to a depth taken from the
 smallest distance, with a separate parent pass, as the solver grew it
@@ -24,6 +26,10 @@ the radius, not from an MST, and tree distances from walking each pair of
 points down the hierarchy's levels one at a time, as `costs` and `hst`
 computed them before every radius was read off one MST pass and every
 distance off one broadcast over the labels.
+The antichain DP pads every row to k+1 entries with -1 where a subtree has
+too few leaves and skips those entries in its fold and reconstruction, as
+`dp_antichain` did before its rows stopped at the subtree's leaf count; the
+two must select the same nodes for the same value bits.
 The random-subset bound builds one generator per trial and fixes each
 draw's parity on a list, as `verify` did before it drew every trial's coins
 in one Philox block and fixed parity with masks. `stream_rng` is numpy's own
@@ -45,6 +51,7 @@ from remote_div.errors import InternalInvariantError, PreconditionError
 from remote_div.gmm import gmm
 from remote_div.hst import Hst, SubsetBoundStats
 from remote_div.nets import _MAX_DEPTH, TARGET_DIAMETER, NetTree
+from remote_div.rng import SPLIT_STREAM
 
 
 def stream_rng(seed: int, stream: int = 0) -> np.random.Generator:
@@ -190,20 +197,30 @@ def pf_sum_loop(rows: list[list[float]], members) -> float:
     return total
 
 
-def brute_force_loop(rows: list[list[float]], k: int, objective: str) -> tuple[list[int], float, int]:
+def brute_force_loop(
+    rows: list[list[float]], k: int, objective: str, order_seed: int | None = None
+) -> tuple[list[int], float, int]:
     """Best k-subset (positions into `rows`) by scoring one subset at a
-    time; ties go to the lexicographically first subset. Also returns how
-    many subsets attain the best value."""
-    best_value, best_combo, ties = -math.inf, None, 0
-    for combo in itertools.combinations(range(len(rows)), k):
+    time, in lexicographic order or, with `order_seed`, in the order of
+    numpy's shuffle keyed by (order_seed, SPLIT_STREAM); ties go to the
+    lexicographically first subset either way. Also returns how many
+    subsets attain the best value."""
+    combos = list(itertools.combinations(range(len(rows)), k))
+    order = range(len(combos))
+    if order_seed is not None:
+        order = stream_rng(order_seed, SPLIT_STREAM).permutation(len(combos)).tolist()
+    best_value, best_rank, ties = -math.inf, len(combos), 0
+    for rank in order:
+        combo = combos[rank]
         if objective == "matching":
             value = matching_table([[rows[a][b] for b in combo] for a in combo])[-1]
         else:
             value = pf_sum_loop(rows, combo)
         if value > best_value:
-            best_value, best_combo, ties = value, combo, 0
-        ties += value == best_value
-    return list(best_combo), best_value, ties
+            best_value, best_rank, ties = value, rank, 0
+        if value == best_value:
+            best_rank, ties = min(best_rank, rank), ties + 1
+    return list(combos[best_rank]), best_value, ties
 
 
 def mst_by_pruefer(rows: list[list[float]]) -> float:
@@ -291,6 +308,77 @@ def max_antichain_value(tree: NetTree, k: int) -> float:
         if compatible:
             stack.append((pos + 1, taken + (idx,), total + values[idx]))
     return best
+
+
+def padded_dp_antichain(tree: NetTree, k: int) -> tuple[float, list[tuple[int, int]]]:
+    """The antichain DP over rows of k+1 entries, -1 marking a count its
+    subtree cannot reach."""
+    n = len(tree.levels[-1])
+    if not (1 <= k <= n):
+        raise PreconditionError(f"k must satisfy 1 <= k <= n; got k={k}, n={n}")
+    depth = tree.depth
+    table: list[list[list[int]]] = [[] for _ in range(depth)] + [[[0, 1] + [-1] * (k - 1)] * n]
+    kids: list[list[np.ndarray]] = [[] for _ in range(depth)]
+    for level in range(depth - 1, -1, -1):
+        below = tree.parents[level]
+        order = np.argsort(below, kind="stable")
+        kids[level] = np.split(order, np.searchsorted(below[order], np.arange(1, len(tree.levels[level]))))
+        for group in kids[level]:
+            row = [0, 5 ** (depth - level)] + [-1] * (k - 1)
+            if len(group) and k >= 2:
+                row[2:] = _padded_folds([table[level + 1][j] for j in group.tolist()], k)[-1][2:]
+            table[level].append(row)
+    if table[0][0][k] < 0:
+        raise InternalInvariantError("antichain of size k must exist when k <= n")
+    return table[0][0][k] / float(5 ** depth), _padded_reconstruct(tree, table, kids, 0, 0, k)
+
+
+def _padded_folds(child_rows: list[list[int]], k: int) -> list[list[int]]:
+    folds = [child_rows[0][:]]
+    for child_row in child_rows[1:]:
+        fold = folds[-1]
+        nxt = [-1] * (k + 1)
+        for have in range(k + 1):
+            base = fold[have]
+            if base < 0:
+                continue
+            for take in range(0, k + 1 - have):
+                add = child_row[take]
+                if add < 0:
+                    continue
+                if base + add > nxt[have + take]:
+                    nxt[have + take] = base + add
+        folds.append(nxt)
+    return folds
+
+
+def _padded_reconstruct(tree: NetTree, table, kids, level: int, pos: int, count: int) -> list[tuple[int, int]]:
+    if count == 0:
+        return []
+    row = table[level][pos]
+    if count == 1 and row[1] == 5 ** (tree.depth - level):
+        return [(level, tree.levels[level][pos])]
+    group = kids[level][pos].tolist()
+    child_rows = [table[level + 1][j] for j in group]
+    folds = _padded_folds(child_rows, len(row) - 1)
+    chosen: list[tuple[int, int]] = []
+    remaining = count
+    for i in range(len(group) - 1, 0, -1):
+        child_row = child_rows[i]
+        prev = folds[i - 1]
+        for take in range(0, remaining + 1):
+            if child_row[take] < 0 or prev[remaining - take] < 0:
+                continue
+            if child_row[take] + prev[remaining - take] == folds[i][remaining]:
+                if take:
+                    chosen.extend(_padded_reconstruct(tree, table, kids, level + 1, group[i], take))
+                remaining -= take
+                break
+        else:
+            raise InternalInvariantError("dp reconstruction failed to split the fold")
+    chosen.extend(_padded_reconstruct(tree, table, kids, level + 1, group[0], remaining))
+    chosen.sort()
+    return chosen
 
 
 def symmetrized(a: np.ndarray) -> np.ndarray:

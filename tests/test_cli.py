@@ -82,6 +82,24 @@ def test_gen_clusters_deterministic(tmp_path):
     assert a.read_text() == b.read_text()
 
 
+def test_gen_takes_an_integral_float_count_and_a_one_d_line(tmp_path):
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    base = ["gen", "--kind", "clusters", "--n", "12", "--seed", "7"]
+    assert run_cli(base + ["--params", "c=3.0", "--output", str(a)]) == 0
+    assert run_cli(base + ["--params", "c=3", "--output", str(b)]) == 0
+    assert a.read_text() == b.read_text()
+    assert run_cli(["gen", "--kind", "line", "--n", "3", "--dim", "1", "--output", str(a)]) == 0
+    assert load_pointset(a.read_text(), "json").dim == 1
+
+
+@pytest.mark.parametrize("kind", ["grid", "line"])
+def test_gen_grid_and_line_ignore_a_valid_seed(kind, tmp_path):
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    assert run_cli(["gen", "--kind", kind, "--n", "9", "--output", str(a)]) == 0
+    assert run_cli(["gen", "--kind", kind, "--n", "9", "--seed", "5", "--output", str(b)]) == 0
+    assert a.read_text() == b.read_text()
+
+
 def test_gen_bad_params_exit_code(tmp_path):
     code = run_cli(["gen", "--kind", "line", "--n", "3", "--params", "0,x,10", "--output", str(tmp_path / "f.json")])
     assert code == 1
@@ -225,6 +243,7 @@ def test_emit_refuses_non_finite_numbers(tmp_path):
 _COMPOSE_FILE = ["compose", "--objective", "matching", "--k", "2", "--parts", "2", "--strategy", "file",
                  "--input", "{tmp}/points.json", "--parts-file", "{tmp}/parts.json"]
 _SOLVE = ["solve", "--objective", "pseudoforest", "--k", "2", "--input", "{tmp}/points.json"]
+_GEN_CLUSTERS = ["gen", "--kind", "clusters", "--n", "6", "--params"]
 
 
 @pytest.mark.parametrize(
@@ -240,6 +259,17 @@ _SOLVE = ["solve", "--objective", "pseudoforest", "--k", "2", "--input", "{tmp}/
         pytest.param({"points.json": '{"dim": "x", "points": [[0, 1], [1, 0]]}'}, _SOLVE, id="json-dim-string"),
         pytest.param({"points.json": '{"dim": 2.5, "points": [[0, 1], [1, 0]]}'}, _SOLVE, id="json-dim-fraction"),
         pytest.param({}, ["gen", "--kind", "uniform_cube", "--n", "5", "--seed", "-1"], id="gen-negative-seed"),
+        pytest.param({}, _GEN_CLUSTERS + ["c=nan"], id="gen-cluster-count-nan"),
+        pytest.param({}, _GEN_CLUSTERS + ["c=inf"], id="gen-cluster-count-inf"),
+        pytest.param({}, _GEN_CLUSTERS + ["c=2.5"], id="gen-cluster-count-fraction"),
+        pytest.param({}, _GEN_CLUSTERS + ["c=2,c=3"], id="gen-params-key-twice"),
+        pytest.param({}, _GEN_CLUSTERS + ["sides=3"], id="gen-params-unknown-key"),
+        pytest.param({}, ["gen", "--kind", "uniform_cube", "--n", "5", "--params", "1,2"], id="gen-bare-values-off-line"),
+        pytest.param({}, ["gen", "--kind", "line", "--n", "1", "--params", "values=1"], id="gen-line-named-values"),
+        pytest.param({}, ["gen", "--kind", "line", "--n", "3", "--dim", "3"], id="gen-line-dim-3"),
+        pytest.param({}, ["gen", "--kind", "line", "--n", "3", "--seed", "-1"], id="gen-line-negative-seed"),
+        pytest.param({}, ["gen", "--kind", "grid", "--n", "4", "--seed", "-1"], id="gen-grid-negative-seed"),
+        pytest.param({}, _SOLVE + ["--gmm-start", "99"], id="pseudoforest-gmm-start-out-of-range"),
         pytest.param({}, ["verify", "--suite", "hst", "--seed", "-1", "--trials", "1"], id="verify-negative-seed"),
         pytest.param({}, _SOLVE[:-1] + ["{tmp}"], id="input-directory"),
         pytest.param({"points.json": b'{"dim": 1, "points": [[0], [1]]} \xff'}, _SOLVE, id="input-not-utf8"),

@@ -6,6 +6,8 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from remote_div import (
     ClampedMetric,
@@ -23,7 +25,14 @@ from remote_div import (
 )
 from remote_div.nets import CLAMP_CONSTANT, NetTree
 from conftest import line_pointset, random_euclidean, random_matrix_metric, two_clusters
-from oracles import cut_net_tree, max_antichain_value, net_tree_by_matrix, net_tree_of, stream_rng
+from oracles import (
+    cut_net_tree,
+    max_antichain_value,
+    net_tree_by_matrix,
+    net_tree_of,
+    padded_dp_antichain,
+    stream_rng,
+)
 
 
 # -- rescale_and_clamp ---------------------------------------------------------
@@ -219,6 +228,39 @@ def test_dp_matches_bruteforce_on_larger_tree():
     _value, nodes = dp_antichain(tree, 3)
     dp_value = sum(5.0 ** (-lvl) for lvl, _ in nodes)
     assert dp_value == pytest.approx(max_antichain_value(tree, 3), rel=1e-12)
+
+
+@st.composite
+def antichain_trees(draw):
+    """Nested levels over points 0..n-1, level l holding the first sizes[l]
+    points. Each level adds up to about twice the points above it (at most
+    21), or, at one level, 100-150 (a wide star); a level that adds none
+    makes a chain of single children. A level's new points hang under random
+    parents or all under one hub, and k is 1, n or anything between."""
+    rng = stream_rng(draw(st.integers(0, 2**32)), 0)
+    depth = int(rng.integers(0, 7))
+    wide = int(rng.integers(depth)) if depth and rng.random() < 0.5 else None
+    sizes = [1]
+    for level in range(depth):
+        grow = rng.integers(100, 151) if level == wide else rng.integers(0, min(2 * sizes[-1], 20) + 2)
+        sizes.append(sizes[-1] + int(grow))
+    parents = []
+    for above, size in zip(sizes, sizes[1:]):
+        hub = rng.random() < 0.5
+        new = np.zeros(size - above, dtype=np.int64) if hub else rng.integers(0, above, size - above)
+        parents.append(np.concatenate([np.arange(above), new]))
+    n = sizes[-1]
+    k = {"one": 1, "all": n, "between": int(rng.integers(1, n + 1))}[draw(st.sampled_from(["between", "one", "all"]))]
+    return NetTree(levels=[list(range(size)) for size in sizes], parents=parents), k
+
+
+@settings(max_examples=100)
+@given(antichain_trees())
+def test_dp_selects_what_the_padded_dp_selects(instance):
+    tree, k = instance
+    value, nodes = dp_antichain(tree, k)
+    expected_value, expected_nodes = padded_dp_antichain(tree, k)
+    assert (value.hex(), nodes) == (expected_value.hex(), expected_nodes)
 
 
 @pytest.mark.parametrize(

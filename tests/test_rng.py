@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from remote_div import PointSet, RunConfig, mwm_offline, split_dataset
-from remote_div import composition
 from remote_div.cli import _resolve_start
 from remote_div.errors import PreconditionError
 from remote_div.generators import make_clusters, make_uniform_cube
@@ -118,15 +117,6 @@ def test_random_split_is_the_numpy_permutation(n):
     perm = stream_rng(9, SPLIT_STREAM).permutation(n)
     expected = [sorted(int(perm[i]) for i in range(j, n, m)) for j in range(m)]
     assert split_dataset(ps, m, "random", seed=9).parts == expected
-
-
-def test_shuffled_subset_order_is_the_numpy_shuffle():
-    ranks = np.concatenate([r for r, _ in composition._subset_blocks(12, 4, 1000, order_seed=5)])
-    shuffled = np.arange(495)
-    stream_rng(5, SPLIT_STREAM).shuffle(shuffled)
-    assert ranks.tolist() == np.sort(shuffled).tolist()
-    blocks = [r.tolist() for r, _ in composition._subset_blocks(12, 4, 7, order_seed=5)]
-    assert blocks == [sorted(shuffled[s : s + 7].tolist()) for s in range(0, 495, 7)]
 
 
 def test_generators_draw_the_numpy_uniforms():
