@@ -35,7 +35,6 @@ _EXPORTS = {
     "threshold_components": "costs",
     "mst_component_sum": "costs",
     "GmmResult": "gmm",
-    "VoronoiPartition": "gmm",
     "gmm": "gmm",
     "voronoi_partition": "gmm",
     "MatchingOfflineTrace": "matching",

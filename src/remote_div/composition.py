@@ -250,6 +250,10 @@ def run_pipeline(
     """Full composable-coreset experiment on one dataset."""
     objective = cfg.objective
     k = cfg.k
+    # Every matching union is scored exactly, so an over-cap k fails before
+    # any coreset is built.
+    if objective is Objective.REMOTE_MATCHING and k > costs.MATCHING_EXACT_CAP:
+        raise PreconditionError(f"k={k} above exact matching cap {costs.MATCHING_EXACT_CAP}")
     elapsed: dict[str, float] = {}
 
     t0 = time.perf_counter()

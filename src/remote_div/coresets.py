@@ -142,10 +142,10 @@ def _separated_sets(ps: PointSet, k: int, epsilon: float, radius: float) -> StPa
     dense = _first_dense(ps, k, radius / 2.0)
     if dense is not None:
         row = ps.distances_from(dense)
-        near = np.nonzero(row <= radius / 2.0)[0]
-        s = [int(i) for i in near[:k]]
-        s_set = set(s)
-        t = [int(i) for i in np.nonzero(row >= radius)[0] if int(i) not in s_set][:k]
+        s = np.flatnonzero(row <= radius / 2.0)[:k].tolist()
+        far = row >= radius
+        far[s] = False
+        t = np.flatnonzero(far)[:k].tolist()
         if len(t) < k:
             raise InternalInvariantError("far-point pool shrank below k in dense branch")
         return StPair(sorted(s), sorted(t), _cross_separation(ps, s, t), "dense")
@@ -174,15 +174,14 @@ def _separated_sets(ps: PointSet, k: int, epsilon: float, radius: float) -> StPa
             raise InternalInvariantError("no annulus with bounded growth; peeling cannot proceed")
         if counts[chosen_step] > k:
             raise InternalInvariantError("annulus unexpectedly larger than k")
-        shell = np.nonzero(alive & (drow <= chosen_step * r_sep))[0]
-        for i in shell:
-            alive[i] = False
-            peeled.append(int(i))
+        shell = np.flatnonzero(alive & (drow <= chosen_step * r_sep))
+        alive[shell] = False
+        peeled.extend(shell.tolist())
     s = peeled[:k]
     # Distances are bitwise symmetric, so S's rows give its columns.
-    min_to_s = np.min([ps.distances_from(i) for i in s], axis=0)
-    s_set = set(s)
-    t = [int(i) for i in np.nonzero(min_to_s >= r_sep)[0] if int(i) not in s_set][:k]
+    far = np.min([ps.distances_from(i) for i in s], axis=0) >= r_sep
+    far[s] = False
+    t = np.flatnonzero(far)[:k].tolist()
     if len(t) < k:
         raise InternalInvariantError("fewer than k points stayed clear of the peeled set")
     return StPair(sorted(s), sorted(t), _cross_separation(ps, s, t), "peel")
@@ -281,8 +280,7 @@ def mwm_coreset(ps: PointSet, k: int, gmm_start: int = 0, part_id: int = 0) -> C
             passthrough=True,
         )
     centers = gmm(ps, k, gmm_start).centers
-    partition = voronoi_partition(ps, centers)
-    pairs = same_cell_pairs(partition, centers, k // 2)
+    pairs = same_cell_pairs(voronoi_partition(ps, centers), centers, k // 2)
     blocks = {
         "Y": sorted(centers),
         "pairs": sorted(pairs),

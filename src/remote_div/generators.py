@@ -33,12 +33,10 @@ def make_clusters(
         raise PreconditionError("need n >= 1 and dim >= 1")
     if clusters < 1 or clusters > n:
         raise PreconditionError("need 1 <= clusters <= n")
-    if separation <= 0 or width < 0:
-        raise PreconditionError("need separation > 0 and width >= 0")
-    offsets = uniforms(seed, [0], n * dim).reshape(n, dim) * width - width / 2.0
-    coords = offsets.copy()
-    for i in range(n):
-        coords[i, 0] += (i % clusters) * separation
+    if not (0 < separation < math.inf and 0 <= width < math.inf):
+        raise PreconditionError("need finite separation > 0 and width >= 0")
+    coords = uniforms(seed, [0], n * dim).reshape(n, dim) * width - width / 2.0
+    coords[:, 0] += np.arange(n) % clusters * separation
     return PointSet.from_coords(coords)
 
 
@@ -46,20 +44,18 @@ def make_grid(n: int, dim: int, spacing: float = 1.0) -> PointSet:
     """First n lattice points of the smallest dim-dimensional cube grid."""
     if n < 1 or dim < 1:
         raise PreconditionError("need n >= 1 and dim >= 1")
-    if spacing <= 0:
-        raise PreconditionError("spacing must be positive")
+    if not 0 < spacing < math.inf:
+        raise PreconditionError("spacing must be positive and finite")
     side = math.ceil(n ** (1.0 / dim))
     while side**dim < n:
         side += 1
-    coords = []
-    for flat in range(n):
-        point = []
-        rest = flat
-        for _ in range(dim):
-            point.append((rest % side) * spacing)
-            rest //= side
-        coords.append(point)
-    return PointSet.from_coords(np.asarray(coords, dtype=np.float64))
+    # Point p's coordinate on axis a is digit a of p in base `side`.
+    rest = np.arange(n)
+    coords = np.empty((n, dim))
+    for axis in range(dim):
+        coords[:, axis] = rest % side * spacing
+        rest //= side
+    return PointSet.from_coords(coords)
 
 
 def make_line(n: int, values: list[float] | None = None) -> PointSet:

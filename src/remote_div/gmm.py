@@ -6,7 +6,8 @@ distance from any point to the centers) is a lower bound on every pairwise
 center distance, which is what every downstream algorithm leans on.
 
 All argmax/argmin ties break to the lowest point index so the whole
-pipeline is deterministic.
+pipeline is deterministic; a Voronoi partition is the label array of each
+point's center rank.
 """
 from __future__ import annotations
 
@@ -25,15 +26,6 @@ class GmmResult:
     step_radii: list[float]
 
 
-@dataclass(frozen=True, eq=False)
-class VoronoiPartition:
-    """cell_of[i] is the rank of point i's center; cells[r] lists the
-    points of rank r's cell in ascending order. `==` is identity."""
-
-    cell_of: np.ndarray
-    cells: list[list[int]]
-
-
 def gmm(ps: PointSet, k: int, start: int = 0) -> GmmResult:
     """Run the farthest-point traversal for k steps from `start`.
 
@@ -46,45 +38,35 @@ def gmm(ps: PointSet, k: int, start: int = 0) -> GmmResult:
     if not (0 <= start < n):
         raise PreconditionError(f"start index {start} out of range for n={n}")
     centers = [start]
-    dist_to_centers = ps.distances_from(start)
-    dist_to_centers[start] = 0.0
-    # Selection uses a masked copy so an already-chosen index is never
-    # re-picked, even when duplicate locations drive every distance to 0.
-    selectable = dist_to_centers.copy()
-    selectable[start] = -np.inf
-    step_radii = [float(dist_to_centers.max())]
+    # Each point's distance to its closest center, -inf at the centers, so a
+    # chosen index is never re-picked even when duplicate locations drive
+    # every distance to 0; the covering radius is the max over the rest.
+    dist = ps.distances_from(start)
+    dist[start] = -np.inf
+    step_radii = [float(dist.max(initial=0.0))]
     for _ in range(1, k):
-        nxt = int(np.argmax(selectable))  # first occurrence = lowest index
+        nxt = int(np.argmax(dist))  # first occurrence = lowest index
         centers.append(nxt)
-        d = ps.distances_from(nxt)
-        d[nxt] = 0.0
-        np.minimum(dist_to_centers, d, out=dist_to_centers)
-        np.minimum(selectable, d, out=selectable)
-        selectable[nxt] = -np.inf
-        step_radii.append(float(dist_to_centers.max()))
+        np.minimum(dist, ps.distances_from(nxt), out=dist)
+        dist[nxt] = -np.inf
+        step_radii.append(float(dist.max(initial=0.0)))
     return GmmResult(centers, step_radii[-1], step_radii)
 
 
-def voronoi_partition(ps: PointSet, centers: list[int]) -> VoronoiPartition:
-    """Assign every point to its closest center, lowest rank on ties."""
+def voronoi_partition(ps: PointSet, centers: list[int]) -> np.ndarray:
+    """The rank of every point's closest center, lowest rank on ties."""
     if len(centers) == 0:
         raise PreconditionError("need at least one center")
-    if len(set(centers)) != len(centers):
-        raise PreconditionError("duplicate centers")
-    n = ps.n
     best = ps.distances_from(centers[0])
-    cell = np.zeros(n, dtype=np.int64)
+    cell = np.zeros(ps.n, dtype=np.int64)
     for rank, c in enumerate(centers[1:], start=1):
         d = ps.distances_from(c)
-        better = d < best  # strict: ties stay with the lower rank
-        cell[better] = rank
+        cell[d < best] = rank  # strict: ties stay with the lower rank
         np.minimum(best, d, out=best)
     # A center always lands in its own cell, even when another center
-    # coincides with it; for non-centers the strict < above already breaks
-    # ties toward the lowest rank.
-    for rank, c in enumerate(centers):
-        cell[c] = rank
-    cells = [[] for _ in centers]
-    for i in range(n):
-        cells[int(cell[i])].append(i)
-    return VoronoiPartition(cell, cells)
+    # coincides with it; a center listed twice cannot own both ranks.
+    ranks = np.arange(len(centers))
+    cell[centers] = ranks
+    if (cell[centers] != ranks).any():
+        raise PreconditionError("duplicate centers")
+    return cell

@@ -1,7 +1,7 @@
 """Offline remote-matching solver with a constant-factor guarantee.
 
-The solver runs the farthest-point traversal to get k centers, partitions
-the data into their Voronoi cells, and then compares two candidates: the
+The solver runs the farthest-point traversal to get k centers, labels every
+point with the rank of its Voronoi cell, and then compares two candidates: the
 center set itself, and a set W built from a random even subset Z of the
 centers padded back up to k points with pairs of non-centers that share a
 Voronoi cell. Padding with same-cell pairs keeps the parity of every
@@ -9,7 +9,8 @@ cell's intersection with W unchanged, which is what makes the random
 subset's matching cost carry over to W.
 
 The pairs never depend on Z, since every center is excluded from them:
-one solve computes the pair list once and each W takes a prefix of it.
+one solve reads the pair list off the label array once, cell by cell, and
+each W takes a prefix of it.
 A single trial already achieves a constant fraction of the optimum with
 constant probability; the driver repeats with independent randomness and
 keeps the best candidate seen.
@@ -22,16 +23,18 @@ import numpy as np
 
 from .costs import MATCHING_EXACT_CAP, mwm_exact
 from .errors import InternalInvariantError, PreconditionError
-from .gmm import GmmResult, VoronoiPartition, gmm, voronoi_partition
+from .gmm import GmmResult, gmm, voronoi_partition
 from .metric import PointSet, RunConfig
 from .results import DiversitySolution
 from .rng import uniforms
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MatchingOfflineTrace:
+    """The winning trial of `mwm_offline`. `==` is identity."""
+
     gmm: GmmResult
-    partition: VoronoiPartition
+    cell_of: np.ndarray
     z_subset: list[int]
     w_set: list[int]
     chosen: str  # "Y" or "W"
@@ -48,7 +51,7 @@ def even_subset_masks(centers: list[int], coins: np.ndarray) -> np.ndarray:
     return heads & ((heads.sum(axis=1, keepdims=True) % 2 == 0) | (np.asarray(centers) != top))
 
 
-def same_cell_pairs(partition: VoronoiPartition, centers: list[int], count: int) -> list[int]:
+def same_cell_pairs(cell_of: np.ndarray, centers: list[int], count: int) -> list[int]:
     """The first `count` same-cell pairs of non-centers, flattened.
 
     Cells are scanned in center-rank order and each cell's non-centers in
@@ -56,11 +59,14 @@ def same_cell_pairs(partition: VoronoiPartition, centers: list[int], count: int)
     Appending any prefix of whole pairs to a set leaves every cell parity
     unchanged.
     """
-    blocked = set(centers)
+    free = np.ones(len(cell_of), dtype=bool)
+    free[centers] = False
     flat: list[int] = []
-    for members in partition.cells:
-        free = [i for i in members if i not in blocked]
-        flat.extend(free[: len(free) - len(free) % 2])
+    for rank in range(len(centers)):
+        if len(flat) >= 2 * count:
+            break
+        members = np.flatnonzero(free & (cell_of == rank))
+        flat.extend(members[: len(members) - len(members) % 2].tolist())
     if len(flat) < 2 * count:
         raise InternalInvariantError(
             "no same-cell pair available; pigeonhole precondition violated"
@@ -89,11 +95,11 @@ def mwm_offline(
         raise PreconditionError(f"k={k} above exact matching cap {MATCHING_EXACT_CAP}")
 
     g = gmm(ps, k, gmm_start)
-    partition = voronoi_partition(ps, g.centers)
+    cell_of = voronoi_partition(ps, g.centers)
     y_sorted = sorted(g.centers)
     y_value = mwm_exact(ps, y_sorted, with_witness=False).value
 
-    pairs = same_cell_pairs(partition, g.centers, k // 2)
+    pairs = same_cell_pairs(cell_of, g.centers, k // 2)
     keep = even_subset_masks(g.centers, uniforms(cfg.seed, range(cfg.repeats), len(g.centers)))
     for t in range(cfg.repeats):
         z = sorted(c for c, joined in zip(g.centers, keep[t]) if joined)
@@ -109,7 +115,7 @@ def mwm_offline(
 
     trace = MatchingOfflineTrace(
         gmm=g,
-        partition=partition,
+        cell_of=cell_of,
         z_subset=best_z,
         w_set=best_w,
         chosen=chosen,

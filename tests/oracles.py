@@ -11,6 +11,11 @@ order, so the batched one is checked against an order it never uses. The
 triangle scan checks one pivot at a time over the whole matrix, as matrix
 validation did before it ran in row blocks. The same-cell
 padding is the greedy that rescans the cells for every pair it appends.
+The farthest-point traversal keeps a distance array with the centers at 0
+beside a masked copy it selects from, and the Voronoi cells are Python
+lists grouped point by point, as `gmm` and `voronoi_partition` did before
+one array held each. The grid and cluster generators place points one at a
+time, as `generators` did before it placed them with array arithmetic.
 The net tree is grown on the whole clamped matrix to a depth taken from the
 smallest distance, with a separate parent pass, as the solver grew it
 before it read one row per joining point and stopped at the first full
@@ -51,7 +56,8 @@ from remote_div.errors import InternalInvariantError, PreconditionError
 from remote_div.gmm import gmm
 from remote_div.hst import Hst, SubsetBoundStats
 from remote_div.nets import _MAX_DEPTH, TARGET_DIAMETER, NetTree
-from remote_div.rng import SPLIT_STREAM
+from remote_div.metric import PointSet
+from remote_div.rng import SPLIT_STREAM, uniforms
 
 
 def stream_rng(seed: int, stream: int = 0) -> np.random.Generator:
@@ -421,6 +427,69 @@ def fill_same_cell_pairs(selected: list[int], blocked: set[int], cells: list[lis
         result.extend(pair)
         blocked.update(pair)
     return result
+
+
+def gmm_by_two_arrays(ps, k: int, start: int = 0) -> tuple[list[int], list[float]]:
+    """Centers and step radii of the farthest-point traversal, with the
+    covering distances (0 at the centers) and a masked copy to select from."""
+    centers = [start]
+    dist_to_centers = ps.distances_from(start)
+    dist_to_centers[start] = 0.0
+    selectable = dist_to_centers.copy()
+    selectable[start] = -np.inf
+    step_radii = [float(dist_to_centers.max())]
+    for _ in range(1, k):
+        nxt = int(np.argmax(selectable))
+        centers.append(nxt)
+        d = ps.distances_from(nxt)
+        d[nxt] = 0.0
+        np.minimum(dist_to_centers, d, out=dist_to_centers)
+        np.minimum(selectable, d, out=selectable)
+        selectable[nxt] = -np.inf
+        step_radii.append(float(dist_to_centers.max()))
+    return centers, step_radii
+
+
+def voronoi_cells_by_lists(ps, centers: list[int]) -> tuple[np.ndarray, list[list[int]]]:
+    """Each point's cell rank (lowest rank on ties, every center in its own
+    cell) and each cell's points in ascending order, grouped point by point."""
+    best = ps.distances_from(centers[0])
+    cell = np.zeros(ps.n, dtype=np.int64)
+    for rank, c in enumerate(centers[1:], start=1):
+        d = ps.distances_from(c)
+        cell[d < best] = rank
+        np.minimum(best, d, out=best)
+    for rank, c in enumerate(centers):
+        cell[c] = rank
+    cells: list[list[int]] = [[] for _ in centers]
+    for i in range(ps.n):
+        cells[int(cell[i])].append(i)
+    return cell, cells
+
+
+def clusters_by_loop(n: int, dim: int, seed: int, clusters: int, separation: float, width: float) -> PointSet:
+    """`make_clusters`, shifting one point at a time."""
+    offsets = uniforms(seed, [0], n * dim).reshape(n, dim) * width - width / 2.0
+    coords = offsets.copy()
+    for i in range(n):
+        coords[i, 0] += (i % clusters) * separation
+    return PointSet.from_coords(coords)
+
+
+def grid_by_loops(n: int, dim: int, spacing: float = 1.0) -> PointSet:
+    """`make_grid`, one point and one axis at a time."""
+    side = math.ceil(n ** (1.0 / dim))
+    while side**dim < n:
+        side += 1
+    coords = []
+    for flat in range(n):
+        point = []
+        rest = flat
+        for _ in range(dim):
+            point.append((rest % side) * spacing)
+            rest //= side
+        coords.append(point)
+    return PointSet.from_coords(np.asarray(coords, dtype=np.float64))
 
 
 @dataclass(frozen=True)

@@ -5,17 +5,31 @@ import errno
 import importlib.util
 import io
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from remote_div import InternalInvariantError, PointSet, dump_pointset, pf_offline
+import remote_div
+from remote_div import (
+    InternalInvariantError,
+    Objective,
+    PointSet,
+    PreconditionError,
+    RunConfig,
+    dump_pointset,
+    pf_offline,
+    run_pipeline,
+)
 from remote_div.cli import _emit, _read_pointset, canonicalize_report, main
 from remote_div.generators import make_clusters, make_grid, make_line, make_uniform_cube
 from remote_div.metric import load_pointset
 from conftest import random_euclidean, run_fresh
+from oracles import clusters_by_loop, grid_by_loops
 
 
 def run_cli(args):
@@ -56,6 +70,20 @@ def test_make_grid_counts():
     ps = make_grid(10, 2)
     assert ps.n == 10
     assert len({tuple(row) for row in ps.coords}) == 10
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_make_grid_places_the_points_of_the_per_point_loops(dim):
+    for n in range(1, 101):
+        assert make_grid(n, dim, 0.75).coords.tobytes() == grid_by_loops(n, dim, 0.75).coords.tobytes()
+
+
+@pytest.mark.parametrize(("n", "dim", "clusters", "separation", "width"), [
+    (1, 1, 1, 100.0, 1.0), (12, 2, 2, 100.0, 1.0), (50, 3, 7, 2.5, 0.0), (101, 2, 4, 1e-3, 10.0),
+])
+def test_make_clusters_places_the_points_of_the_per_point_loop(n, dim, clusters, separation, width):
+    made = make_clusters(n, dim, 3, clusters=clusters, separation=separation, width=width)
+    assert made.coords.tobytes() == clusters_by_loop(n, dim, 3, clusters, separation, width).coords.tobytes()
 
 
 def test_make_line_explicit():
@@ -103,6 +131,22 @@ def test_gen_grid_and_line_ignore_a_valid_seed(kind, tmp_path):
 def test_gen_bad_params_exit_code(tmp_path):
     code = run_cli(["gen", "--kind", "line", "--n", "3", "--params", "0,x,10", "--output", str(tmp_path / "f.json")])
     assert code == 1
+
+
+@pytest.mark.parametrize(("kind", "params"), [
+    ("clusters", "width=inf"), ("clusters", "sep=inf"), ("clusters", "width=nan"), ("grid", "spacing=inf"),
+])
+def test_gen_non_finite_params_fail_before_any_arithmetic(kind, params, tmp_path):
+    package_root = Path(remote_div.__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, "-m", "remote_div", "gen", "--kind", kind, "--n", "8", "--params", params,
+         "--output", str(tmp_path / "f.json")],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(package_root)}, timeout=120,
+    )
+    assert done.returncode == 1
+    assert done.stderr.startswith("remote-div: error:")
+    assert "Warning" not in done.stderr
+    assert not (tmp_path / "f.json").exists()
 
 
 # -- solve ------------------------------------------------------------------------
@@ -423,6 +467,22 @@ def test_compose_oracle_cap_exit_one(tmp_path, capsys):
     ])
     assert code == 1
     assert "cap" in capsys.readouterr().err
+
+
+def test_compose_over_cap_matching_k_fails_before_any_coreset(tmp_path, capsys, monkeypatch):
+    import remote_div.coresets
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a coreset was built")
+
+    monkeypatch.setattr(remote_div.coresets, "mwm_coreset", refuse)
+    data = tmp_path / "big.json"
+    run_cli(["gen", "--kind", "uniform_cube", "--n", "400", "--seed", "1", "--output", str(data)])
+    with pytest.raises(PreconditionError, match="k=22 above exact matching cap 20"):
+        run_pipeline(load_pointset(data.read_text(), "json"), RunConfig(k=22, objective=Objective.REMOTE_MATCHING), 4)
+    code = run_cli(["compose", "--objective", "matching", "--k", "64", "--parts", "4", "--input", str(data)])
+    assert code == 1
+    assert "k=64 above exact matching cap 20" in capsys.readouterr().err
 
 
 def test_compose_file_strategy(dataset, tmp_path):

@@ -287,15 +287,12 @@ def test_mwm_coreset_pairs_share_cells():
     centers = core.blocks["Y"]
     result = gmm(ps, k)
     assert sorted(result.centers) == centers
-    part = voronoi_partition(ps, result.centers)
+    cell_of = voronoi_partition(ps, result.centers)
     pairs = core.blocks["pairs"]
     # reconstruct the appended order: pairs were added two at a time
     chosen = [i for i in core.indices if i not in set(centers)]
     assert sorted(chosen) == sorted(pairs)
-    counts = {}
-    for i in pairs:
-        counts[part.cell_of[i]] = counts.get(part.cell_of[i], 0) + 1
-    assert all(c % 2 == 0 for c in counts.values())
+    assert (np.bincount(cell_of[pairs]) % 2 == 0).all()
 
 
 def test_mwm_coreset_rejects_odd_k():

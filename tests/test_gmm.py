@@ -1,8 +1,13 @@
 from __future__ import annotations
 
+import tracemalloc
+
+import numpy as np
 import pytest
 
 from remote_div import PreconditionError, gmm, pf_cost, voronoi_partition
+from remote_div.generators import make_uniform_cube
+from remote_div.matching import same_cell_pairs
 from conftest import line_pointset, random_euclidean
 
 
@@ -75,22 +80,19 @@ def test_gmm_determinism():
 
 def test_voronoi_line_example():
     ps = line_pointset([0.0, 10.0, 3.0, 6.0])
-    part = voronoi_partition(ps, [0, 1])
-    assert part.cells == [[0, 2], [1, 3]]
-    assert part.cell_of[2] == 0
-    assert part.cell_of[3] == 1
+    cell_of = voronoi_partition(ps, [0, 1])
+    assert cell_of.dtype == np.int64
+    assert cell_of.tolist() == [0, 1, 0, 1]
 
 
 def test_voronoi_tie_goes_to_lower_rank():
     ps = line_pointset([0.0, 4.0, 2.0])
-    part = voronoi_partition(ps, [0, 1])
-    assert part.cell_of[2] == 0
+    assert voronoi_partition(ps, [0, 1])[2] == 0
 
 
 def test_voronoi_all_centers_singletons():
     ps = random_euclidean(3, 5)
-    part = voronoi_partition(ps, list(range(5)))
-    assert part.cells == [[0], [1], [2], [3], [4]]
+    assert voronoi_partition(ps, list(range(5))).tolist() == [0, 1, 2, 3, 4]
 
 
 def test_voronoi_duplicate_centers_rejected():
@@ -101,6 +103,18 @@ def test_voronoi_duplicate_centers_rejected():
 
 def test_voronoi_center_owns_its_cell_even_when_coincident():
     ps = line_pointset([0.0, 0.0, 3.0])
-    part = voronoi_partition(ps, [0, 1])
-    assert part.cell_of[0] == 0
-    assert part.cell_of[1] == 1
+    assert voronoi_partition(ps, [0, 1]).tolist() == [0, 1, 0]
+
+
+def test_gmm_voronoi_and_pairs_on_2e4_points_peak_below_1_1_mb():
+    # The distance rows and the label array set the peak; per-point Python
+    # lists of the cells would add about 0.3 MB on top.
+    ps = make_uniform_cube(20_000, 2, 1)
+    tracemalloc.start()
+    try:
+        centers = gmm(ps, 20).centers
+        same_cell_pairs(voronoi_partition(ps, centers), centers, 10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.1 * 2**20

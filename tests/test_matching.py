@@ -68,37 +68,32 @@ def test_fill_picks_lowest_index_pair_in_first_eligible_cell():
 
     # one center at 0; its cell holds everything
     ps = line_pointset([0.0, 1.0, 2.0, 3.0, 4.0, 5.0])
-    part = voronoi_partition(ps, [0])
-    assert same_cell_pairs(part, [0], 1) == [1, 2]
+    assert same_cell_pairs(voronoi_partition(ps, [0]), [0], 1) == [1, 2]
 
 
 def test_fill_preserves_cell_parities_per_step():
     ps = random_euclidean(5, 24)
     centers = gmm(ps, 4).centers
-    part = voronoi_partition(ps, centers)
-    filled = same_cell_pairs(part, centers, 3)
+    cell_of = voronoi_partition(ps, centers)
+    filled = same_cell_pairs(cell_of, centers, 3)
     # every augmentation is one same-cell pair of non-centers, so no step
     # flips a parity
     assert len(filled) == 6
     assert not set(filled) & set(centers)
     for at in range(0, 6, 2):
         a, b = filled[at], filled[at + 1]
-        assert part.cell_of[a] == part.cell_of[b]
-    counts: dict[int, int] = {}
-    for i in filled:
-        counts[part.cell_of[i]] = counts.get(part.cell_of[i], 0) + 1
-    assert all(c % 2 == 0 for c in counts.values())
+        assert cell_of[a] == cell_of[b]
+    assert (np.bincount(cell_of[filled]) % 2 == 0).all()
     # prefixes agree: fewer pairs are a prefix of more
-    assert same_cell_pairs(part, centers, 2) == filled[:4]
+    assert same_cell_pairs(cell_of, centers, 2) == filled[:4]
 
 
 def test_fill_raises_when_no_pair_exists():
     from conftest import line_pointset
 
     ps = line_pointset([0.0, 1.0])
-    part = voronoi_partition(ps, [0, 1])
     with pytest.raises(InternalInvariantError):
-        same_cell_pairs(part, [0, 1], 1)
+        same_cell_pairs(voronoi_partition(ps, [0, 1]), [0, 1], 1)
 
 
 def test_mwm_offline_preconditions():

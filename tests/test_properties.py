@@ -7,7 +7,9 @@ first full level; and the pseudoforest coreset read in blocks is the one
 read from the whole matrix; and every reduction over a cell grid (regular
 cells, or runs of consecutive points) gives the bits of the one over whole
 rows, at the n where the pseudoforest floor and the coreset's passthrough
-switch too."""
+switch too; and on tie-heavy grids the farthest-point traversal and its
+Voronoi labels are the two-array traversal and the per-point list grouping
+they replaced."""
 from __future__ import annotations
 
 import itertools
@@ -50,12 +52,14 @@ from oracles import (
     diameter_by_rows,
     fill_same_cell_pairs,
     find_separated_sets_by_matrix,
+    gmm_by_two_arrays,
     k_outlier_radius_by_matrix,
     min_offdiag_by_rows,
     net_tree_by_matrix,
     net_tree_of,
     pf_coreset_by_matrix,
     stream_rng,
+    voronoi_cells_by_lists,
 )
 
 
@@ -138,19 +142,48 @@ def test_same_cell_padding_matches_the_rescanning_greedy(instance):
     coords, k, start = instance
     ps = PointSet.from_coords(coords)
     centers = gmm(ps, k, start).centers
-    part = voronoi_partition(ps, centers)
-    pairs = same_cell_pairs(part, centers, k // 2)
+    cell_of = voronoi_partition(ps, centers)
+    cells = [np.flatnonzero(cell_of == rank).tolist() for rank in range(k)]
+    pairs = same_cell_pairs(cell_of, centers, k // 2)
     for size in range(0, k + 1, 2):
         for z in itertools.combinations(sorted(centers), size):
-            expected = fill_same_cell_pairs(list(z), set(centers), part.cells, k)
+            expected = fill_same_cell_pairs(list(z), set(centers), cells, k)
             assert sorted(list(z) + pairs[: k - size]) == sorted(expected)
     _solution, trace = mwm_offline(ps, k, RunConfig(k=k, repeats=5), gmm_start=start)
-    assert trace.w_set == sorted(fill_same_cell_pairs(trace.z_subset, set(centers), part.cells, k))
+    assert trace.w_set == sorted(fill_same_cell_pairs(trace.z_subset, set(centers), cells, k))
     core = mwm_coreset(ps, k, gmm_start=start)
     assert core.passthrough == (ps.n == 3 * k)
     if not core.passthrough:
-        expected = fill_same_cell_pairs(list(centers), set(centers), part.cells, 2 * k)[k:]
+        expected = fill_same_cell_pairs(list(centers), set(centers), cells, 2 * k)[k:]
         assert core.blocks["pairs"] == sorted(expected)
+
+
+@st.composite
+def traversal_instances(draw):
+    """1-3-D points on a grid of at most 3 steps a side, so points coincide,
+    GMM runs out of positive distances and picks centers at one location,
+    and Voronoi ties are everywhere; k reaches n."""
+    n = draw(st.integers(1, 24))
+    dim = draw(st.integers(1, 3))
+    point = st.lists(st.integers(0, 2), min_size=dim, max_size=dim)
+    points = draw(st.lists(point, min_size=n, max_size=n))
+    k = draw(st.integers(1, n))
+    return np.asarray(points, dtype=np.float64), k, draw(st.integers(0, n - 1))
+
+
+@settings(max_examples=100)
+@given(traversal_instances())
+def test_traversal_and_labels_match_the_list_oracles(instance):
+    coords, k, start = instance
+    ps = PointSet.from_coords(coords)
+    result = gmm(ps, k, start)
+    centers, step_radii = gmm_by_two_arrays(ps, k, start)
+    assert result.centers == centers
+    assert [r.hex() for r in result.step_radii] == [r.hex() for r in step_radii]
+    cell_of, cells = voronoi_cells_by_lists(ps, centers)
+    labels = voronoi_partition(ps, centers)
+    assert labels.tobytes() == cell_of.tobytes()
+    assert [np.flatnonzero(labels == rank).tolist() for rank in range(k)] == cells
 
 
 @st.composite
