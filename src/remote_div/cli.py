@@ -20,7 +20,7 @@ from pathlib import Path
 
 from . import __version__
 from .errors import InternalInvariantError, PreconditionError
-from .metric import Objective, PointSet, RunConfig, dump_pointset, load_pointset
+from .metric import FORMATS, Objective, PointSet, RunConfig, dump_pointset, load_pointset
 
 # Each command imports the layers it runs, before it reads any input, so a
 # command loads only its own modules.
@@ -133,8 +133,16 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"remote-div {__version__}")
     parser.add_argument("--schema", action="store_true", help="print the report JSON schema and exit")
     sub = parser.add_subparsers(dest="command")
+    # Flags several commands share, each declared once.
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--output", default=None, help="report path; stdout when omitted")
+    points = argparse.ArgumentParser(add_help=False, parents=[output])
+    points.add_argument("--objective", required=True, choices=[o.value for o in Objective])
+    points.add_argument("--k", required=True, type=int)
+    points.add_argument("--input", required=True)
+    points.add_argument("--input-format", default="json", choices=FORMATS)
 
-    p = sub.add_parser("gen", parents=[], help="generate a dataset file")
+    p = sub.add_parser("gen", parents=[output], help="generate a dataset file")
     p.add_argument("--kind", required=True, choices=KINDS)
     p.add_argument("--n", required=True, type=int)
     p.add_argument("--dim", type=int, default=None, help="coordinates per point (default 2; line takes only 1)")
@@ -144,68 +152,42 @@ def _build_parser() -> argparse.ArgumentParser:
         default="",
         help="kind-specific settings: clusters 'c=2,sep=100,width=1', grid 'spacing=1', line bare coordinates '0,1,5'",
     )
-    _common_flags(p)
     p.set_defaults(handler=_cmd_gen)
 
-    p = sub.add_parser("solve", help="run an offline diversity solver")
-    p.add_argument("--objective", required=True, choices=[o.value for o in Objective])
-    p.add_argument("--k", required=True, type=int)
+    p = sub.add_parser("solve", parents=[points], help="run an offline diversity solver")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--repeats", type=int, default=20)
     p.add_argument("--gmm-start", default="0", help="start index for the farthest-point traversal, or 'random'")
     p.add_argument("--net-root", type=int, default=0, help="root point of the net hierarchy (pseudoforest)")
     p.add_argument("--dump-net-tree", default=None, help="write the net tree the solver used as JSON to this path")
-    p.add_argument("--input", required=True)
-    p.add_argument("--input-format", default="json", choices=["json", "csv", "matrix-csv"])
-    _common_flags(p)
     p.set_defaults(handler=_cmd_solve)
 
-    p = sub.add_parser("coreset", help="build one part's composable coreset")
-    p.add_argument("--objective", required=True, choices=[o.value for o in Objective])
-    p.add_argument("--k", required=True, type=int)
+    p = sub.add_parser("coreset", parents=[points], help="build one part's composable coreset")
     p.add_argument("--epsilon", type=float, default=1.0)
     p.add_argument("--part-id", type=int, default=0)
     p.add_argument("--gmm-start", default="0")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--input", required=True)
-    p.add_argument("--input-format", default="json", choices=["json", "csv", "matrix-csv"])
-    _common_flags(p)
     p.set_defaults(handler=_cmd_coreset)
 
-    p = sub.add_parser("compose", help="split, build per-part coresets, solve on the union")
-    p.add_argument("--objective", required=True, choices=[o.value for o in Objective])
-    p.add_argument("--k", required=True, type=int)
+    p = sub.add_parser("compose", parents=[points], help="split, build per-part coresets, solve on the union")
     p.add_argument("--epsilon", type=float, default=1.0)
     p.add_argument("--parts", required=True, type=int)
     p.add_argument("--strategy", default="round_robin", choices=["round_robin", "random", "file"])
     p.add_argument("--parts-file", default=None, help="JSON list of index lists (strategy=file)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--oracle", action="store_true", help="also brute-force the full dataset")
-    p.add_argument("--input", required=True)
-    p.add_argument("--input-format", default="json", choices=["json", "csv", "matrix-csv"])
-    _common_flags(p)
     p.set_defaults(handler=_cmd_compose)
 
-    p = sub.add_parser("eval", help="brute-force the exact optimum")
-    p.add_argument("--objective", required=True, choices=[o.value for o in Objective])
-    p.add_argument("--k", required=True, type=int)
-    p.add_argument("--input", required=True)
-    p.add_argument("--input-format", default="json", choices=["json", "csv", "matrix-csv"])
-    _common_flags(p)
+    p = sub.add_parser("eval", parents=[points], help="brute-force the exact optimum")
     p.set_defaults(handler=_cmd_eval)
 
-    p = sub.add_parser("verify", help="run a structural verification suite")
+    p = sub.add_parser("verify", parents=[output], help="run a structural verification suite")
     p.add_argument("--suite", required=True, choices=["hst", "mstcc", "lemma42", "all"])
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=int, default=200)
-    _common_flags(p)
     p.set_defaults(handler=_cmd_verify)
 
     return parser
-
-
-def _common_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--output", default=None, help="report path; stdout when omitted")
 
 
 def _emit(args, payload: dict, started: float) -> int:
@@ -499,7 +481,7 @@ def _suite_mstcc(seed: int, trials: int) -> dict:
         ps = PointSet.from_coords(rng.random((n, 2)))
         subset = list(range(n))
         total = mst_component_sum(ps, subset)
-        mst = mst_cost(ps, subset, with_witness=False).value
+        mst = mst_cost(ps, subset).value
         ratio = mst / total
         low = min(low, ratio)
         high = max(high, ratio)
@@ -507,10 +489,11 @@ def _suite_mstcc(seed: int, trials: int) -> dict:
     return {"trials": trials, "min_ratio": low, "max_ratio": high, "pass": bool(ok)}
 
 
-def _suite_lemma42(seed: int, trials: int, draws: int = 2000) -> dict:
+def _suite_lemma42(seed: int, trials: int) -> dict:
     from .hst import verify_random_subset_bound
     from .rng import streams
 
+    draws = 2000
     worst_margin = math.inf
     min_ratio = math.inf
     for i, rng in enumerate(streams(seed, range(trials), _SUITE_WORDS)):

@@ -187,7 +187,6 @@ def brute_force_diversity(
     k: int,
     objective: Objective,
     candidates: list[int] | None = None,
-    enumeration_cap: int = ENUMERATION_CAP,
 ) -> DiversitySolution:
     """Exact optimum by exhaustive k-subset enumeration.
 
@@ -206,10 +205,8 @@ def brute_force_diversity(
     elif k < 2:
         raise PreconditionError("remote-pseudoforest needs k >= 2")
     total = math.comb(m, k)
-    if total > enumeration_cap:
-        raise PreconditionError(
-            f"C({m},{k}) = {total} subsets exceeds the enumeration cap {enumeration_cap}"
-        )
+    if total > ENUMERATION_CAP:
+        raise PreconditionError(f"C({m},{k}) = {total} subsets exceeds the enumeration cap {ENUMERATION_CAP}")
 
     dmat = ps.restrict(cand).distance_matrix()
     if objective is Objective.REMOTE_MATCHING:
@@ -336,9 +333,9 @@ def _lower_bound_on_union(ps: PointSet, union: list[int], cfg: RunConfig) -> tup
     centers = gmm(sub, k).centers
     center_global = sorted(union[i] for i in centers)
     if cfg.objective is Objective.REMOTE_MATCHING:
-        center_value = costs.mwm_exact(ps, center_global, with_witness=False).value
+        center_value = costs.mwm_exact(ps, center_global).value
     else:
-        center_value = costs.pf_cost(ps, center_global, with_witness=False).value
+        center_value = costs.pf_cost(ps, center_global).value
     candidates.append((center_value, center_global))
     candidates.sort(key=lambda vc: (-vc[0], vc[1]))
     return candidates[0]

@@ -178,13 +178,15 @@ def _separated_sets(ps: PointSet, k: int, epsilon: float, radius: float) -> StPa
         alive[shell] = False
         peeled.extend(shell.tolist())
     s = peeled[:k]
-    # Distances are bitwise symmetric, so S's rows give its columns.
-    far = np.min([ps.distances_from(i) for i in s], axis=0) >= r_sep
+    # Distances are bitwise symmetric, so S's rows give its columns; min is
+    # exact, so the nearest at T is the cross separation.
+    nearest = np.min([ps.distances_from(i) for i in s], axis=0)
+    far = nearest >= r_sep
     far[s] = False
     t = np.flatnonzero(far)[:k].tolist()
     if len(t) < k:
         raise InternalInvariantError("fewer than k points stayed clear of the peeled set")
-    return StPair(sorted(s), sorted(t), _cross_separation(ps, s, t), "peel")
+    return StPair(sorted(s), sorted(t), float(nearest[t].min()), "peel")
 
 
 def _first_dense(ps: PointSet, k: int, half: float) -> int | None:

@@ -18,8 +18,10 @@ its own s-by-s matrix and the single row `arange(s)`, the brute-force
 search its candidates' matrix and a block of subsets. All evaluators are
 pure functions over an immutable point set and an index subset; they read
 the subset's distances through `ps.restrict(subset)`, never through the
-whole dataset's matrix, and each returns a `SubsetCostReport` whose
-witness re-evaluates to exactly the reported value.
+whole dataset's matrix, and each returns a `SubsetCostReport` with its
+witness: the matching's pairs, whose right-nested sum is exactly the value,
+the MST's edges, or each member's nearest other member, whose distances
+summed left to right are exactly the value.
 """
 from __future__ import annotations
 
@@ -40,13 +42,11 @@ class SubsetCostReport:
     subset: list[int]
     objective: str
     value: float
-    witness: list | None = None
+    witness: list
 
     def to_dict(self) -> dict:
-        out = {"objective": self.objective, "value": self.value, "subset": list(self.subset)}
-        if self.witness is not None:
-            out["witness"] = [list(w) for w in self.witness]
-        return out
+        witness = [list(w) for w in self.witness]
+        return {"objective": self.objective, "value": self.value, "subset": list(self.subset), "witness": witness}
 
 
 @dataclass(frozen=True)
@@ -144,7 +144,7 @@ def matching_value(rows) -> float:
     return float(matching_tables(dmat, np.arange(s)[None])[0, -1])
 
 
-def mwm_exact(ps: PointSet, subset, *, with_witness: bool = True) -> SubsetCostReport:
+def mwm_exact(ps: PointSet, subset) -> SubsetCostReport:
     """Exact minimum-weight perfect matching cost of an even subset.
 
     Raises on odd subsets and on subsets above MATCHING_EXACT_CAP, which
@@ -158,14 +158,12 @@ def mwm_exact(ps: PointSet, subset, *, with_witness: bool = True) -> SubsetCostR
             f"subset size {len(idx)} exceeds exact matching cap {MATCHING_EXACT_CAP}"
         )
     if len(idx) == 0:
-        return SubsetCostReport(idx, "mwm", 0.0, [] if with_witness else None)
+        return SubsetCostReport(idx, "mwm", 0.0, [])
     d = ps.restrict(idx).distance_matrix()
     table = matching_tables(d, np.arange(len(idx))[None])[0]
-    witness = None
-    if with_witness:
-        witness = sorted(
-            tuple(sorted((idx[a], idx[b]))) for a, b in _matching_witness(d, table)
-        )
+    # Pairs come lowest point first, in ascending order, over a sorted idx, so
+    # the witness is sorted and its right-nested sum is exactly the value.
+    witness = [(idx[a], idx[b]) for a, b in _matching_witness(d, table)]
     return SubsetCostReport(idx, "mwm", float(table[-1]), witness)
 
 
@@ -205,17 +203,14 @@ def mst_value_and_edges(rows: list[list[float]]) -> tuple[float, list[tuple[int,
     return total, edges
 
 
-def mst_cost(ps: PointSet, subset, *, with_witness: bool = True) -> SubsetCostReport:
+def mst_cost(ps: PointSet, subset) -> SubsetCostReport:
     """Minimum spanning tree weight over the induced complete graph."""
     idx = _as_subset(subset, ps.n)
     if len(idx) < 1:
         raise PreconditionError("mst needs a nonempty subset")
     rows = ps.restrict(idx).distance_matrix().tolist()
     value, edges = mst_value_and_edges(rows)
-    witness = None
-    if with_witness:
-        witness = sorted((idx[a], idx[b]) for a, b in edges)
-    return SubsetCostReport(idx, "mst", value, witness)
+    return SubsetCostReport(idx, "mst", value, sorted((idx[a], idx[b]) for a, b in edges))
 
 
 # ---------------------------------------------------------------------------
@@ -239,17 +234,19 @@ def pf_sum(dmat: np.ndarray, members: np.ndarray) -> np.ndarray:
     return total
 
 
-def pf_cost(ps: PointSet, subset, *, with_witness: bool = True) -> SubsetCostReport:
+def pf_cost(ps: PointSet, subset) -> SubsetCostReport:
     """Sum over subset members of the distance to the nearest other member."""
     idx = _as_subset(subset, ps.n)
     if len(idx) < 2:
         raise PreconditionError("pseudoforest cost needs at least 2 points")
     d = ps.restrict(idx).distance_matrix()
-    witness = None
-    if with_witness:
-        # The nearest other member, lowest position on ties.
-        others = np.where(np.eye(len(idx), dtype=bool), np.inf, d)
-        witness = [(idx[a], idx[int(b)]) for a, b in enumerate(others.argmin(axis=1))]
+    # The nearest other member, lowest position on ties, a row at a time, so
+    # the witness adds no second s-by-s array.
+    witness = []
+    for a, row in enumerate(d):
+        row = row.copy()
+        row[a] = np.inf
+        witness.append((idx[a], idx[int(row.argmin())]))
     return SubsetCostReport(idx, "pf", float(pf_sum(d, np.arange(len(idx))[None])[0]), witness)
 
 

@@ -85,7 +85,6 @@ def embed_subset(ps: PointSet, subset, d: int = DEFAULT_DEPTH) -> tuple[Hst, Poi
     diam = float(sub.max())
     if diam > 0.0:
         sub = sub * (EMBED_DIAMETER / diam)
-    sub.flags.writeable = False
     if d < 1:
         raise PreconditionError("depth must be at least 1")
     # A positive multiple of a metric is a metric, so it is not validated

@@ -97,14 +97,14 @@ def mwm_offline(
     g = gmm(ps, k, gmm_start)
     cell_of = voronoi_partition(ps, g.centers)
     y_sorted = sorted(g.centers)
-    y_value = mwm_exact(ps, y_sorted, with_witness=False).value
+    y_value = mwm_exact(ps, y_sorted).value
 
     pairs = same_cell_pairs(cell_of, g.centers, k // 2)
     keep = even_subset_masks(g.centers, uniforms(cfg.seed, range(cfg.repeats), len(g.centers)))
     for t in range(cfg.repeats):
         z = sorted(c for c, joined in zip(g.centers, keep[t]) if joined)
         w = sorted(z + pairs[: k - len(z)])
-        value = mwm_exact(ps, w, with_witness=False).value
+        value = mwm_exact(ps, w).value
         if t == 0 or value > best_value:
             best_trial, best_value, best_z, best_w = t, value, z, w
 

@@ -23,7 +23,8 @@ a time (a document through a buffer over its bytes), as ASCII with no
 comments. A file it cannot take as a square matrix, any with a '#' or a
 non-ASCII byte among them, is read again whole and parsed line by line,
 which names the offending line. Only json and csv input is decoded as a
-whole. An open file is read with the line ends a text-mode read gives.
+whole. An open file, binary or text, is read with the line ends a
+text-mode read gives.
 Every Euclidean distance, single, in a row or in a block, comes from one
 kernel (`_euclidean`), so the same pair always gets the same bits; the
 kernel is bitwise symmetric, so a column read equals a row read.
@@ -43,7 +44,10 @@ Point identity is by index into the original dataset. Every subset that
 the algorithms pass around is a list of indices, never a copy of the
 coordinates, so coresets can be composed across dataset parts. Distances
 among a subset have one route, `ps.restrict(indices).distance_matrix()`,
-which gives exactly the bits of the whole dataset's matrix at those indices.
+which gives exactly the bits of the whole dataset's matrix at those indices;
+`restrict` takes one copy of the subset's coordinates or matrix entries and
+checks them no further, since a subset of validated points is valid. Every
+dense matrix, clamped or not, is filled from `blocks_between`.
 """
 from __future__ import annotations
 
@@ -53,7 +57,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass
-from typing import BinaryIO
+from typing import IO
 
 import numpy as np
 
@@ -96,18 +100,16 @@ class PointSet:
     __slots__ = ("kind", "n", "dim", "_coords", "_matrix", "_diameter")
 
     def __init__(self, kind: str, coords: np.ndarray | None, matrix: np.ndarray | None):
+        """Take over a validated array, which is made read-only."""
         self.kind = kind
         self._coords = coords
         self._matrix = matrix
         self._diameter = None  # set by the first `diameter(self)`
-        if kind == "euclidean":
-            assert coords is not None
-            self.n = coords.shape[0]
-            self.dim = coords.shape[1]
-        else:
-            assert matrix is not None
-            self.n = matrix.shape[0]
-            self.dim = None
+        data = coords if kind == "euclidean" else matrix
+        assert data is not None
+        data.flags.writeable = False
+        self.n = data.shape[0]
+        self.dim = data.shape[1] if kind == "euclidean" else None
 
     @classmethod
     def from_coords(cls, coords) -> "PointSet":
@@ -126,7 +128,6 @@ class PointSet:
             extent = float(np.max(hi - lo))
         if not math.isfinite(2.0 * arr.shape[1] * extent * extent):
             raise PreconditionError("coordinates too far apart: pairwise distances overflow")
-        arr.flags.writeable = False
         return cls("euclidean", arr, None)
 
     @classmethod
@@ -142,7 +143,6 @@ class PointSet:
         if matrix.shape[0] < 1:
             raise PreconditionError("need n >= 1 points")
         _validate_matrix(matrix)
-        matrix.flags.writeable = False
         return cls("matrix", None, matrix)
 
     @property
@@ -189,16 +189,10 @@ class PointSet:
 
     def distance_matrix(self) -> np.ndarray:
         """Dense n-by-n distance matrix. O(n^2) memory; caller keeps it."""
-        if self.kind == "matrix":
-            return self._matrix
-        out = np.empty((self.n, self.n), dtype=np.float64)
-        everything = np.arange(self.n)
-        for start, block in self.blocks_between(everything, everything):
-            out[start : start + len(block)] = block
-        return out
+        return self._matrix if self.kind == "matrix" else _dense(self)
 
     def restrict(self, indices: list[int]) -> "PointSet":
-        """Sub-point-set over `indices`; local index p maps to indices[p]."""
+        """Sub-point-set over `indices` (local index p maps to indices[p]), one unchecked copy."""
         idx = list(indices)
         if len(idx) == 0:
             raise PreconditionError("cannot restrict to an empty index list")
@@ -207,10 +201,8 @@ class PointSet:
         for i in idx:
             _check_index(i, self.n)
         if self.kind == "euclidean":
-            return PointSet.from_coords(self._coords[idx])
-        sub = self._matrix[np.ix_(idx, idx)].copy()
-        sub.flags.writeable = False
-        return PointSet("matrix", None, sub)
+            return PointSet("euclidean", self._coords[idx], None)
+        return PointSet("matrix", None, self._matrix[np.ix_(idx, idx)])
 
     def __repr__(self) -> str:
         return f"PointSet(kind={self.kind!r}, n={self.n})"
@@ -262,11 +254,18 @@ class ClampedMetric:
         return np.maximum(distances, self.floor, out=distances)
 
     def distance_matrix(self) -> np.ndarray:
-        """A fresh dense matrix, one `distances_from` row at a time."""
-        out = np.empty((self.n, self.n), dtype=np.float64)
-        for i in range(self.n):
-            out[i] = self.distances_from(i)
-        return out
+        """A fresh dense matrix of the clamped distances."""
+        return _dense(self)
+
+
+def _dense(metric: PointSet | ClampedMetric) -> np.ndarray:
+    """A fresh n-by-n matrix of `metric`'s distances, filled from its
+    `blocks_between`, whose block rows are its rows bit for bit."""
+    out = np.empty((metric.n, metric.n), dtype=np.float64)
+    everything = np.arange(metric.n)
+    for start, block in metric.blocks_between(everything, everything):
+        out[start : start + len(block)] = block
+    return out
 
 
 @dataclass(frozen=True)
@@ -444,9 +443,9 @@ def _cell_grid(ps: PointSet) -> _CellGrid:
 FORMATS = ("json", "csv", "matrix-csv")
 
 
-def load_pointset(source: str | bytes | BinaryIO, format: str) -> PointSet:
-    """Parse and validate a point file, given as a document or as a file
-    open for binary reading. See module docstring for grammars."""
+def load_pointset(source: str | bytes | IO, format: str) -> PointSet:
+    """Parse and validate a point file, given as a document or as an open
+    file, binary or text. See module docstring for grammars."""
     if format == "matrix-csv":
         return PointSet.from_matrix(_parse_matrix_csv(source), copy=False)
     if format not in FORMATS:
@@ -455,12 +454,16 @@ def load_pointset(source: str | bytes | BinaryIO, format: str) -> PointSet:
     return _load_json(text) if format == "json" else _load_csv(text)
 
 
-def _read_whole(file: BinaryIO) -> bytes:
-    """The rest of an open binary file, with \\r\\n and lone \\r line ends
-    turned into \\n, as a text-mode read gives them."""
-    data = file.read()
-    if b"\r" in data:
-        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+def _read_whole(file: IO) -> str | bytes:
+    """The rest of an open file, with \\r\\n and lone \\r line ends turned
+    into \\n, as a text-mode read gives them."""
+    try:
+        data = file.read()
+    except UnicodeDecodeError as exc:  # a text-mode file's own decoding
+        raise PreconditionError(f"point file is not UTF-8: {exc}") from exc
+    cr, lf = ("\r", "\n") if isinstance(data, str) else (b"\r", b"\n")
+    if cr in data:
+        data = data.replace(cr + lf, lf).replace(cr, lf)
     return data
 
 
@@ -541,24 +544,23 @@ def _load_csv(text: str) -> PointSet:
     return PointSet.from_coords(np.asarray(rows, dtype=np.float64))
 
 
-def _parse_matrix_csv(source: str | bytes | BinaryIO) -> np.ndarray:
-    """The matrix a matrix-csv document or open binary file holds.
+def _parse_matrix_csv(source: str | bytes | IO) -> np.ndarray:
+    """The matrix a matrix-csv document or open file holds.
     `np.loadtxt` streams it as ASCII with no comments, converting every
     field as `float()` does. Whatever it rejects or cannot take as a square
     matrix (a '#', a non-ASCII byte, a line of spaces, a \\r inside a line)
     is read whole and parsed again line by line, to give that parser's
     result or message."""
+    if not isinstance(source, (str, bytes)) and not source.seekable():
+        source = _read_whole(source)  # a pipe cannot be read twice
     if isinstance(source, str):
         # Any non-ASCII character stays non-ASCII, a lone surrogate too, so
         # the ASCII parse rejects it.
         stream = io.BytesIO(source.encode("utf-8", "surrogatepass"))
     elif isinstance(source, bytes):
         stream = io.BytesIO(source)
-    elif source.seekable():
+    else:
         stream, start = source, source.tell()
-    else:  # a pipe cannot be read twice
-        source = _read_whole(source)
-        stream = io.BytesIO(source)
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # a file with no rows

@@ -190,7 +190,7 @@ def test_criterion_7_structural_identities():
         n = int(rng.integers(2, 13))
         ps = PointSet.from_coords(rng.random((n, 2)))
         total = mst_component_sum(ps, range(n))
-        mst = mst_cost(ps, range(n), with_witness=False).value
+        mst = mst_cost(ps, range(n)).value
         assert total / 2.0 - 1e-9 * total <= mst <= total * (1.0 + 1e-9)
 
     # (b) odd-occupancy formula equals exact matching under the tree metric.
@@ -211,13 +211,13 @@ def test_criterion_7_structural_identities():
     for i in range(25):
         rng = stream_rng(709, i)
         ps = PointSet.from_coords(rng.random((8, 2)))
-        mst_full = mst_cost(ps, range(8), with_witness=False).value
+        mst_full = mst_cost(ps, range(8)).value
         for size in range(2, 9):
             for subset in combinations(range(8), size):
-                sub_mst = mst_cost(ps, subset, with_witness=False).value
+                sub_mst = mst_cost(ps, subset).value
                 assert sub_mst <= 2.0 * mst_full * (1.0 + 1e-9)
                 if size % 2 == 0:
-                    sub_mwm = mwm_exact(ps, subset, with_witness=False).value
+                    sub_mwm = mwm_exact(ps, subset).value
                     assert sub_mwm <= sub_mst * (1.0 + 1e-9)
     _report(7, "MST bracket, odd-count identity, and matching/MST inequalities hold")
 

@@ -124,7 +124,7 @@ def test_brute_k_equals_n(line3):
 def test_brute_cap_enforced():
     ps = random_euclidean(8, 40)
     with pytest.raises(PreconditionError, match="cap"):
-        brute_force_diversity(ps, 10, Objective.REMOTE_PSEUDOFOREST, enumeration_cap=1000)
+        brute_force_diversity(ps, 10, Objective.REMOTE_PSEUDOFOREST)  # C(40,10) > ENUMERATION_CAP
 
 
 @pytest.mark.parametrize("seed", range(6))

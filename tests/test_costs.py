@@ -19,6 +19,7 @@ from remote_div import (
     threshold_components,
 )
 from remote_div.costs import MATCHING_EXACT_CAP, matching_tables, pf_sum, threshold_labels
+from remote_div.generators import make_grid
 from conftest import line_pointset, random_euclidean, random_matrix_metric
 from oracles import (
     matching_table,
@@ -63,13 +64,31 @@ def test_mwm_cap():
         mwm_exact(ps, list(range(MATCHING_EXACT_CAP + 2)))
 
 
+def _witness_instances():
+    """(point set, even subset) pairs up to the exact matching cap, tie-heavy
+    ones included: a grid's equal distances and every point twice."""
+    yield random_euclidean(21, 10), range(8)
+    for size in (2, 4, 10, 16, MATCHING_EXACT_CAP):
+        yield random_euclidean(21, size), range(size)
+    yield make_grid(MATCHING_EXACT_CAP, 2), range(MATCHING_EXACT_CAP)
+    yield make_grid(16, 3), range(16)
+    yield PointSet.from_coords(np.repeat(stream_rng(5, 0).random((10, 2)), 2, axis=0)), range(20)
+    yield random_matrix_metric(21, 12), range(12)
+
+
 def test_mwm_witness_reevaluates_to_value():
-    ps = random_euclidean(21, 10)
-    report = mwm_exact(ps, list(range(8)))
-    total = sum(ps.distance(a, b) for a, b in report.witness)
-    assert total == pytest.approx(report.value, abs=1e-12)
-    covered = sorted(i for e in report.witness for i in e)
-    assert covered == list(range(8))
+    # The DP's value is d(p1) + table[the rest], p1 the pair of the lowest
+    # point, so the pairs in ascending order of their lowest point, summed
+    # right-nested, give it bit for bit.
+    for ps, subset in _witness_instances():
+        report = mwm_exact(ps, list(subset))
+        assert all(a < b for a, b in report.witness)
+        assert report.witness == sorted(report.witness)
+        assert sorted(i for e in report.witness for i in e) == list(subset)
+        total = 0.0
+        for a, b in reversed(report.witness):
+            total = ps.distance(a, b) + total
+        assert total == report.value
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -221,10 +240,15 @@ def test_pf_witness_ties_to_lowest_index():
 
 
 def test_pf_witness_reevaluates_to_value():
-    ps = random_euclidean(37, 9)
-    report = pf_cost(ps, range(9))
-    assert sum(ps.distance(a, b) for a, b in report.witness) == pytest.approx(report.value)
-    assert [a for a, _ in report.witness] == list(range(9))
+    # Each member's nearest distance, added left to right from 0.0, as the
+    # evaluator adds them.
+    for ps, subset in [*_witness_instances(), (random_euclidean(37, 9), range(9))]:
+        report = pf_cost(ps, subset)
+        assert [a for a, _ in report.witness] == list(subset)
+        total = 0.0
+        for a, b in report.witness:
+            total += ps.distance(a, b)
+        assert total == report.value
 
 
 # -- threshold components ------------------------------------------------------
@@ -303,8 +327,8 @@ def test_mwm_at_most_mst_even_subsets(seed):
     for size in (2, 4, 6, 8):
         for subset in combinations(range(8), size):
             assert (
-                mwm_exact(ps, subset, with_witness=False).value
-                <= mst_cost(ps, subset, with_witness=False).value + 1e-9
+                mwm_exact(ps, subset).value
+                <= mst_cost(ps, subset).value + 1e-9
             )
 
 
@@ -312,10 +336,10 @@ def test_mwm_at_most_mst_even_subsets(seed):
 def test_nested_mst_doubling(seed):
     ps = random_euclidean(500 + seed, 8)
     full = list(range(8))
-    mst_full = mst_cost(ps, full, with_witness=False).value
+    mst_full = mst_cost(ps, full).value
     for size in range(2, 8):
         for subset in combinations(full, size):
-            assert mst_cost(ps, subset, with_witness=False).value <= 2.0 * mst_full + 1e-9
+            assert mst_cost(ps, subset).value <= 2.0 * mst_full + 1e-9
 
 
 def test_subset_report_serialization():

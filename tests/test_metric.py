@@ -345,6 +345,44 @@ def test_matrix_csv_from_a_pipe_is_read_once():
         assert load_pointset(pipe, "matrix-csv").distance(0, 1) == 1.0
 
 
+_DOCUMENTS = {
+    "json": '{"dim": 2, "points": [[0.0, 0.0], [3.0, 4.0], [1.5, -2.0]]}\r\n',
+    "csv": "# dim=2\r\n0.0,0.0\r\n3.0,4.0\r\n1.5,-2.0\r\n",
+    "matrix-csv": "# a comment sends the file to the line parser\r\n0,5,1\r\n5,0,4.5\r\n1,4.5,0\r\n",
+}
+
+
+@pytest.mark.parametrize("seekable", [True, False], ids=["file", "pipe"])
+@pytest.mark.parametrize("mode", ["rb", "r"])
+@pytest.mark.parametrize("fmt", sorted(_DOCUMENTS))
+def test_every_format_loads_from_a_binary_or_text_file(tmp_path, fmt, mode, seekable):
+    path = tmp_path / "points"
+    path.write_bytes(_DOCUMENTS[fmt].encode())
+    encoding = None if mode == "rb" else "utf-8"
+    if seekable:
+        file = open(path, mode, encoding=encoding)
+    else:
+        read, write = os.pipe()
+        os.write(write, path.read_bytes())
+        os.close(write)
+        file = os.fdopen(read, mode, encoding=encoding)
+    with file:
+        assert file.seekable() is seekable
+        ps = load_pointset(file, fmt)
+    with open(path, "rb") as binary:
+        expected = load_pointset(binary, fmt)
+    assert (ps.kind, ps.n) == (expected.kind, expected.n) == ("matrix" if fmt == "matrix-csv" else "euclidean", 3)
+    assert ps.distance_matrix().tobytes() == expected.distance_matrix().tobytes()
+
+
+@pytest.mark.parametrize("fmt", sorted(_DOCUMENTS))
+def test_a_text_file_that_is_not_utf8_is_a_precondition_error(tmp_path, fmt):
+    path = tmp_path / "points"
+    path.write_bytes(b"0,1\n1,\xff\n")
+    with open(path, encoding="utf-8") as file, pytest.raises(PreconditionError, match="not UTF-8"):
+        load_pointset(file, fmt)
+
+
 def test_matrix_csv_fallback_rereads_from_where_the_file_was():
     file = io.BytesIO(b"header\n0,1\n# c\n1,0\n")
     file.readline()

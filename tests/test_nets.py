@@ -80,8 +80,8 @@ def test_clamped_pf_within_c_of_scaled_pf_all_subsets():
     scaled = PointSet.from_matrix(ps.distance_matrix() * metric.scale)
     clamped = PointSet.from_matrix(metric.distance_matrix())
     for subset in combinations(range(10), k):
-        a = pf_cost(scaled, subset, with_witness=False).value
-        b = pf_cost(clamped, subset, with_witness=False).value
+        a = pf_cost(scaled, subset).value
+        b = pf_cost(clamped, subset).value
         assert b >= a - 1e-15
         assert b - a <= CLAMP_CONSTANT + 1e-15
 
@@ -214,7 +214,7 @@ def test_selected_points_pf_clears_dp_value_over_80(seed):
     dp_value = sum(5.0 ** (-lvl) for lvl, _ in nodes)
     clamped = PointSet.from_matrix(metric.distance_matrix())
     points = sorted(p for _, p in nodes)
-    assert pf_cost(clamped, points, with_witness=False).value >= dp_value / 80.0 - 1e-12
+    assert pf_cost(clamped, points).value >= dp_value / 80.0 - 1e-12
     # the selected nodes re-evaluate to the returned root value
     assert dp_value == pytest.approx(value)
 

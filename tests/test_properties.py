@@ -216,7 +216,7 @@ def test_net_tree_is_the_matrix_tree_cut_at_its_first_full_level(instance):
         solution, solved_on = pf_offline(ps, k, root)
         assert solved_on.to_json() == tree.to_json()
         assert solution.indices == points
-        assert solution.value.hex() == pf_cost(ps, points, with_witness=False).value.hex()
+        assert solution.value.hex() == pf_cost(ps, points).value.hex()
 
 
 @st.composite
