@@ -50,7 +50,6 @@ _EXPORTS = {
     "find_separated_sets": "coresets",
     "pf_coreset": "coresets",
     "mwm_coreset": "coresets",
-    "PartitionedDataset": "composition",
     "PipelineReport": "composition",
     "split_dataset": "composition",
     "compose_coresets": "composition",

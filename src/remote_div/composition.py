@@ -35,14 +35,6 @@ STRATEGIES = ("round_robin", "random", "file")
 
 
 @dataclass(frozen=True)
-class PartitionedDataset:
-    pointset: PointSet
-    parts: list[list[int]]
-    strategy: str
-    seed: int | None = None
-
-
-@dataclass(frozen=True)
 class PipelineReport:
     objective: str
     k: int
@@ -91,7 +83,7 @@ def split_dataset(
     strategy: str = "round_robin",
     seed: int = 0,
     parts: list[list[int]] | None = None,
-) -> PartitionedDataset:
+) -> list[list[int]]:
     """Partition indices 0..n-1 into m disjoint nonempty parts."""
     n = ps.n
     if not (1 <= m <= n):
@@ -114,7 +106,7 @@ def split_dataset(
             raise PreconditionError(f"expected {m} parts, file provided {len(part_lists)}")
     else:
         raise PreconditionError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
-    return PartitionedDataset(ps, part_lists, strategy, seed)
+    return part_lists
 
 
 def build_part_coreset(
@@ -138,13 +130,13 @@ def build_part_coreset(
     return core, global_indices
 
 
-def compose_coresets(partition: PartitionedDataset, per_part_global: list[list[int]]) -> list[int]:
+def compose_coresets(parts: list[list[int]], per_part_global: list[list[int]]) -> list[int]:
     """Union of per-part coreset indices (already global). Parts are
     disjoint, so sizes add up."""
-    if len(per_part_global) != len(partition.parts):
+    if len(per_part_global) != len(parts):
         raise PreconditionError("need exactly one coreset per part")
     union: list[int] = []
-    for part, chosen in zip(partition.parts, per_part_global):
+    for part, chosen in zip(parts, per_part_global):
         part_set = set(part)
         for i in chosen:
             if i not in part_set:
@@ -227,13 +219,7 @@ def brute_force_diversity(
         if values[top] > best_value:
             best_value, best = float(values[top]), members[top].tolist()
     assert best is not None
-    return DiversitySolution(
-        indices=[cand[p] for p in best],
-        value=best_value,
-        objective=objective.value,
-        algorithm="brute-force",
-        seed=None,
-    )
+    return DiversitySolution(indices=[cand[p] for p in best], value=best_value, algorithm="brute-force")
 
 
 def run_pipeline(
@@ -260,7 +246,7 @@ def run_pipeline(
     t0 = time.perf_counter()
     coresets: list[Coreset] = []
     per_part_global: list[list[int]] = []
-    for part_id, part in enumerate(partition.parts):
+    for part_id, part in enumerate(partition):
         core, global_idx = build_part_coreset(ps, part, objective, k, cfg.epsilon, part_id)
         coresets.append(core)
         per_part_global.append(global_idx)

@@ -27,8 +27,6 @@ from .gmm import gmm, voronoi_partition
 from .matching import same_cell_pairs
 from .metric import PointSet, _cell_grid
 
-PF_BLOCKS = ("P", "S", "T", "U", "Y")
-
 
 @dataclass(frozen=True)
 class Coreset:
@@ -148,7 +146,7 @@ def _separated_sets(ps: PointSet, k: int, epsilon: float, radius: float) -> StPa
         t = np.flatnonzero(far)[:k].tolist()
         if len(t) < k:
             raise InternalInvariantError("far-point pool shrank below k in dense branch")
-        return StPair(sorted(s), sorted(t), _cross_separation(ps, s, t), "dense")
+        return StPair(sorted(s), sorted(t), float(_nearest_in(ps, s)[t].min()), "dense")
 
     # Peeling branch.
     growth_cap = float(k) ** epsilon
@@ -178,9 +176,7 @@ def _separated_sets(ps: PointSet, k: int, epsilon: float, radius: float) -> StPa
         alive[shell] = False
         peeled.extend(shell.tolist())
     s = peeled[:k]
-    # Distances are bitwise symmetric, so S's rows give its columns; min is
-    # exact, so the nearest at T is the cross separation.
-    nearest = np.min([ps.distances_from(i) for i in s], axis=0)
+    nearest = _nearest_in(ps, s)
     far = nearest >= r_sep
     far[s] = False
     t = np.flatnonzero(far)[:k].tolist()
@@ -214,8 +210,15 @@ def _first_dense(ps: PointSet, k: int, half: float) -> int | None:
     return best
 
 
-def _cross_separation(ps: PointSet, s: list[int], t: list[int]) -> float:
-    return min(float(ps.distances_from(i)[t].min()) for i in s)
+def _nearest_in(ps: PointSet, s: list[int]) -> np.ndarray:
+    """Each point's least distance to a point of `s`, as a running minimum
+    over their rows, one row at a time. Distances are bitwise symmetric, so
+    S's rows give its columns; min is exact, so the least entry at T is the
+    cross separation."""
+    nearest = ps.distances_from(s[0])
+    for i in s[1:]:
+        np.minimum(nearest, ps.distances_from(i), out=nearest)
+    return nearest
 
 
 def pf_coreset(ps: PointSet, k: int, epsilon: float, gmm_start: int = 0, part_id: int = 0) -> Coreset:

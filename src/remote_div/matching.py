@@ -34,11 +34,9 @@ class MatchingOfflineTrace:
     """The winning trial of `mwm_offline`. `==` is identity."""
 
     gmm: GmmResult
-    cell_of: np.ndarray
     z_subset: list[int]
     w_set: list[int]
     chosen: str  # "Y" or "W"
-    value: float
     trial: int
 
 
@@ -113,20 +111,6 @@ def mwm_offline(
     else:
         chosen, chosen_set, value = "W", best_w, best_value
 
-    trace = MatchingOfflineTrace(
-        gmm=g,
-        cell_of=cell_of,
-        z_subset=best_z,
-        w_set=best_w,
-        chosen=chosen,
-        value=value,
-        trial=best_trial,
-    )
-    solution = DiversitySolution(
-        indices=chosen_set,
-        value=value,
-        objective="matching",
-        algorithm="mwm-offline",
-        seed=cfg.seed,
-    )
+    trace = MatchingOfflineTrace(gmm=g, z_subset=best_z, w_set=best_w, chosen=chosen, trial=best_trial)
+    solution = DiversitySolution(indices=chosen_set, value=value, algorithm="mwm-offline")
     return solution, trace

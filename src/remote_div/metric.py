@@ -19,12 +19,14 @@ of its rows i != j, arr[i, j] plus row j's least off-diagonal entry comes
 within the tolerance of row i's largest entry: such a pivot cannot violate.
 In high dimensions, where distances concentrate, that is almost every pivot.
 A matrix-csv file is streamed: `np.loadtxt` reads an open file a line at
-a time (a document through a buffer over its bytes), as ASCII with no
-comments. A file it cannot take as a square matrix, any with a '#' or a
-non-ASCII byte among them, is read again whole and parsed line by line,
-which names the offending line. Only json and csv input is decoded as a
-whole. An open file, binary or text, is read with the line ends a
-text-mode read gives.
+a time (a document, or a pipe read once, through a buffer over its
+bytes), as ASCII with no comments. A file it cannot take as a square
+matrix, any with a '#' or a non-ASCII byte among them, is read again
+whole and parsed by csv's line parser, which names the offending line.
+Only json and csv input is decoded as a whole. Every source, a str or
+bytes document or an open file, binary or text, is read as UTF-8 text
+with the line ends a text-mode read gives, so the same bytes load alike
+from each.
 Every Euclidean distance, single, in a row or in a block, comes from one
 kernel (`_euclidean`), so the same pair always gets the same bits; the
 kernel is bitwise symmetric, so a column read equals a row read.
@@ -446,54 +448,37 @@ FORMATS = ("json", "csv", "matrix-csv")
 def load_pointset(source: str | bytes | IO, format: str) -> PointSet:
     """Parse and validate a point file, given as a document or as an open
     file, binary or text. See module docstring for grammars."""
-    if format == "matrix-csv":
-        return PointSet.from_matrix(_parse_matrix_csv(source), copy=False)
     if format not in FORMATS:
         raise PreconditionError(f"unknown format {format!r}; expected one of {FORMATS}")
-    text = _utf8(source if isinstance(source, (str, bytes)) else _read_whole(source))
-    return _load_json(text) if format == "json" else _load_csv(text)
-
-
-def _read_whole(file: IO) -> str | bytes:
-    """The rest of an open file, with \\r\\n and lone \\r line ends turned
-    into \\n, as a text-mode read gives them."""
     try:
-        data = file.read()
-    except UnicodeDecodeError as exc:  # a text-mode file's own decoding
+        parsed = _parse_matrix_csv(source) if format == "matrix-csv" else _text(source)
+    except UnicodeDecodeError as exc:  # from a decode or a text-mode read
         raise PreconditionError(f"point file is not UTF-8: {exc}") from exc
-    cr, lf = ("\r", "\n") if isinstance(data, str) else (b"\r", b"\n")
-    if cr in data:
-        data = data.replace(cr + lf, lf).replace(cr, lf)
-    return data
+    if format == "matrix-csv":
+        return PointSet.from_matrix(parsed, copy=False)
+    return _load_json(parsed) if format == "json" else _load_csv(parsed)
 
 
-def _utf8(document: str | bytes) -> str:
-    if isinstance(document, str):
-        return document
-    try:
-        return document.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise PreconditionError(f"point file is not UTF-8: {exc}") from exc
+def _text(source: str | bytes | IO) -> str:
+    """A document, or the rest of an open file, as UTF-8 text with \\r\\n
+    and lone \\r line ends turned into \\n, as a text-mode read gives them."""
+    data = source if isinstance(source, (str, bytes)) else source.read()
+    text = data.decode("utf-8") if isinstance(data, bytes) else data
+    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
 
 
 def dump_pointset(ps: PointSet, format: str) -> str:
     """Serialize so that load_pointset(dump_pointset(ps)) preserves distances."""
+    if format not in FORMATS:
+        raise PreconditionError(f"unknown format {format!r}; expected one of {FORMATS}")
+    if format != "matrix-csv" and ps.kind != "euclidean":
+        raise PreconditionError(f"{format} format stores coordinates; point set has none")
     if format == "json":
-        if ps.kind != "euclidean":
-            raise PreconditionError("json format stores coordinates; point set has none")
-        points = [[float(v) for v in row] for row in ps.coords]
-        return json.dumps({"dim": ps.dim, "points": points})
-    if format == "csv":
-        if ps.kind != "euclidean":
-            raise PreconditionError("csv format stores coordinates; point set has none")
-        lines = [f"# dim={ps.dim}"]
-        lines.extend(",".join(repr(float(v)) for v in row) for row in ps.coords)
-        return "\n".join(lines) + "\n"
-    if format == "matrix-csv":
-        dmat = ps.distance_matrix()
-        lines = [",".join(repr(float(v)) for v in row) for row in dmat]
-        return "\n".join(lines) + "\n"
-    raise PreconditionError(f"unknown format {format!r}; expected one of {FORMATS}")
+        return json.dumps({"dim": ps.dim, "points": ps.coords.tolist()})
+    lines = [f"# dim={ps.dim}"] if format == "csv" else []
+    rows = ps.coords if format == "csv" else ps.distance_matrix()
+    lines.extend(",".join(map(repr, row.tolist())) for row in rows)
+    return "\n".join(lines) + "\n"
 
 
 def _load_json(text: str) -> PointSet:
@@ -515,16 +500,19 @@ def _load_json(text: str) -> PointSet:
     return PointSet.from_coords(arr)
 
 
-def _load_csv(text: str) -> PointSet:
-    declared_dim = None
-    rows = []
+def _csv_rows(text: str, format: str) -> tuple[list[list[float]], dict[int, int], int | None]:
+    """The rows of a csv or matrix-csv text, the line on which each row
+    width first occurs, and, for csv, the dimension its last `# dim=` line
+    declares. Blank lines and other '#' lines are skipped; an unreadable
+    field or csv dimension is a PreconditionError that names its line."""
+    rows, widths, declared_dim = [], {}, None
     for lineno, raw in enumerate(io.StringIO(text), start=1):
         line = raw.strip()
         if not line:
             continue
         if line.startswith("#"):
             stripped = line.lstrip("#").strip()
-            if stripped.startswith("dim="):
+            if format == "csv" and stripped.startswith("dim="):
                 try:
                     declared_dim = int(stripped[4:])
                 except ValueError as exc:
@@ -533,10 +521,15 @@ def _load_csv(text: str) -> PointSet:
         try:
             rows.append([float(fieldval) for fieldval in line.split(",")])
         except ValueError as exc:
-            raise PreconditionError(f"csv line {lineno}: {exc}") from exc
+            raise PreconditionError(f"{format} line {lineno}: {exc}") from exc
+        widths.setdefault(len(rows[-1]), lineno)
+    return rows, widths, declared_dim
+
+
+def _load_csv(text: str) -> PointSet:
+    rows, widths, declared_dim = _csv_rows(text, "csv")
     if not rows:
         raise PreconditionError("csv point file contains no points")
-    widths = {len(r) for r in rows}
     if len(widths) != 1:
         raise PreconditionError(f"csv rows have inconsistent field counts: {sorted(widths)}")
     if declared_dim is not None and declared_dim != len(rows[0]):
@@ -548,11 +541,11 @@ def _parse_matrix_csv(source: str | bytes | IO) -> np.ndarray:
     """The matrix a matrix-csv document or open file holds.
     `np.loadtxt` streams it as ASCII with no comments, converting every
     field as `float()` does. Whatever it rejects or cannot take as a square
-    matrix (a '#', a non-ASCII byte, a line of spaces, a \\r inside a line)
-    is read whole and parsed again line by line, to give that parser's
-    result or message."""
+    matrix (a '#', a non-ASCII byte, a line of spaces, a lone \\r line end)
+    is read whole as text and parsed again line by line, to give that
+    parser's result or message."""
     if not isinstance(source, (str, bytes)) and not source.seekable():
-        source = _read_whole(source)  # a pipe cannot be read twice
+        source = source.read()  # a pipe cannot be read twice
     if isinstance(source, str):
         # Any non-ASCII character stays non-ASCII, a lone surrogate too, so
         # the ASCII parse rejects it.
@@ -572,27 +565,19 @@ def _parse_matrix_csv(source: str | bytes | IO) -> np.ndarray:
             return arr
     if stream is source:
         source.seek(start)
-        source = _read_whole(source)
-    return _parse_matrix_csv_lines(_utf8(source))
+    return _parse_matrix_csv_lines(_text(source))
 
 
 def _parse_matrix_csv_lines(text: str) -> np.ndarray:
-    rows = {}  # line number -> values
-    for lineno, raw in enumerate(io.StringIO(text), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        try:
-            rows[lineno] = [float(fieldval) for fieldval in line.split(",")]
-        except ValueError as exc:
-            raise PreconditionError(f"matrix-csv line {lineno}: {exc}") from exc
+    rows, widths, _declared_dim = _csv_rows(text, "matrix-csv")
     if not rows:
         raise PreconditionError("matrix-csv file contains no rows")
     n = len(rows)
-    for lineno, row in rows.items():
-        if len(row) != n:
-            raise PreconditionError(f"matrix-csv must be square; got {n} rows, but line {lineno} has {len(row)} fields")
-    return np.asarray(list(rows.values()), dtype=np.float64)
+    odd = sorted((lineno, width) for width, lineno in widths.items() if width != n)
+    if odd:
+        lineno, width = odd[0]
+        raise PreconditionError(f"matrix-csv must be square; got {n} rows, but line {lineno} has {width} fields")
+    return np.asarray(rows, dtype=np.float64)
 
 
 def _float_array(values, message: str) -> np.ndarray:

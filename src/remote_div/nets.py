@@ -239,12 +239,4 @@ def pf_offline(ps: PointSet, k: int, root: int = 0) -> tuple[DiversitySolution, 
     points = sorted(p for _lvl, p in nodes)
     if len(set(points)) != k:
         raise InternalInvariantError("antichain nodes must map to distinct points")
-    value = pf_cost(ps, points).value
-    solution = DiversitySolution(
-        indices=points,
-        value=value,
-        objective="pseudoforest",
-        algorithm="nets",
-        seed=None,
-    )
-    return solution, tree
+    return DiversitySolution(indices=points, value=pf_cost(ps, points).value, algorithm="nets"), tree

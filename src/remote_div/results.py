@@ -10,6 +10,4 @@ class DiversitySolution:
 
     indices: list[int]
     value: float
-    objective: str
     algorithm: str
-    seed: int | None = None

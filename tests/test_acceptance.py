@@ -109,7 +109,7 @@ def test_criterion_4_matching_coreset_composability():
         ratio = report.ratio
         worst = min(worst, ratio)
         assert ratio >= 1.0 / 10.0, f"trial {i}: ratio {ratio} below 1/10"
-        part_sizes = [len(p) for p in split_dataset(ps, m, strategy, cfg.seed).parts]
+        part_sizes = [len(p) for p in split_dataset(ps, m, strategy, cfg.seed)]
         for size, passthrough, part_size in zip(
             report.coreset_sizes, report.passthrough_flags, part_sizes
         ):

@@ -25,13 +25,13 @@ from remote_div.composition import build_part_coreset
 def test_split_round_robin():
     ps = random_euclidean(1, 6)
     part = split_dataset(ps, 2, "round_robin")
-    assert part.parts == [[0, 2, 4], [1, 3, 5]]
+    assert part == [[0, 2, 4], [1, 3, 5]]
 
 
 def test_split_single_part():
     ps = random_euclidean(1, 5)
     part = split_dataset(ps, 1, "round_robin")
-    assert part.parts == [[0, 1, 2, 3, 4]]
+    assert part == [[0, 1, 2, 3, 4]]
 
 
 def test_split_random_reproducible():
@@ -39,17 +39,17 @@ def test_split_random_reproducible():
     a = split_dataset(ps, 3, "random", seed=5)
     b = split_dataset(ps, 3, "random", seed=5)
     c = split_dataset(ps, 3, "random", seed=6)
-    assert a.parts == b.parts
-    assert a.parts != c.parts
-    flat = sorted(i for p in a.parts for i in p)
+    assert a == b
+    assert a != c
+    flat = sorted(i for p in a for i in p)
     assert flat == list(range(17))
-    assert all(p for p in a.parts)
+    assert all(p for p in a)
 
 
 def test_split_file_strategy_validates():
     ps = random_euclidean(3, 4)
     ok = split_dataset(ps, 2, "file", parts=[[0, 3], [1, 2]])
-    assert ok.parts == [[0, 3], [1, 2]]
+    assert ok == [[0, 3], [1, 2]]
     with pytest.raises(PreconditionError):
         split_dataset(ps, 2, "file", parts=[[0, 1], [1, 2, 3]])
     with pytest.raises(PreconditionError):
@@ -60,7 +60,7 @@ def test_split_file_parts_must_be_integers():
     ps = random_euclidean(3, 6)
     with pytest.raises(PreconditionError, match="not an integer"):
         split_dataset(ps, 2, "file", parts=[[0.5, 1, 2], [3, 4, 5]])
-    assert split_dataset(ps, 2, "file", parts=[[0.0, 1, 2], [3, 4, 5]]).parts == [[0, 1, 2], [3, 4, 5]]
+    assert split_dataset(ps, 2, "file", parts=[[0.0, 1, 2], [3, 4, 5]]) == [[0, 1, 2], [3, 4, 5]]
 
 
 def test_split_rejects_m_above_n():
@@ -73,7 +73,7 @@ def test_compose_passthrough_union_is_everything():
     ps = random_euclidean(5, 10)
     partition = split_dataset(ps, 2, "round_robin")
     cores = []
-    for pid, part in enumerate(partition.parts):
+    for pid, part in enumerate(partition):
         core, global_idx = build_part_coreset(ps, part, Objective.REMOTE_MATCHING, 2, 1.0, pid)
         assert core.passthrough  # parts of size 5 <= 3k = 6
         cores.append(global_idx)
@@ -86,7 +86,7 @@ def test_compose_sizes_add_up():
     partition = split_dataset(ps, 2, "round_robin")
     globals_ = []
     total = 0
-    for pid, part in enumerate(partition.parts):
+    for pid, part in enumerate(partition):
         core, global_idx = build_part_coreset(ps, part, Objective.REMOTE_MATCHING, 2, 1.0, pid)
         globals_.append(global_idx)
         total += len(global_idx)

@@ -164,6 +164,23 @@ def test_find_st_peel_branch_multipoint_shells():
     _assert_st_contract(ps, k, eps, radius, pair)
 
 
+def test_find_st_peel_branch_keeps_no_k_by_n_stack():
+    # T is read off the least distance to S, a running minimum over S's rows
+    # that holds one of them at a time, never all k.
+    k, eps = 32, 0.5
+    ps = uniform_like_matrix(7, 1500)
+    _x, radius = k_outlier_radius(ps, k)
+    tracemalloc.start()
+    try:
+        pair = find_separated_sets(ps, k, eps, radius)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert pair.branch == "peel"
+    _assert_st_contract(ps, k, eps, radius, pair)
+    assert peak < k * ps.n * 8 / 2
+
+
 def test_find_st_uniform_grid_at_exact_threshold():
     from remote_div.generators import make_grid
 

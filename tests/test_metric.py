@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import contextlib
 import io
 import os
 import re
@@ -325,14 +326,12 @@ def test_matrix_csv_parse_agrees_with_the_line_parser(text):
     # Whatever np.loadtxt would take differently (a comment after a field,
     # a lone \r, a line of spaces, a ragged or non-square file) must end
     # in the line parser's result or message, as must a non-ASCII text
-    # ("\xa0", "\u0661"). An open file is read with the line ends a
+    # ("\xa0", "\u0661"). Every source is read with the line ends a
     # text-mode read gives, so it must agree with the line parser there.
-    expected = _parsed_or_error(metric._parse_matrix_csv_lines, text)
-    for data in (text, text.encode()):
-        assert _parsed_or_error(metric._parse_matrix_csv, data) == expected
     text_mode = text.replace("\r\n", "\n").replace("\r", "\n")
     expected = _parsed_or_error(metric._parse_matrix_csv_lines, text_mode)
-    assert _parsed_or_error(metric._parse_matrix_csv, io.BytesIO(text.encode())) == expected
+    for data in (text, text.encode(), io.BytesIO(text.encode())):
+        assert _parsed_or_error(metric._parse_matrix_csv, data) == expected
 
 
 def test_matrix_csv_from_a_pipe_is_read_once():
@@ -345,34 +344,70 @@ def test_matrix_csv_from_a_pipe_is_read_once():
         assert load_pointset(pipe, "matrix-csv").distance(0, 1) == 1.0
 
 
+# Per format, documents as lines: good ones, then one with an error.
 _DOCUMENTS = {
-    "json": '{"dim": 2, "points": [[0.0, 0.0], [3.0, 4.0], [1.5, -2.0]]}\r\n',
-    "csv": "# dim=2\r\n0.0,0.0\r\n3.0,4.0\r\n1.5,-2.0\r\n",
-    "matrix-csv": "# a comment sends the file to the line parser\r\n0,5,1\r\n5,0,4.5\r\n1,4.5,0\r\n",
+    "json": [
+        ['{"dim": 2,', ' "points": [[0.0, 0.0], [3.0, 4.0], [1.5, -2.0]]}'],
+        ['{"dim": 2,', ' "points": [[0.0, 0.0],', " [3.0, x]]}"],
+    ],
+    "csv": [
+        ["# dim=2", "0.0,0.0", "3.0,4.0", "1.5,-2.0"],
+        ["# dim=2", "0.0,0.0", "3.0,x"],
+    ],
+    "matrix-csv": [
+        ["0,5,1", "5,0,4.5", "1,4.5,0"],
+        ["# a comment sends the file to the line parser", "0,5,1", "5,0,4.5", "1,4.5,0"],
+        ["# c", "0,5,1", "5,0", "1,4.5,0"],
+    ],
 }
 
 
-@pytest.mark.parametrize("seekable", [True, False], ids=["file", "pipe"])
-@pytest.mark.parametrize("mode", ["rb", "r"])
-@pytest.mark.parametrize("fmt", sorted(_DOCUMENTS))
-def test_every_format_loads_from_a_binary_or_text_file(tmp_path, fmt, mode, seekable):
-    path = tmp_path / "points"
-    path.write_bytes(_DOCUMENTS[fmt].encode())
-    encoding = None if mode == "rb" else "utf-8"
-    if seekable:
-        file = open(path, mode, encoding=encoding)
+def _loaded(tmp_path, data: bytes, fmt: str, source: str):
+    """The kind, size and distance bits of `data` loaded from `source` (a
+    str or bytes document, or a file or pipe opened "rb" or "r"), or the
+    message it is refused with."""
+    if source in ("str", "bytes"):
+        opened = contextlib.nullcontext(data.decode() if source == "str" else data)
     else:
-        read, write = os.pipe()
-        os.write(write, path.read_bytes())
-        os.close(write)
-        file = os.fdopen(read, mode, encoding=encoding)
-    with file:
-        assert file.seekable() is seekable
-        ps = load_pointset(file, fmt)
-    with open(path, "rb") as binary:
-        expected = load_pointset(binary, fmt)
-    assert (ps.kind, ps.n) == (expected.kind, expected.n) == ("matrix" if fmt == "matrix-csv" else "euclidean", 3)
-    assert ps.distance_matrix().tobytes() == expected.distance_matrix().tobytes()
+        mode, _, kind = source.partition("-")
+        encoding = "utf-8" if mode == "r" else None
+        if kind == "file":
+            path = tmp_path / "points"
+            path.write_bytes(data)
+            opened = open(path, mode, encoding=encoding)
+        else:
+            read, write = os.pipe()
+            os.write(write, data)
+            os.close(write)
+            opened = os.fdopen(read, mode, encoding=encoding)
+        assert opened.seekable() is (kind == "file")
+    with opened as document_or_file:
+        try:
+            ps = load_pointset(document_or_file, fmt)
+        except PreconditionError as exc:
+            return str(exc)
+    return ps.kind, ps.n, ps.distance_matrix().tobytes()
+
+
+@pytest.mark.parametrize("source", ["rb-file", "rb-pipe", "r-file", "r-pipe", "str", "bytes"])
+@pytest.mark.parametrize("fmt", sorted(_DOCUMENTS))
+def test_every_format_loads_from_a_binary_or_text_file(tmp_path, fmt, source):
+    # The same bytes give the same distances or the same message from every
+    # source, with \n, \r\n or lone \r line ends alike.
+    *good, bad = _DOCUMENTS[fmt]
+    kind = "matrix" if fmt == "matrix-csv" else "euclidean"
+    for lines in [*good, bad]:
+        outcomes = set()
+        for newline in ("\n", "\r\n", "\r"):
+            data = (newline.join(lines) + newline).encode()
+            outcome = _loaded(tmp_path, data, fmt, source)
+            assert outcome == _loaded(tmp_path, data, fmt, "rb-file"), (lines, newline)
+            outcomes.add(outcome)
+        (outcome,) = outcomes
+        if lines is bad:
+            assert isinstance(outcome, str)
+        else:
+            assert outcome[:2] == (kind, 3)
 
 
 @pytest.mark.parametrize("fmt", sorted(_DOCUMENTS))

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import ast
 import importlib
+from pathlib import Path
 
 import pytest
 
@@ -41,3 +43,42 @@ def test_gmm_stays_the_function_after_submodule_imports():
     # binds the package attribute to the module unless the function is
     # bound first.
     assert run_fresh(_GMM_AFTER_SUBMODULES).split() == ["True", "True"]
+
+
+_ROOT = Path(__file__).resolve().parents[1]
+
+
+def _module_level_names(tree: ast.Module):
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                yield from (name.id for name in ast.walk(target) if isinstance(name, ast.Name))
+
+
+def _names_read(tree: ast.Module, strings: bool):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name.rpartition(".")[2]
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield node.value
+
+
+def test_every_module_level_name_in_src_is_read_somewhere():
+    # A name, an attribute or an import reads a name. Tests and the
+    # benchmark also look names up by string, so their strings count; the
+    # strings in src are not reads: the export table only lists names.
+    defined, read = {}, set()
+    for folder in ("src", "tests", "bench"):
+        for path in sorted((_ROOT / folder).rglob("*.py")):
+            tree = ast.parse(path.read_text(), str(path))
+            read.update(_names_read(tree, strings=folder != "src"))
+            if folder == "src":
+                defined.update((name, path.name) for name in _module_level_names(tree))
+    dead = sorted(f"{module}: {name}" for name, module in defined.items() if name not in read and not name.startswith("__"))
+    assert dead == []

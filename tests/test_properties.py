@@ -118,7 +118,7 @@ def test_file_parts_compose_like_the_strategy_that_made_them(n, k, m, strategy, 
     ps = PointSet.from_coords(stream_rng(seed, 0).integers(0, 20, (n, 2)) / 8.0)
     cfg = RunConfig(k=k, epsilon=1.0, seed=seed, objective=objective)
     made = run_pipeline(ps, cfg, m, strategy).to_dict()
-    parts = split_dataset(ps, m, strategy, seed).parts
+    parts = split_dataset(ps, m, strategy, seed)
     given_parts = run_pipeline(ps, cfg, m, "file", parts=parts).to_dict()
     for key in ("strategy", "seed", "elapsed"):
         del made[key], given_parts[key]

@@ -116,7 +116,7 @@ def test_random_split_is_the_numpy_permutation(n):
     m = min(n, 3)
     perm = stream_rng(9, SPLIT_STREAM).permutation(n)
     expected = [sorted(int(perm[i]) for i in range(j, n, m)) for j in range(m)]
-    assert split_dataset(ps, m, "random", seed=9).parts == expected
+    assert split_dataset(ps, m, "random", seed=9) == expected
 
 
 def test_generators_draw_the_numpy_uniforms():
