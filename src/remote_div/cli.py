@@ -26,6 +26,9 @@ from .metric import FORMATS, Objective, PointSet, RunConfig, dump_pointset, load
 # command loads only its own modules.
 
 SCHEMA_VERSION = 1
+# The `gen --kind` choices, one per `generators.make_*`; held here so that
+# building the parser imports neither `generators` nor `rng`.
+KINDS = ("uniform_cube", "clusters", "grid", "line")
 TIMING_KEYS = ("timings", "elapsed")
 
 
@@ -127,8 +130,6 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    from .generators import KINDS
-
     parser = _Parser(prog="remote-div", description=__doc__)
     parser.add_argument("--version", action="version", version=f"remote-div {__version__}")
     parser.add_argument("--schema", action="store_true", help="print the report JSON schema and exit")

@@ -202,15 +202,14 @@ def brute_force_diversity(
 
     dmat = ps.restrict(cand).distance_matrix()
     if objective is Objective.REMOTE_MATCHING:
-        def evaluate(dmat, members):
-            return costs.matching_tables(dmat, members)[:, -1]
-        entries = 1 << k  # the DP table; at least the k*k distances
+        evaluate = costs.matching_weights
+        entries = 1 << k
     else:
         evaluate = costs.pf_sum
         entries = k * k
 
-    # Score subsets in blocks whose DP tables stay within BLOCK_ENTRIES
-    # floats. Blocks come in rank order and argmax takes a block's first
+    # Score subsets in blocks of BLOCK_ENTRIES // entries rows, which bounds
+    # each block's temporaries. Blocks come in rank order and argmax takes a block's first
     # maximum, so the first strict improvement is the lowest-rank optimum.
     best_value, best = -math.inf, None
     for members in _subset_blocks(m, k, max(1, BLOCK_ENTRIES // entries)):

@@ -1,7 +1,9 @@
 """Exact evaluators for the three subset cost functions.
 
-* minimum-weight perfect matching, via a bitmask dynamic program that numpy
-  fills one strided view per pair of points, for a batch of subsets at once,
+* minimum-weight perfect matching, via a bitmask dynamic program over the
+  F(s+1) masks (a Fibonacci number) that pairing each mask's lowest point
+  reaches from the whole set of s points, filled one layer of equal size at
+  a time for a batch of subsets at once,
 * minimum spanning tree, via a dense Prim scan,
 * pseudoforest cost (sum of nearest-neighbor distances), batched likewise,
 
@@ -9,23 +11,26 @@ plus threshold-graph components and the dyadic component sum that
 brackets the MST cost, both read off one MST: `threshold_labels` merges
 its edges in order of weight to label the components at every radius of
 an ascending list. Each cost has one evaluator over distances
-(`matching_tables`, `mst_value_and_edges`, `pf_sum`), shared by the subset
-reports and the brute-force search. The two batched ones take a square
-distance matrix `dmat` and a (B, s) array `members` of row indices into
-it, one subset per row, and read each pair of positions for the whole
-batch with one `take` from the flattened matrix; a subset report passes
-its own s-by-s matrix and the single row `arange(s)`, the brute-force
-search its candidates' matrix and a block of subsets. All evaluators are
-pure functions over an immutable point set and an index subset; they read
-the subset's distances through `ps.restrict(subset)`, never through the
-whole dataset's matrix, and each returns a `SubsetCostReport` with its
-witness: the matching's pairs, whose right-nested sum is exactly the value,
-the MST's edges, or each member's nearest other member, whose distances
-summed left to right are exactly the value.
+(`matching_weights`, `mst_value_and_edges`, `pf_sum`), shared by the subset
+reports and the brute-force search. `matching_tables` fills the matching
+DP over every mask instead; only `hst`, which reads every even sub-mask,
+uses it. The batched evaluators take a square distance matrix `dmat` and
+a (B, s) array `members` of row indices into it, one subset per row, and
+read the distances they need for the whole batch with one `take` from the
+flattened matrix per step; a subset report passes its own s-by-s matrix
+and the single row `arange(s)`, the brute-force search its candidates'
+matrix and a block of subsets. All evaluators are pure functions over an
+immutable point set and an index subset; they read the subset's distances
+through `ps.restrict(subset)`, never through the whole dataset's matrix,
+and each returns a `SubsetCostReport` with its witness: the matching's
+pairs, whose right-nested sum is exactly the value, the MST's edges, or
+each member's nearest other member, whose distances summed left to right
+are exactly the value.
 """
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 from dataclasses import dataclass
 
@@ -85,10 +90,13 @@ def _as_subset(subset, n: int) -> list[int]:
 # ---------------------------------------------------------------------------
 
 def matching_tables(dmat: np.ndarray, members: np.ndarray) -> np.ndarray:
-    """Batched DP over vertex masks: for a (B, s) array `members` of row
-    indices into the square matrix `dmat`, tables[b, mask] = min
+    """Batched DP over every vertex mask: for a (B, s) array `members` of
+    row indices into the square matrix `dmat`, tables[b, mask] = min
     perfect-matching weight of the points members[b, p] over the bits p set
-    in `mask`. Odd-popcount masks stay at +inf.
+    in `mask`. Odd-popcount masks stay at +inf. Only
+    `hst.verify_random_subset_bound` reads more than the whole set's entry;
+    `matching_weights` gives that entry alone from a small fraction of the
+    masks.
 
     Each mask pairs its lowest point i with every other point j of the mask:
     the candidate is d[i, j] + table[mask without i and j]. Filling masks by
@@ -114,26 +122,88 @@ def matching_tables(dmat: np.ndarray, members: np.ndarray) -> np.ndarray:
     return tables.T
 
 
-def _matching_witness(d: np.ndarray, table: np.ndarray) -> list[tuple[int, int]]:
-    """Recover one optimal pairing (local indices) by replaying the DP."""
-    s = d.shape[0]
-    mask = (1 << s) - 1
-    pairs = []
-    while mask:
-        i = (mask & -mask).bit_length() - 1
-        rest = mask ^ (1 << i)
-        sub = rest
-        chosen = -1
-        while sub:
-            j = (sub & -sub).bit_length() - 1
-            sub ^= 1 << j
-            if d[i, j] + table[rest ^ (1 << j)] == table[mask]:
-                chosen = j
+@functools.lru_cache(maxsize=None)
+def _matching_plan(s: int) -> tuple:
+    """The masks that the recursion from the whole set of s points reaches,
+    layer by layer from the pairs up to the whole set: each mask R pairs its
+    lowest point i with every other point j of R, so R reaches R without i
+    and j. There are F(s+1) of them over all layers, a Fibonacci number.
+
+    A layer is (first, second, child, starts): its candidates (i, j, the
+    position of R without i and j in the layer below), grouped by state in
+    ascending j, and the offset of each state's group, each in the smallest
+    unsigned dtype that holds it; the whole set is the top layer's state 0
+    and the empty set the bottom layer's. Built over Python ints, once per
+    process per even s.
+    """
+    masks, layers = [(1 << s) - 1], []
+    for _ in range(s // 2):
+        first, second, child, starts, below = [], [], [], [], {}
+        for mask in masks:
+            starts.append(len(first))
+            i = (mask & -mask).bit_length() - 1
+            rest = sub = mask ^ (1 << i)
+            while sub:
+                bit = sub & -sub
+                sub ^= bit
+                first.append(i)
+                second.append(bit.bit_length() - 1)
+                child.append(below.setdefault(rest ^ bit, len(below)))
+        layers.append(tuple(np.array(a, dtype=np.min_scalar_type(max(a))) for a in (first, second, child, starts)))
+        masks = list(below)
+    return tuple(reversed(layers))
+
+
+def _matching_layers(dmat: np.ndarray, members: np.ndarray):
+    """Yield, from the empty set up to the whole set, the (B, states) min
+    perfect-matching weights of the masks `_matching_plan` reaches, for a
+    (B, s) array `members` of row indices into the square matrix `dmat`.
+
+    Each reachable mask takes min over j of d[i, j] + f(R without i and j),
+    the float addition and the exact min of `matching_tables`, so every
+    value is that table's entry bit for bit. A layer reads its candidates'
+    distances for the whole batch with one `take` from the flattened `dmat`.
+    """
+    flat, n = dmat.ravel(), dmat.shape[1]
+    values = np.zeros((members.shape[0], 1))
+    yield values
+    for first, second, child, starts in _matching_plan(members.shape[1]):
+        at = members[:, first]
+        at *= n
+        at += members[:, second]
+        candidates = flat.take(at)
+        candidates += values[:, child]
+        values = np.minimum.reduceat(candidates, starts, axis=1)
+        yield values
+
+
+def matching_weights(dmat: np.ndarray, members: np.ndarray) -> np.ndarray:
+    """Batched min perfect-matching weight: for a (B, s) array `members` of
+    row indices into the square matrix `dmat`, the weight of each row's
+    points; +inf for odd s, which has no perfect matching."""
+    if members.shape[1] % 2:
+        return np.full(members.shape[0], np.inf)
+    for values in _matching_layers(dmat, members):  # holds one layer at a time
+        pass
+    return values[:, 0]
+
+
+def _matching_witness(d: np.ndarray, layers: list[np.ndarray]) -> list[tuple[int, int]]:
+    """Recover one optimal pairing (local indices) by replaying the
+    recursion from the whole set: at each reached mask, the first j,
+    ascending, whose d[i, j] plus its remainder's weight gives the mask's."""
+    plan, state, pairs = _matching_plan(d.shape[0]), 0, []
+    for m in range(len(plan), 0, -1):
+        first, second, child, starts = plan[m - 1]
+        end = starts[state + 1] if state + 1 < len(starts) else len(first)
+        for c in range(starts[state], end):
+            i, j, rest = first[c], second[c], child[c]
+            if d[i, j] + layers[m - 1][0, rest] == layers[m][0, state]:
                 break
-        if chosen < 0:
+        else:
             raise InternalInvariantError("matching witness reconstruction failed")
-        pairs.append((i, chosen))
-        mask = rest ^ (1 << chosen)
+        pairs.append((int(i), int(j)))
+        state = int(rest)
     return pairs
 
 
@@ -141,7 +211,7 @@ def matching_value(rows) -> float:
     """Min perfect-matching weight of the points whose distance rows are given."""
     s = len(rows)
     dmat = np.asarray(rows, dtype=np.float64).reshape(s, s)
-    return float(matching_tables(dmat, np.arange(s)[None])[0, -1])
+    return float(matching_weights(dmat, np.arange(s)[None])[0])
 
 
 def mwm_exact(ps: PointSet, subset) -> SubsetCostReport:
@@ -160,11 +230,11 @@ def mwm_exact(ps: PointSet, subset) -> SubsetCostReport:
     if len(idx) == 0:
         return SubsetCostReport(idx, "mwm", 0.0, [])
     d = ps.restrict(idx).distance_matrix()
-    table = matching_tables(d, np.arange(len(idx))[None])[0]
+    layers = list(_matching_layers(d, np.arange(len(idx))[None]))
     # Pairs come lowest point first, in ascending order, over a sorted idx, so
     # the witness is sorted and its right-nested sum is exactly the value.
-    witness = [(idx[a], idx[b]) for a, b in _matching_witness(d, table)]
-    return SubsetCostReport(idx, "mwm", float(table[-1]), witness)
+    witness = [(idx[a], idx[b]) for a, b in _matching_witness(d, layers)]
+    return SubsetCostReport(idx, "mwm", float(layers[-1][0, 0]), witness)
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,6 @@ from .errors import PreconditionError
 from .metric import PointSet
 from .rng import uniforms
 
-KINDS = ("uniform_cube", "clusters", "grid", "line")
-
 
 def make_uniform_cube(n: int, dim: int, seed: int) -> PointSet:
     """n points drawn uniformly from the unit cube."""

@@ -21,12 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .costs import MATCHING_EXACT_CAP, mwm_exact
 from .errors import InternalInvariantError, PreconditionError
 from .gmm import GmmResult, gmm, voronoi_partition
 from .metric import PointSet, RunConfig
 from .results import DiversitySolution
-from .rng import uniforms
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,6 +82,11 @@ def mwm_offline(
     Returns the winning subset plus a trace of the winning trial. Ties in
     value favor the center set, then the earliest trial.
     """
+    # Imported here, not at module level: a pseudoforest coreset imports
+    # this module for `same_cell_pairs` alone.
+    from .costs import MATCHING_EXACT_CAP, mwm_exact
+    from .rng import uniforms
+
     n = ps.n
     if k % 2 != 0 or k < 2:
         raise PreconditionError(f"remote-matching needs an even k >= 2; got k={k}")

@@ -742,23 +742,45 @@ def test_each_command_imports_only_its_layers(tmp_path):
     # on each run, and each layer's tables add to peak memory, so a command
     # loads the modules it runs and no others.
     sets = json.loads(run_fresh(_IMPORT_BUDGET, str(tmp_path)))
-    parser = {"cli", "errors", "generators", "gmm", "metric", "rng"}  # generators: the --kind choices
+    parser = {"cli", "errors", "gmm", "metric"}
     solver = parser | {"costs", "results"}
-    coreset = solver | {"coresets", "matching"}
+    composed = solver | {"composition", "coresets", "matching", "rng"}
     expected = {
-        "gen": parser,
+        "gen": parser | {"generators", "rng"},
         "--version": parser,
         "--schema": parser,
-        "solve matching": solver | {"matching"},
+        "solve matching": solver | {"matching", "rng"},
         "solve pseudoforest": solver | {"nets"},
         "solve pseudoforest matrix-csv": solver | {"nets"},
-        "coreset pseudoforest": coreset,
-        "compose matching": coreset | {"composition"},
-        "compose pseudoforest": coreset | {"composition", "nets"},
-        "compose matching --oracle": coreset | {"composition"},
-        "eval matching": solver | {"composition"},
-        "eval pseudoforest": solver | {"composition"},
-        "verify": solver | {"hst", "matching"},
+        "coreset pseudoforest": parser | {"coresets", "matching", "results"},
+        "compose matching": composed,
+        "compose pseudoforest": composed | {"nets"},
+        "compose matching --oracle": composed,
+        "eval matching": solver | {"composition", "rng"},
+        "eval pseudoforest": solver | {"composition", "rng"},
+        "verify": solver | {"hst", "matching", "rng"},
         "load_pointset": {"errors", "gmm", "metric"},
     }
     assert {name: set(modules) for name, modules in sets.items()} == expected
+
+
+_PSEUDOFOREST_IMPORTS = r"""
+import contextlib, io, json, sys
+from remote_div.cli import main
+
+out, points = sys.argv[1] + "/report.json", sys.argv[1] + "/points.json"
+with open(points, "w") as file:
+    file.write(json.dumps({"points": [[float(i % 7), float(i // 7)] for i in range(40)]}))
+argv = [sys.argv[2], "--objective", "pseudoforest", "--k", "4", "--input", points, "--output", out]
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(argv) == 0, argv
+print(" ".join(m for m in ("costs", "generators", "rng") if "remote_div." + m in sys.modules))
+"""
+
+
+def test_pseudoforest_commands_skip_the_matching_and_generator_modules(tmp_path):
+    # Neither the parser's --kind choices nor the pair list a pf coreset
+    # reads from `matching` pulls in the generators, the Philox words or
+    # the exact evaluators.
+    assert run_fresh(_PSEUDOFOREST_IMPORTS, str(tmp_path), "coreset").split() == []
+    assert run_fresh(_PSEUDOFOREST_IMPORTS, str(tmp_path), "solve").split() == ["costs"]

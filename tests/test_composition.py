@@ -147,7 +147,7 @@ def test_brute_blocks_agree_with_a_per_subset_loop(monkeypatch, objective, k, or
     ps = line_pointset([5.0, 5.0, 5.0, 5.0, 0.0, 0.0, 20.0, 20.0])
     monkeypatch.setattr(composition, "BLOCK_ENTRIES", 96)
     sizes = []
-    for name in ("matching_tables", "pf_sum"):
+    for name in ("matching_weights", "pf_sum"):
         evaluate = getattr(costs, name)
         monkeypatch.setattr(
             costs, name, lambda dmat, members, evaluate=evaluate: sizes.append(len(members)) or evaluate(dmat, members)
@@ -186,6 +186,19 @@ def test_brute_matching_k6_on_22_points_peaks_below_4_mb():
     finally:
         tracemalloc.stop()
     assert peak < 4 * 2**20
+
+
+def test_brute_matching_k6_on_22_points_peaks_below_three_quarters_of_a_mib():
+    # A block of 1,024 subsets holds 13 reachable masks per subset, not a
+    # 2^6-entry table each.
+    ps = random_euclidean(41, 22)
+    tracemalloc.start()
+    try:
+        brute_force_diversity(ps, 6, Objective.REMOTE_MATCHING)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.75 * 2**20
 
 
 def test_brute_pseudoforest_k5_on_40_points_peaks_below_4_mb():

@@ -18,7 +18,8 @@ from remote_div import (
     pf_cost,
     threshold_components,
 )
-from remote_div.costs import MATCHING_EXACT_CAP, matching_tables, pf_sum, threshold_labels
+from remote_div import costs
+from remote_div.costs import MATCHING_EXACT_CAP, matching_tables, matching_weights, pf_sum, threshold_labels
 from remote_div.generators import make_grid
 from conftest import line_pointset, random_euclidean, random_matrix_metric
 from oracles import (
@@ -143,6 +144,35 @@ def test_matching_tables_equal_the_per_mask_dp_bit_for_bit(d):
         assert tables[b].tobytes() == np.array(matching_table(d[b].tolist())).tobytes()
 
 
+@given(distance_batches(st.integers(0, 14)))
+@example(random_euclidean(7, 16).distance_matrix()[None])
+@example(random_euclidean(7, 18).distance_matrix()[None])
+@example(random_euclidean(7, MATCHING_EXACT_CAP).distance_matrix()[None])
+@example(make_grid(16, 2).distance_matrix()[None])
+@example(PointSet.from_coords(np.repeat(stream_rng(5, 0).random((8, 2)), 2, axis=0)).distance_matrix()[None])
+@example(random_matrix_metric(21, 14).distance_matrix()[None])
+def test_matching_weights_equal_the_whole_set_table_entry_bit_for_bit(d):
+    # Odd sizes included: they have no perfect matching, and both give +inf.
+    dmat, members = block_diagonal(d)
+    weights = matching_weights(dmat, members)
+    assert weights.tobytes() == matching_tables(dmat, members)[:, -1].tobytes()
+    if d.shape[1] <= 16:  # the per-mask loop takes seconds above
+        assert weights.tobytes() == np.array([matching_table(m.tolist())[-1] for m in d]).tobytes()
+    if d.shape[1] % 2:
+        assert np.isinf(weights).all()
+
+
+def test_matching_plan_reaches_fibonacci_many_masks():
+    # A mask pairs its lowest point with one of the others, so a set of s
+    # points reaches F(s + 1) masks, the empty one included.
+    fib = [0, 1]
+    while len(fib) <= MATCHING_EXACT_CAP + 1:
+        fib.append(fib[-1] + fib[-2])
+    for s in range(0, MATCHING_EXACT_CAP + 1, 2):
+        assert 1 + sum(len(starts) for *_, starts in costs._matching_plan(s)) == fib[s + 1]
+    assert (fib[17], fib[21]) == (1597, 10946)
+
+
 @given(distance_batches(st.integers(2, 12)))
 @example(np.stack([random_euclidean(seed, 12).distance_matrix() for seed in range(3)]))
 def test_pf_sum_equals_the_per_member_loop_bit_for_bit(d):
@@ -159,6 +189,19 @@ def test_mwm_exact_at_16_points_peaks_below_4_mb():
     finally:
         tracemalloc.stop()
     assert peak < 4 * 2**20
+
+
+def test_mwm_exact_at_20_points_peaks_below_2_mib():
+    # 10,946 reachable masks, not a 2^20-entry table (8 MiB).
+    ps = random_euclidean(31, MATCHING_EXACT_CAP)
+    mwm_exact(ps, range(MATCHING_EXACT_CAP))  # builds the plan, kept for the process
+    tracemalloc.start()
+    try:
+        mwm_exact(ps, range(MATCHING_EXACT_CAP))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
 
 
 # -- mst ----------------------------------------------------------------------
