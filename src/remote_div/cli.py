@@ -289,10 +289,12 @@ def _parse_params(raw: str, kind: str) -> tuple[dict[str, float], list[float]]:
 
 
 def _resolve_start(raw: str, n: int, seed: int) -> int:
+    """The GMM start index `raw` names: an index below n, or for 'random'
+    `rng.integer` of the first word of stream (seed, START_POINT_STREAM)."""
     if raw == "random":
-        from .rng import START_POINT_STREAM, Stream
+        from .rng import START_POINT_STREAM, _words, integer
 
-        return Stream(seed, START_POINT_STREAM).integers(0, n)
+        return integer(_words(seed, [START_POINT_STREAM], 1)[0, 0], 0, n)
     try:
         start = int(raw)
     except ValueError as exc:
@@ -427,10 +429,16 @@ def _cmd_eval(args) -> int:
 # Verification suites
 # ---------------------------------------------------------------------------
 
-# Words each trial's stream is prefetched with: the hst suite's largest
-# trial takes one for its size, 24 for 12 points and about 8 for a sample
-# of 8; a stream that runs past them fetches more blocks itself.
-_SUITE_WORDS = 36
+def _suite_instances(seed: int, trials: int, lo: int, hi: int):
+    """Per trial t, from stream (seed, t): a size n in [lo, hi), hi <= 13,
+    from word 0, n points in the unit square from the first 2n of words
+    1..24, and n doubles to order a sample by from words 25..36."""
+    from .rng import _doubles, _words, integer
+
+    for row in _words(seed, range(trials), 37):
+        n = integer(row[0], lo, hi)
+        doubles = _doubles(row)
+        yield n, PointSet.from_coords(doubles[1 : 1 + 2 * n].reshape(n, 2)), doubles[25 : 25 + n]
 
 
 def _suite_hst(seed: int, trials: int) -> dict:
@@ -438,15 +446,12 @@ def _suite_hst(seed: int, trials: int) -> dict:
 
     from .costs import matching_value
     from .hst import embed_subset, hst_distance_matrix, hst_mwm_odd_count
-    from .rng import streams
 
     worst_stretch = 0.0
     max_identity_gap = 0.0
     checked_pairs = 0
     checked_sets = 0
-    for rng in streams(seed, range(trials), _SUITE_WORDS):
-        n = rng.integers(4, 13)
-        ps = PointSet.from_coords(rng.random((n, 2)))
+    for n, ps, keys in _suite_instances(seed, trials, 4, 13):
         hst, scaled = embed_subset(ps, range(n), d=40)
         hmat = hst_distance_matrix(hst)
         pairs = np.triu_indices(n, 1)
@@ -454,7 +459,9 @@ def _suite_hst(seed: int, trials: int) -> dict:
         worst_stretch = max(worst_stretch, float((tree[dist > 0] / dist[dist > 0]).max(initial=0.0)))
         checked_pairs += len(dist)
         size = min(n - n % 2, 8)
-        members = sorted(rng.sample(n, size))
+        # A prefix of the keys' stable argsort, `rng.permutation`'s order, sorted in
+        # Python: numpy's sort kernels would page 0.25 MB of code into `verify`.
+        members = sorted(sorted(range(n), key=keys.tolist().__getitem__)[:size])
         formula = hst_mwm_odd_count(hst, members)
         sub = [[float(hmat[a, b]) for b in members] for a in members]
         exact = matching_value(sub)
@@ -473,13 +480,10 @@ def _suite_hst(seed: int, trials: int) -> dict:
 
 def _suite_mstcc(seed: int, trials: int) -> dict:
     from .costs import mst_component_sum, mst_cost
-    from .rng import streams
 
     low = math.inf
     high = 0.0
-    for rng in streams(seed, range(trials), _SUITE_WORDS):
-        n = rng.integers(2, 13)
-        ps = PointSet.from_coords(rng.random((n, 2)))
+    for n, ps, _keys in _suite_instances(seed, trials, 2, 13):
         subset = list(range(n))
         total = mst_component_sum(ps, subset)
         mst = mst_cost(ps, subset).value
@@ -492,14 +496,11 @@ def _suite_mstcc(seed: int, trials: int) -> dict:
 
 def _suite_lemma42(seed: int, trials: int) -> dict:
     from .hst import verify_random_subset_bound
-    from .rng import streams
 
     draws = 2000
     worst_margin = math.inf
     min_ratio = math.inf
-    for i, rng in enumerate(streams(seed, range(trials), _SUITE_WORDS)):
-        size = rng.integers(2, 11)
-        ps = PointSet.from_coords(rng.random((size, 2)))
+    for i, (size, ps, _keys) in enumerate(_suite_instances(seed, trials, 2, 11)):
         stats = verify_random_subset_bound(ps, range(size), draws, seed=(seed + i + 1) % 2**64)
         margin = stats.sample_mean - (stats.best_even_value / 16.0 - 3.0 * stats.std_error)
         worst_margin = min(worst_margin, margin)

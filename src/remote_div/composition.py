@@ -23,7 +23,7 @@ from .errors import InternalInvariantError, PreconditionError
 from .gmm import gmm
 from .metric import Objective, PointSet, RunConfig
 from .results import DiversitySolution
-from .rng import SPLIT_STREAM, Stream
+from .rng import SPLIT_STREAM, permutation, uniforms
 
 if TYPE_CHECKING:
     from .coresets import Coreset
@@ -84,15 +84,17 @@ def split_dataset(
     seed: int = 0,
     parts: list[list[int]] | None = None,
 ) -> list[list[int]]:
-    """Partition indices 0..n-1 into m disjoint nonempty parts."""
+    """Partition indices 0..n-1 into m disjoint nonempty parts: part j takes
+    entries j, j+m, ... of range(n) (`round_robin`) or of the stable argsort
+    of stream (seed, SPLIT_STREAM)'s first n doubles (`random`), sorted."""
     n = ps.n
     if not (1 <= m <= n):
         raise PreconditionError(f"need 1 <= m <= n; got m={m}, n={n}")
     if strategy == "round_robin":
         part_lists = [list(range(j, n, m)) for j in range(m)]
     elif strategy == "random":
-        perm = Stream(seed, SPLIT_STREAM).permutation(n)
-        part_lists = [sorted(perm[j::m].tolist()) for j in range(m)]
+        perm = permutation(uniforms(seed, [SPLIT_STREAM], n)[0])
+        part_lists = [np.sort(perm[j::m]).tolist() for j in range(m)]
     elif strategy == "file":
         if parts is None:
             raise PreconditionError("file strategy needs explicit parts")

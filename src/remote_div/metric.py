@@ -506,8 +506,12 @@ def _csv_rows(text: str, format: str) -> tuple[list[list[float]], dict[int, int]
     declares. Blank lines and other '#' lines are skipped; an unreadable
     field or csv dimension is a PreconditionError that names its line."""
     rows, widths, declared_dim = [], {}, None
-    for lineno, raw in enumerate(io.StringIO(text), start=1):
-        line = raw.strip()
+    start, lineno = 0, 0
+    while start < len(text):  # one \n-ended line at a time, not a buffer of all
+        end = text.find("\n", start)
+        end = len(text) if end < 0 else end
+        line = text[start:end].strip()
+        start, lineno = end + 1, lineno + 1
         if not line:
             continue
         if line.startswith("#"):

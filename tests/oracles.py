@@ -39,8 +39,8 @@ The random-subset bound builds one generator per trial and fixes each
 draw's parity on a list, as `verify` did before it drew every trial's coins
 in one Philox block and fixed parity with masks. `stream_rng` is numpy's own
 generator over Philox keyed by (seed, stream), which the package once drew
-from: the tests draw their data from it, and `rng.uniforms` and
-`rng.Stream` are pinned against it.
+from: the tests draw their data from it, and `rng.uniforms` and the raw
+words the integer rule reads are pinned against it.
 """
 from __future__ import annotations
 

@@ -574,6 +574,29 @@ def test_matrix_csv_load_peaks_below_twice_the_file():
         assert peak < 2 * len(data), type(data).__name__
 
 
+def test_csv_load_of_a_hundred_thousand_points_peaks_below_20_mib():
+    # The line loop slices one line at a time out of the text (3.9 MB), with
+    # no buffer of it at 4 bytes per character: the rows' float lists
+    # (about 13.7 MiB) and their array set the peak.
+    text = dump_pointset(random_euclidean(1, 10**5), "csv")
+    tracemalloc.start()
+    try:
+        ps = load_pointset(text, "csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ps.n == 10**5
+    assert peak < 20 * 2**20
+
+
+@pytest.mark.parametrize("sep", ["\x0b", "\x1c", "\u2028"])
+def test_only_newline_ends_a_csv_line(sep):
+    # str.splitlines would also end a line at these; a float field cannot
+    # hold them, so the line that does is named.
+    with pytest.raises(PreconditionError, match="^csv line 3: could not convert"):
+        load_pointset(f"# dim=2\n0,0\n1,1{sep}2,2\n3,3\n", "csv")
+
+
 def test_matrix_validation_peaks_below_two_square_matrices():
     # The copy of the caller's matrix, validated and cleaned in place, is
     # the one new n-by-n array; the triangle check keeps only a few blocks

@@ -1,19 +1,20 @@
 from __future__ import annotations
 
+import json
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from remote_div import PointSet, RunConfig, mwm_offline, split_dataset
-from remote_div.cli import _resolve_start
+from remote_div.cli import _resolve_start, _suite_hst, _suite_instances, canonicalize_report, main
 from remote_div.errors import PreconditionError
 from remote_div.generators import make_clusters, make_uniform_cube
-from remote_div.rng import SAMPLE_MAX_N, SPLIT_STREAM, START_POINT_STREAM, Stream, streams, uniforms
+from remote_div.rng import SPLIT_STREAM, START_POINT_STREAM, _words, integer, permutation, uniforms
 from oracles import even_subset_by_list, stream_rng
 
 # 2**64 - 1 carries across every 32-bit half of the Philox products and keys.
 STREAMS = [*range(300), 2**32 + 1, 2**64 - 1]
-# Trial ids, the two one-off streams, and the largest id.
-STREAM_IDS = [0, 1, 2**32, 2**32 + 1, 2**64 - 1]
 
 
 @pytest.mark.parametrize("seed", [0, 1, 7, 2**63, 2**64 - 1])
@@ -36,87 +37,123 @@ def test_uniforms_reject_a_seed_outside_64_bits(seed):
     with pytest.raises(PreconditionError, match="seed must fit in 64 unsigned bits"):
         uniforms(seed, range(3), 2)
     with pytest.raises(PreconditionError, match="seed must fit in 64 unsigned bits"):
-        Stream(seed, 0)
+        split_dataset(PointSet.from_coords(np.zeros((3, 1))), 2, "random", seed=seed)
 
 
-def _same(ours, theirs) -> bool:
-    return np.asarray(ours).tolist() == np.asarray(theirs).tolist()
+def _word(seed: int, stream: int) -> int:
+    """The first 64-bit word of numpy's Philox keyed by (seed, stream)."""
+    return int(stream_rng(seed, stream).bit_generator.random_raw())
 
 
-# Each op is (name, args); the oracle runs the same generator method.
-_ORACLE = {
-    "random": lambda g, m: g.random(m),
-    "integers": lambda g, lo, hi: int(g.integers(lo, hi)),
-    "permutation": lambda g, n: g.permutation(n),
-    "sample": lambda g, n, size: g.choice(n, size=size, replace=False),
-}
-
-_SEQUENCES = [
-    # One 32-bit draw buffers a high half that a double leaves alone and the
-    # next 32-bit draw returns.
-    [("integers", (0, 10)), ("random", (3,)), ("integers", (0, 10)), ("integers", (0, 10))],
-    [("integers", (5, 6)), ("random", (1,)), ("integers", (0, 2**32)), ("random", (2,))],
-    # Ranges of 0 (nothing drawn), 2**32 - 2 (Lemire) and 2**32 - 1 (raw).
-    [("integers", (7, 8)), ("integers", (-3, 2**32 - 4)), ("integers", (0, 2**32)), ("integers", (0, 2**32 - 1))],
-    [("random", (1,)), ("integers", (0, 2**32 - 1)), ("integers", (3, 4)), ("integers", (1, 2**32 + 1))],
-    # size = n skips the draw in [0, 0]; odd and even draw counts leave the
-    # half buffered or not.
-    [("sample", (8, 8)), ("random", (2,)), ("sample", (12, 3)), ("integers", (0, 7))],
-    [("integers", (0, 3)), ("sample", (1, 1)), ("sample", (5, 0)), ("sample", (SAMPLE_MAX_N, 40)), ("random", (1,))],
-    [("permutation", (0,)), ("permutation", (1,)), ("permutation", (2,)), ("random", (1,)), ("permutation", (7,))],
-    # Permutations long enough that rejections run past the prefetched words.
-    [("permutation", (5,)), ("permutation", (300,)), ("integers", (0, 1000)), ("permutation", (1025,))],
-    [("random", (9,)), ("sample", (10, 4)), ("permutation", (33,)), ("random", (5,)), ("integers", (2, 11))],
-]
+# -- the two draw rules ---------------------------------------------------------------
 
 
-@pytest.mark.parametrize("stream", STREAM_IDS)
-@pytest.mark.parametrize("seed", [0, 2**64 - 1])
-@pytest.mark.parametrize("prefetch", [None, 0, 3, 4, 36])
-def test_stream_draws_equal_numpy_generator(seed, stream, prefetch):
-    # prefetch 3 ends inside a block, so the first refill starts at its block.
-    for ops in _SEQUENCES:
-        ours = Stream(seed, stream) if prefetch is None else streams(seed, [stream], prefetch)[0]
-        theirs = stream_rng(seed, stream)
-        for name, args in ops:
-            assert _same(getattr(ours, name)(*args), _ORACLE[name](theirs, *args)), (name, args)
-        # Whatever the ops left buffered, the next draws agree too.
-        assert ours.integers(0, 2**31) == int(theirs.integers(0, 2**31))
-        assert _same(ours.random(3), theirs.random(3))
+def test_permutation_is_the_stable_argsort_and_a_sample_its_prefix():
+    # Ties (equal doubles) keep index order, so a sample of size s is the s
+    # indices with the smallest (double, index) pairs.
+    doubles = np.array([0.5, 0.25, 0.5, 0.0, 0.25, 0.75, 0.0])
+    order = sorted(range(len(doubles)), key=lambda i: (doubles[i], i))
+    perm = permutation(doubles)
+    assert perm.tolist() == order == [3, 6, 1, 4, 0, 2, 5]
+    for size in range(len(doubles) + 1):
+        assert perm[:size].tolist() == order[:size]
+    assert permutation(np.empty(0)).tolist() == []
+    # About 100 distinct values among 2,000: numpy's default sort orders
+    # most equal doubles otherwise, so the stable sort must decide them.
+    many = uniforms(2, [0], 2000)[0].round(2)
+    assert permutation(many).tolist() == np.argsort(many, kind="stable").tolist()
 
 
-def test_stream_refills_in_whole_blocks_when_rejections_run_past_the_prefetch():
-    # A range of 2**31 + 1 rejects about half its 32-bit draws, so runs of
-    # rejections cross the 4 prefetched words and fetch block after block.
-    ours = streams(11, [4], 4)[0]
-    theirs = stream_rng(11, 4)
-    assert [ours.integers(0, 2**31 + 1) for _ in range(40)] == [int(theirs.integers(0, 2**31 + 1)) for _ in range(40)]
-    assert len(ours._buf) > 40 // 2
-    assert _same(ours.permutation(50), theirs.permutation(50))
+def test_permutations_of_three_come_out_equally_often():
+    # 6,000 streams' first three doubles: each of the 6 orders about 1,000
+    # times (a chi-square of 20.5 has p = 0.001 at 5 degrees of freedom).
+    counts = Counter(tuple(permutation(row).tolist()) for row in uniforms(5, range(6000), 3))
+    assert len(counts) == 6
+    assert sum((c - 1000) ** 2 / 1000 for c in counts.values()) < 20.5
 
 
-def test_stream_rejects_draws_outside_numpy_32_bit_paths():
-    s = Stream(1, 0)
-    with pytest.raises(ValueError):
-        s.integers(3, 3)
-    with pytest.raises(ValueError):
-        s.integers(0, 2**32 + 1)
-    with pytest.raises(ValueError):
-        s.sample(SAMPLE_MAX_N + 1, 2)
-    with pytest.raises(ValueError):
-        s.sample(3, 4)
+@pytest.mark.parametrize("lo, hi", [(0, 1), (0, 2), (4, 13), (-3, 2**32 - 4), (0, 2**32)])
+def test_integer_spans_its_range_from_the_high_half(lo, hi):
+    assert integer(0, lo, hi) == lo
+    assert integer(2**32 - 1, lo, hi) == lo  # the low half is never read
+    assert integer(2**64 - 1, lo, hi) == hi - 1
+    assert integer(2**63, lo, hi) == lo + (hi - lo) // 2
 
 
-# -- call sites: each draw the package makes is numpy's generator's ------------------
+def test_integers_below_ten_come_out_equally_often():
+    words = _words(6, range(10_000), 1)[:, 0]
+    counts = Counter(integer(w, 0, 10) for w in words)
+    assert sorted(counts) == list(range(10))
+    assert sum((c - 1000) ** 2 / 1000 for c in counts.values()) < 27.9  # p = 0.001 at 9 d.o.f.
+
+
+# -- call sites: each draw the package makes is one of the rules ---------------------
 
 
 @pytest.mark.parametrize("n", [1, 2, 17, 1000])
-def test_random_split_is_the_numpy_permutation(n):
+def test_random_split_is_the_stable_argsort_of_its_doubles(n):
     ps = PointSet.from_coords(np.zeros((n, 1)))
     m = min(n, 3)
-    perm = stream_rng(9, SPLIT_STREAM).permutation(n)
+    perm = np.argsort(stream_rng(9, SPLIT_STREAM).random(n), kind="stable")
     expected = [sorted(int(perm[i]) for i in range(j, n, m)) for j in range(m)]
     assert split_dataset(ps, m, "random", seed=9) == expected
+
+
+@pytest.mark.parametrize("seed", [0, 3, 2**64 - 1])
+def test_random_gmm_start_is_the_word_formula(seed):
+    word = _word(seed, START_POINT_STREAM)
+    for n in (1, 2, 50, 2**20, 2**32):
+        start = _resolve_start("random", n, seed)
+        assert 0 <= start < n
+        assert start == ((word >> 32) * n) >> 32
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+def test_verify_suites_read_each_trial_at_fixed_word_offsets(seed):
+    # Word 0 gives n, words 1..24 the coordinates, words 25..36 the keys.
+    for t, (n, ps, keys) in enumerate(_suite_instances(seed, 5, 4, 13)):
+        doubles = stream_rng(seed, t).random(37)
+        assert n == 4 + ((_word(seed, t) >> 32) * 9 >> 32)
+        assert ps.coords.tobytes() == doubles[1 : 1 + 2 * n].reshape(n, 2).tobytes()
+        assert keys.tobytes() == doubles[25 : 25 + n].tobytes()
+
+
+def test_verify_hst_samples_are_prefixes_of_the_key_permutation(monkeypatch):
+    import remote_div.hst as hst
+
+    seen, odd_count = [], hst.hst_mwm_odd_count
+    monkeypatch.setattr(hst, "hst_mwm_odd_count", lambda tree, mem: seen.append(mem) or odd_count(tree, mem))
+    assert _suite_hst(5, 30)["pass"]
+    instances = _suite_instances(5, 30, 4, 13)
+    assert seen == [sorted(permutation(keys)[: min(n - n % 2, 8)].tolist()) for n, _ps, keys in instances]
+
+
+# -- golden outputs: a change to a draw rule fails one of these by name ----------------
+
+
+def test_random_split_matches_golden_parts():
+    ps = PointSet.from_coords(np.zeros((17, 1)))
+    assert split_dataset(ps, 3, "random", seed=9) == [[2, 4, 5, 8, 10, 16], [3, 6, 7, 9, 12, 14], [0, 1, 11, 13, 15]]
+
+
+def test_random_gmm_start_matches_golden_index():
+    assert _resolve_start("random", 50, 3) == 4
+
+
+_GOLDEN_VERIFY = (
+    '{"command": "verify", "flags": {"command": "verify", "output": null, "seed": 3, "suite": "all", "trials": 20}, '
+    '"pass": true, "schema_version": 1, "suite": "all", "suites": {"hst": {"checked_pairs": 768, "checked_sets": 20, '
+    '"max_identity_gap": 0.0, "pass": true, "stretch_bound": 4.0, "trials": 20, "worst_stretch": 3.997079254815599}, '
+    '"lemma42": {"draws": 2000, "min_ratio": 0.2505, "pass": true, "trials": 20, "worst_margin": 0.050543000525515}, '
+    '"mstcc": {"max_ratio": 0.9313506793166345, "min_ratio": 0.6019174105553149, "pass": true, "trials": 20}}, '
+    '"timings": null}'
+)
+
+
+def test_verify_report_matches_golden_bytes(capsys):
+    assert main(["verify", "--suite", "all", "--seed", "3", "--trials", "20"]) == 0
+    report = canonicalize_report(json.loads(capsys.readouterr().out))
+    assert json.dumps(report, sort_keys=True) == _GOLDEN_VERIFY
 
 
 def test_generators_draw_the_numpy_uniforms():
@@ -124,12 +161,6 @@ def test_generators_draw_the_numpy_uniforms():
     expected = stream_rng(4, 0).random((10, 2)) * 2.0 - 1.0
     expected[1::2, 0] += 100.0
     assert make_clusters(10, 2, 4, clusters=2, separation=100.0, width=2.0).coords.tobytes() == expected.tobytes()
-
-
-@pytest.mark.parametrize("seed", [0, 3, 2**64 - 1])
-def test_random_gmm_start_is_the_numpy_integer(seed):
-    for n in (1, 2, 50, 2**20):
-        assert _resolve_start("random", n, seed) == int(stream_rng(seed, START_POINT_STREAM).integers(n))
 
 
 @pytest.mark.parametrize("seed", [0, 2**64 - 1])

@@ -1,14 +1,18 @@
 """End-to-end runs at the north star's sizes (10^5 points; brute force at
-the enumeration cap), marked `slow` and left out of the default run
-(`pyproject.toml` deselects the marker); run them with `-m slow`."""
+the enumeration cap) and a sweep of `verify` over a hundred seeds, marked
+`slow` and left out of the default run (`pyproject.toml` deselects the
+marker); run them with `-m slow`."""
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import sys
 
 import pytest
 
 from remote_div import load_pointset, pf_cost
+from remote_div.cli import main
 from conftest import run_fresh
 
 # A child's max-RSS from `wait4` also counts the high-water mark of the
@@ -71,3 +75,16 @@ def test_pseudoforest_brute_force_at_the_enumeration_cap_runs_in_seconds(tmp_pat
     result = json.loads(report.read_text())
     ps = load_pointset(points.read_text(), "json")
     assert result["value"].hex() == pf_cost(ps, result["indices"]).value.hex()
+
+
+@pytest.mark.slow
+def test_verify_passes_at_every_seed_below_a_hundred():
+    # The benchmark's setting (--trials 40) at seeds 0-99, and the README's
+    # example: every instance the suites draw must pass, whatever the seed.
+    runs = [(str(seed), "40") for seed in range(100)] + [("2", "200")]
+    failed = []
+    for seed, trials in runs:
+        with contextlib.redirect_stdout(io.StringIO()):
+            if main(["verify", "--suite", "all", "--seed", seed, "--trials", trials]) != 0:
+                failed.append((seed, trials))
+    assert not failed, f"verify failed at (seed, trials) {failed}"
