@@ -254,6 +254,7 @@ def _read_parts(path: str) -> list[list[int]]:
     return parts
 
 
+_SUITE_CHUNK = 1024  # verify trials whose streams are drawn at once
 # The named settings each --kind takes; only line takes bare numbers.
 _GEN_PARAMS = {"uniform_cube": (), "clusters": ("c", "sep", "width"), "grid": ("spacing",), "line": ()}
 
@@ -432,13 +433,16 @@ def _cmd_eval(args) -> int:
 def _suite_instances(seed: int, trials: int, lo: int, hi: int):
     """Per trial t, from stream (seed, t): a size n in [lo, hi), hi <= 13,
     from word 0, n points in the unit square from the first 2n of words
-    1..24, and n doubles to order a sample by from words 25..36."""
+    1..24, and n doubles to order a sample by from words 25..36. Streams
+    are drawn `_SUITE_CHUNK` at a time, so memory does not grow with the
+    trials."""
     from .rng import _doubles, _words, integer
 
-    for row in _words(seed, range(trials), 37):
-        n = integer(row[0], lo, hi)
-        doubles = _doubles(row)
-        yield n, PointSet.from_coords(doubles[1 : 1 + 2 * n].reshape(n, 2)), doubles[25 : 25 + n]
+    for first in range(0, trials, _SUITE_CHUNK):
+        for row in _words(seed, range(first, min(first + _SUITE_CHUNK, trials)), 37):
+            n = integer(row[0], lo, hi)
+            doubles = _doubles(row)
+            yield n, PointSet.from_coords(doubles[1 : 1 + 2 * n].reshape(n, 2)), doubles[25 : 25 + n]
 
 
 def _suite_hst(seed: int, trials: int) -> dict:

@@ -89,7 +89,7 @@ def embed_subset(ps: PointSet, subset, d: int = DEFAULT_DEPTH) -> tuple[Hst, Poi
         raise PreconditionError("depth must be at least 1")
     # A positive multiple of a metric is a metric, so it is not validated
     # again: the subset's own scale could make the parent's rounding fail.
-    return _hierarchy(sub, list(range(len(members))), d), PointSet("matrix", None, sub)
+    return _hierarchy(sub, list(range(len(members))), d), PointSet._of_rows(len(members), [(0, sub)])
 
 
 def _hierarchy(dmat: np.ndarray, points: list[int], d: int) -> Hst:

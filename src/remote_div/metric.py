@@ -6,23 +6,24 @@ validated on load (symmetry, zero diagonal, nonnegativity, triangle
 inequality) within 1e-9 times the largest entry, so the tolerance follows
 the data's scale; algorithms themselves compare distances exactly, since
 they only need a consistent total order. A matrix with an entry so large
-that twice it overflows is rejected. Validation checks and cleans the array
-in place, a block of `_ROW_BLOCK` rows at a time, so it allocates no n-by-n
-temporary: finiteness and negatives are read from the largest and least
-entries, symmetry from each block's rows against the matching columns.
-`from_matrix` validates one copy of the caller's array, which it never
-writes; a matrix-csv load hands over the array it parsed, so its peak is
-that matrix and a few blocks of rows. The triangle check walks the upper
-triangle in row blocks with a running minimum over pivots, deciding exactly
-as a per-pivot scan would. A block skips every pivot j for which, in each
-of its rows i != j, arr[i, j] plus row j's least off-diagonal entry comes
-within the tolerance of row i's largest entry: such a pivot cannot violate.
-In high dimensions, where distances concentrate, that is almost every pivot.
-A matrix-csv file is streamed: `np.loadtxt` reads an open file a line at
-a time (a document, or a pipe read once, through a buffer over its
-bytes), as ASCII with no comments. A file it cannot take as a square
-matrix, any with a '#' or a non-ASCII byte among them, is read again
-whole and parsed by csv's line parser, which names the offending line.
+that twice it overflows is rejected. A matrix-kind set keeps only its upper
+triangle, row-major, with one trailing 0.0 that every diagonal read takes,
+and no n-by-n array is built to validate or load one. One pass over the
+rows checks and cleans them: each entry right of the diagonal is stored as
+it arrives, each one left of it is compared with its stored mirror, which
+takes the cleaned mean. `from_matrix` reads the caller's array a few rows
+at a time and never writes or copies it whole. A matrix-csv file is parsed
+a chunk of lines at a time by `np.loadtxt` (a document, or a pipe read
+once, through a buffer over its bytes), as ASCII with no comments, and fed
+to that pass. A file it cannot take as n rows of n fields (a '#', a
+non-ASCII byte), or a matrix the pass rejects, is read again whole and
+parsed by csv's line parser, and the dense checks name the first defect.
+The triangle check walks the triangle in row blocks with a running minimum
+over pivots, deciding exactly as a per-pivot scan would. A block skips
+every pivot j for which, in each of its rows i != j, d(i, j) plus row j's
+least off-diagonal entry comes within the tolerance of row i's largest
+entry: such a pivot cannot violate. In high dimensions, where distances
+concentrate, that is almost every pivot.
 Only json and csv input is decoded as a whole. Every source, a str or
 bytes document or an open file, binary or text, is read as UTF-8 text
 with the line ends a text-mode read gives, so the same bytes load alike
@@ -47,14 +48,13 @@ the algorithms pass around is a list of indices, never a copy of the
 coordinates, so coresets can be composed across dataset parts. Distances
 among a subset have one route, `ps.restrict(indices).distance_matrix()`,
 which gives exactly the bits of the whole dataset's matrix at those indices;
-`restrict` takes one copy of the subset's coordinates or matrix entries and
-checks them no further, since a subset of validated points is valid. Every
-dense matrix, clamped or not, is filled from `blocks_between`.
+`restrict` takes one copy of the subset's coordinates or triangle entries
+and checks them no further, since a subset of validated points is valid.
+Every dense matrix, clamped or not, is filled from `blocks_between`.
 """
 from __future__ import annotations
 
 import enum
-import io
 import json
 import math
 import warnings
@@ -63,10 +63,9 @@ from typing import IO
 
 import numpy as np
 
-from .errors import InternalInvariantError, PreconditionError
+from .errors import PreconditionError
 
 VALIDATION_RTOL = 1e-9
-_ROW_BLOCK = 64  # rows per block of matrix validation and its triangle check
 _BLOCK_ENTRIES = 1 << 12  # floats in the largest temporary of one row block
 _GRID_MAX_DIM = 3  # Euclidean dimensions up to this one reduce over a cell grid
 # A cell-pair bound widens by this much, relative and absolute, so that it
@@ -91,7 +90,8 @@ class PointSet:
     """An immutable finite metric space over points 0..n-1.
 
     Construct through `from_coords` (Euclidean) or `from_matrix` (explicit
-    distances). Euclidean distances are computed on demand: one row by
+    distances, kept as their upper triangle, which no caller indexes).
+    Euclidean distances are computed on demand: one row by
     `distances_from`, or the block between two index lists by
     `blocks_between`, which a reduction over all pairs reads. Distances
     among a subset come from
@@ -99,18 +99,20 @@ class PointSet:
     dataset's matrix.
     """
 
-    __slots__ = ("kind", "n", "dim", "_coords", "_matrix", "_diameter")
+    __slots__ = ("kind", "n", "dim", "_coords", "_upper", "_diameter")
 
-    def __init__(self, kind: str, coords: np.ndarray | None, matrix: np.ndarray | None):
-        """Take over a validated array, which is made read-only."""
+    def __init__(self, kind: str, coords: np.ndarray | None, upper: np.ndarray | None):
+        """Take over a validated array, which is made read-only: the
+        coordinates, or a matrix's upper triangle, row-major, with one
+        trailing 0.0 for the diagonal."""
         self.kind = kind
         self._coords = coords
-        self._matrix = matrix
+        self._upper = upper
         self._diameter = None  # set by the first `diameter(self)`
-        data = coords if kind == "euclidean" else matrix
+        data = coords if kind == "euclidean" else upper
         assert data is not None
         data.flags.writeable = False
-        self.n = data.shape[0]
+        self.n = data.shape[0] if kind == "euclidean" else (1 + math.isqrt(8 * len(upper) - 7)) // 2
         self.dim = data.shape[1] if kind == "euclidean" else None
 
     @classmethod
@@ -133,19 +135,34 @@ class PointSet:
         return cls("euclidean", arr, None)
 
     @classmethod
-    def from_matrix(cls, matrix, *, copy: bool = True) -> "PointSet":
-        """The metric of a distance matrix, validated and cleaned. By
-        default that is done on one copy, so the caller's array is never
-        written. With copy=False, a writeable float64 array is taken over:
-        it is cleaned in place and kept, and the caller must not use it."""
-        if copy or not (isinstance(matrix, np.ndarray) and matrix.dtype == np.float64 and matrix.flags.writeable):
-            matrix = _float_array(matrix, "distance matrix must be an array of real numbers")
-        if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
+    def from_matrix(cls, matrix) -> "PointSet":
+        """The metric of a distance matrix, validated and cleaned by one
+        pass over a few rows at a time; the caller's array is never written
+        or, when it is float64, copied whole."""
+        arr = _float_array(matrix, "distance matrix must be an array of real numbers", copy=None)
+        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise PreconditionError("distance matrix must be square")
-        if matrix.shape[0] < 1:
+        n = arr.shape[0]
+        if n < 1:
             raise PreconditionError("need n >= 1 points")
-        _validate_matrix(matrix)
-        return cls("matrix", None, matrix)
+        from .matrices import checked_upper, name_violation
+
+        step = max(1, _BLOCK_ENTRIES // n)
+        upper = checked_upper(arr[s : s + step] for s in range(0, n, step))
+        if upper is None:
+            name_violation(arr)
+        return cls("matrix", None, upper)
+
+    @classmethod
+    def _of_rows(cls, n: int, blocks) -> "PointSet":
+        """The matrix kind, taken unchecked, of an exactly symmetric n-by-n
+        matrix with a zero diagonal, whose rows `blocks` yields as (start,
+        rows) pairs."""
+        upper = np.empty(n * (n - 1) // 2 + 1)
+        upper[-1] = 0.0
+        for s, rows in blocks:
+            _put_upper(upper, n, s, rows)
+        return cls("matrix", None, upper)
 
     @property
     def coords(self) -> np.ndarray:
@@ -160,14 +177,14 @@ class PointSet:
             return 0.0
         if self.kind == "euclidean":
             return float(_euclidean(self._coords[j : j + 1], self._coords[i : i + 1])[0, 0])
-        return float(self._matrix[i, j])
+        return float(_gather(self._upper, self.n, np.array([i]), np.array([j]))[0, 0])
 
     def distances_from(self, i: int) -> np.ndarray:
         """All distances from point i, as a length-n array."""
         _check_index(i, self.n)
         if self.kind == "euclidean":
             return _euclidean(self._coords, self._coords[i : i + 1])[0]
-        return self._matrix[i].copy()
+        return _gather(self._upper, self.n, np.array([i]), np.arange(self.n))[0]
 
     def blocks_between(self, rows: np.ndarray, cols: np.ndarray):
         """Yield (start, block) for consecutive slices of the index array
@@ -176,22 +193,20 @@ class PointSet:
         are fresh arrays, each holding as many rows as keep its largest
         temporary within `_BLOCK_ENTRIES` floats, at least one."""
         step = max(1, _BLOCK_ENTRIES // (max(1, len(cols)) * (self.dim or 1)))
+        if self.kind == "matrix":
+            for start in range(0, len(rows), step):
+                yield start, _gather(self._upper, self.n, rows[start : start + step], cols)
+            return
         first = int(cols[0]) if len(cols) else 0
         if np.array_equal(cols, np.arange(first, first + len(cols))):
             cols = slice(first, first + len(cols))  # a run of points is read in place, not copied
-        points = self._coords[cols] if self.kind == "euclidean" else None
+        points = self._coords[cols]
         for start in range(0, len(rows), step):
-            chunk = rows[start : start + step]
-            if points is not None:
-                yield start, _euclidean(points, self._coords[chunk])
-            elif isinstance(cols, slice):
-                yield start, self._matrix[chunk, cols]
-            else:
-                yield start, self._matrix.take(chunk[:, None] * self.n + cols)
+            yield start, _euclidean(points, self._coords[rows[start : start + step]])
 
     def distance_matrix(self) -> np.ndarray:
-        """Dense n-by-n distance matrix. O(n^2) memory; caller keeps it."""
-        return self._matrix if self.kind == "matrix" else _dense(self)
+        """A fresh dense n-by-n distance matrix. O(n^2) memory; caller keeps it."""
+        return _dense(self)
 
     def restrict(self, indices: list[int]) -> "PointSet":
         """Sub-point-set over `indices` (local index p maps to indices[p]), one unchecked copy."""
@@ -204,7 +219,8 @@ class PointSet:
             _check_index(i, self.n)
         if self.kind == "euclidean":
             return PointSet("euclidean", self._coords[idx], None)
-        return PointSet("matrix", None, self._matrix[np.ix_(idx, idx)])
+        points = np.array(idx)
+        return PointSet._of_rows(len(idx), self.blocks_between(points, points))
 
     def __repr__(self) -> str:
         return f"PointSet(kind={self.kind!r}, n={self.n})"
@@ -451,12 +467,14 @@ def load_pointset(source: str | bytes | IO, format: str) -> PointSet:
     if format not in FORMATS:
         raise PreconditionError(f"unknown format {format!r}; expected one of {FORMATS}")
     try:
-        parsed = _parse_matrix_csv(source) if format == "matrix-csv" else _text(source)
+        if format == "matrix-csv":
+            from .matrices import load_matrix_csv
+
+            return load_matrix_csv(source)
+        text = _text(source)
     except UnicodeDecodeError as exc:  # from a decode or a text-mode read
         raise PreconditionError(f"point file is not UTF-8: {exc}") from exc
-    if format == "matrix-csv":
-        return PointSet.from_matrix(parsed, copy=False)
-    return _load_json(parsed) if format == "json" else _load_csv(parsed)
+    return _load_json(text) if format == "json" else _load_csv(text)
 
 
 def _text(source: str | bytes | IO) -> str:
@@ -476,8 +494,10 @@ def dump_pointset(ps: PointSet, format: str) -> str:
     if format == "json":
         return json.dumps({"dim": ps.dim, "points": ps.coords.tolist()})
     lines = [f"# dim={ps.dim}"] if format == "csv" else []
-    rows = ps.coords if format == "csv" else ps.distance_matrix()
-    lines.extend(",".join(map(repr, row.tolist())) for row in rows)
+    everything = np.arange(ps.n)
+    blocks = [(0, ps.coords)] if format == "csv" else ps.blocks_between(everything, everything)
+    for _start, rows in blocks:
+        lines.extend(",".join(map(repr, row.tolist())) for row in rows)
     return "\n".join(lines) + "\n"
 
 
@@ -541,175 +561,50 @@ def _load_csv(text: str) -> PointSet:
     return PointSet.from_coords(np.asarray(rows, dtype=np.float64))
 
 
-def _parse_matrix_csv(source: str | bytes | IO) -> np.ndarray:
-    """The matrix a matrix-csv document or open file holds.
-    `np.loadtxt` streams it as ASCII with no comments, converting every
-    field as `float()` does. Whatever it rejects or cannot take as a square
-    matrix (a '#', a non-ASCII byte, a line of spaces, a lone \\r line end)
-    is read whole as text and parsed again line by line, to give that
-    parser's result or message."""
-    if not isinstance(source, (str, bytes)) and not source.seekable():
-        source = source.read()  # a pipe cannot be read twice
-    if isinstance(source, str):
-        # Any non-ASCII character stays non-ASCII, a lone surrogate too, so
-        # the ASCII parse rejects it.
-        stream = io.BytesIO(source.encode("utf-8", "surrogatepass"))
-    elif isinstance(source, bytes):
-        stream = io.BytesIO(source)
-    else:
-        stream, start = source, source.tell()
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)  # a file with no rows
-            arr = np.loadtxt(stream, dtype=np.float64, delimiter=",", comments=None, ndmin=2, encoding="ascii")
-    except ValueError:  # UnicodeDecodeError included
-        pass
-    else:
-        if arr.size and arr.shape[0] == arr.shape[1]:
-            return arr
-    if stream is source:
-        source.seek(start)
-    return _parse_matrix_csv_lines(_text(source))
-
-
-def _parse_matrix_csv_lines(text: str) -> np.ndarray:
-    rows, widths, _declared_dim = _csv_rows(text, "matrix-csv")
-    if not rows:
-        raise PreconditionError("matrix-csv file contains no rows")
-    n = len(rows)
-    odd = sorted((lineno, width) for width, lineno in widths.items() if width != n)
-    if odd:
-        lineno, width = odd[0]
-        raise PreconditionError(f"matrix-csv must be square; got {n} rows, but line {lineno} has {width} fields")
-    return np.asarray(rows, dtype=np.float64)
-
-
-def _float_array(values, message: str) -> np.ndarray:
-    """A fresh C-ordered float64 array of `values`, or a PreconditionError
-    led by `message` when they are ragged, not numbers, or complex."""
+def _float_array(values, message: str, copy: bool | None = True) -> np.ndarray:
+    """A C-ordered float64 array of `values`, fresh unless copy is None and
+    they are one, or a PreconditionError led by `message` when they are
+    ragged, not numbers, or complex."""
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error", np.exceptions.ComplexWarning)
-            return np.array(values, dtype=np.float64, order="C")
+            return np.array(values, dtype=np.float64, order="C", copy=copy)
     except (TypeError, ValueError, np.exceptions.ComplexWarning) as exc:
         raise PreconditionError(f"{message}: {exc}") from exc
 
 
-def _validate_matrix(arr: np.ndarray) -> None:
-    """Check the square float64 matrix `arr` and clean it in place: the
-    entries are made exactly symmetric, nonnegative and zero on the
-    diagonal. Every pass runs over blocks of `_ROW_BLOCK` rows, so none
-    allocates an n-by-n temporary unless it raises."""
-    n = arr.shape[0]
-    top, least = float(arr.max()), float(arr.min())
-    # NaN propagates through both extremes, and an infinity shows in one.
-    if not (math.isfinite(top) and math.isfinite(least)):
-        raise PreconditionError("distance matrix entries must be finite")
-    tol = VALIDATION_RTOL * max(top, -least)
-    if least < -tol:
-        i, j = (int(v) for v in np.argwhere(arr < -tol)[0])
-        raise PreconditionError(f"negative distance at ({i},{j}): {arr[i, j]}")
-    # arr[i, j] - arr[j, i] is exactly the negation of arr[j, i] - arr[i, j],
-    # so the first asymmetric pair in row-major order has i < j: it lies in
-    # its block's rows, right of the diagonal, read against the columns.
-    for s in range(0, n, _ROW_BLOCK):
-        diff = np.subtract(arr[s : s + _ROW_BLOCK, s:], arr[s:, s : s + _ROW_BLOCK].T)
-        np.abs(diff, out=diff)
-        if diff.max() > tol:
-            i, j = (s + int(v) for v in np.argwhere(diff > tol)[0])
-            raise PreconditionError(f"asymmetric distances at ({i},{j}): {arr[i, j]} vs {arr[j, i]}")
-    diag = np.abs(np.diagonal(arr))
-    if diag.max(initial=0.0) > tol:
-        i = int(np.argmax(diag))
-        raise PreconditionError(f"nonzero diagonal at ({i},{i}): {arr[i, i]}")
-    # No entry is below -tol now, so if twice the largest is finite, so is
-    # every sum below: the cleaning's and each pivot sum of the triangle check.
-    if not math.isfinite(2.0 * top):
-        raise PreconditionError("distance matrix entries too large: sums of two distances overflow")
-    # Normalize round-trip noise, then check the triangle inequality exactly
-    # once on the cleaned matrix, which is exactly symmetric. A block's
-    # upper rows and their mirror columns are read before either is written,
-    # and no later block reads them.
-    for s in range(0, n, _ROW_BLOCK):
-        mean = np.add(arr[s : s + _ROW_BLOCK, s:], arr[s:, s : s + _ROW_BLOCK].T)
-        mean /= 2.0
-        np.maximum(mean, 0.0, out=mean)
-        arr[s : s + _ROW_BLOCK, s:] = mean
-        arr[s:, s : s + _ROW_BLOCK] = mean.T
-    np.fill_diagonal(arr, 0.0)
-    flagged = _violating_blocks(arr, tol)
-    if flagged:
-        # Name the first violation: lowest j, then row-major (i, l). Its pair
-        # has i < l (the difference is never positive for i = l), and the
-        # i <= l copy of every violating pair lies in a flagged block, so the
-        # flagged rows, read in order, hold it.
-        rows = np.concatenate([np.arange(s, min(s + _ROW_BLOCK, n)) for s in flagged])
-        flagged_rows = arr[rows]
-        for j in range(n):
-            bad = np.argwhere(flagged_rows - (flagged_rows[:, j, None] + arr[j]) > tol)
-            if bad.size:
-                i, l = int(rows[bad[0, 0]]), int(bad[0, 1])
-                raise PreconditionError(
-                    f"triangle inequality violated for ({i},{j},{l}): "
-                    f"{arr[i, l]} > {arr[i, j]} + {arr[j, l]}"
-                )
-        raise InternalInvariantError("blocked triangle check found a violation the pivot scan does not")
+def _row_start(i, n: int):
+    """Where row i's entries right of the diagonal start in the upper
+    triangle of an n-by-n matrix, row-major; i may be an array."""
+    return i * (2 * n - 1 - i) // 2
 
 
-def _violating_blocks(arr: np.ndarray, tol: float) -> list[int]:
-    """Starts s of the blocks of `_ROW_BLOCK` rows holding a row i with
-    arr[i, l] - (arr[i, j] + arr[j, l]) > tol for some pivot j and some
-    l >= s; empty when `arr` satisfies the triangle inequality within tol.
-
-    `arr` is exactly symmetric, so (i, j, l) violates iff (l, j, i) does and
-    only pairs i <= l are checked, a block of rows at a time. Rounded
-    subtraction is monotone, so arr[i, l] minus the minimum over pivots j of
-    arr[i, j] + arr[j, l] exceeds tol exactly when one pivot's difference
-    does; the minimum runs over the block's live pivots only.
-    """
-    return [s for s, pivots in _live_pivots(arr, tol) if _block_violates(arr, s, pivots, tol)]
+def _put_upper(upper: np.ndarray, n: int, s: int, rows: np.ndarray) -> None:
+    """Write the entries right of the diagonal of rows s, s+1, ... of an
+    n-by-n matrix into its triangle `upper`."""
+    i = np.arange(s, s + len(rows))[:, None]
+    upper[_row_start(s, n) : _row_start(s + len(rows), n)] = rows[i < np.arange(n)]
 
 
-def _block_violates(arr: np.ndarray, s: int, pivots: list[int], tol: float) -> bool:
-    """Whether the block of rows from s holds a violation through one of
-    `pivots`. Its temporaries are freed when it returns, before the next
-    block's pivots are found."""
-    rows = arr[s : s + _ROW_BLOCK]
-    block = rows[:, s:]
-    low = block.copy()
-    pivot_sum = np.empty_like(low)
-    for j in pivots:
-        np.add(rows[:, j, None], arr[j, s:], out=pivot_sum)
-        np.minimum(low, pivot_sum, out=low)
-    np.subtract(block, low, out=low)
-    return bool(low.max() > tol)
-
-
-def _live_pivots(arr: np.ndarray, tol: float):
-    """Yield (s, pivots) for each block of `_ROW_BLOCK` rows from s: the
-    pivots j, ascending, that can make some arr[i, l] - (arr[i, j] +
-    arr[j, l]) with i in the block and l >= s exceed tol.
-
-    `arr` has an exactly zero diagonal, so the difference is exactly 0 for
-    l = j and for j = i. For l != j it is at most the largest arr[i, l],
-    l >= s, minus (arr[i, j] + nn[j]), nn[j] being the least off-diagonal
-    entry of row j, since rounded + and - are monotone. A pivot is live if
-    this bound exceeds tol for some row i != j of the block.
-    """
-    n = arr.shape[0]
-    nn = np.empty(n)
-    for s in range(0, n, _ROW_BLOCK):
-        rows = arr[s : s + _ROW_BLOCK].copy()
-        np.fill_diagonal(rows[:, s:], np.inf)
-        rows.min(axis=1, out=nn[s : s + _ROW_BLOCK])
-    for s in range(0, n, _ROW_BLOCK):
-        rows = arr[s : s + _ROW_BLOCK]
-        bound = np.add(rows, nn)
-        np.subtract(rows[:, s:].max(axis=1)[:, None], bound, out=bound)
-        np.fill_diagonal(bound[:, s:], -np.inf)
-        live = np.flatnonzero(np.any(bound > tol, axis=0)).tolist()
-        del bound  # not kept alive while the caller scans the block
-        yield s, live
+def _gather(upper: np.ndarray, n: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """A fresh (len(rows), len(cols)) array of the entries of the exactly
+    symmetric n-by-n matrix whose triangle `upper` holds, with a trailing
+    0.0 for the diagonal, positions found `_BLOCK_ENTRIES` at a time."""
+    out = np.empty((len(rows), len(cols)))
+    step = max(1, _BLOCK_ENTRIES // max(1, len(cols)))
+    for a in range(0, len(rows), step):
+        lo = np.minimum(rows[a : a + step, None], cols)
+        pos = np.maximum(rows[a : a + step, None], cols)
+        diagonal = pos == lo
+        pos -= lo
+        pos -= 1
+        start = 2 * n - 1 - lo  # lo's row start, as `_row_start` gives it, in place
+        start *= lo
+        start //= 2
+        pos += start
+        pos[diagonal] = len(upper) - 1
+        upper.take(pos, out=out[a : a + step], mode="clip")  # every position is in range: no buffer
+    return out
 
 
 def _euclidean(coords: np.ndarray, centers: np.ndarray) -> np.ndarray:

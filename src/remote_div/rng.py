@@ -79,12 +79,15 @@ def _words(seed: int, streams, m: int) -> np.ndarray:
         (c0, c1, c2, c3), (hi0, lo0, hi1, lo1) = (hi1, lo1, hi0, lo0), (c0, c1, c2, c3)
         k0 += _W0
         k1 += _W1
+    del hi0, lo0, hi1, lo1, s, t  # scratch, freed before the output is stacked
     return np.stack([c0, c1, c2, c3], axis=-1).reshape(len(k1), 4 * c0.shape[1])[:, :m]
 
 
 def _doubles(words: np.ndarray) -> np.ndarray:
-    """numpy's next_double: a word w is (w >> 11) * 2**-53."""
-    return (words >> 11) * 2.0**-53
+    """numpy's next_double: a word w is (w >> 11) * 2**-53. The words are
+    the caller's to give up: they are shifted in place."""
+    words >>= 11
+    return words * 2.0**-53
 
 
 def uniforms(seed: int, streams, m: int) -> np.ndarray:

@@ -56,7 +56,7 @@ from remote_div.errors import InternalInvariantError, PreconditionError
 from remote_div.gmm import gmm
 from remote_div.hst import Hst, SubsetBoundStats
 from remote_div.nets import _MAX_DEPTH, TARGET_DIAMETER, NetTree
-from remote_div.metric import PointSet
+from remote_div.metric import VALIDATION_RTOL, PointSet
 from remote_div.rng import SPLIT_STREAM, uniforms
 
 
@@ -664,3 +664,132 @@ def pf_coreset_by_matrix(ps, k: int, epsilon: float, gmm_start: int = 0, part_id
     blocks = {"P": p_block, "S": pair.s, "T": pair.t, "U": u_block, "Y": sorted(centers)}
     indices = sorted(set().union(*blocks.values()))
     return Coreset(part_id, indices, "pseudoforest", k, False, blocks), pair
+
+
+_ROW_BLOCK = 64
+
+
+def dense_validated(matrix) -> np.ndarray:
+    """The matrix validation before the triangle storage: one float64 copy
+    of `matrix`, checked and cleaned in place, dense, a block of 64 rows at
+    a time; a PreconditionError names its first defect."""
+    arr = np.array(matrix, dtype=np.float64)
+    _dense_validate(arr)
+    return arr
+
+
+def _dense_validate(arr: np.ndarray) -> None:
+    """Check the square float64 matrix `arr` and clean it in place: the
+    entries are made exactly symmetric, nonnegative and zero on the
+    diagonal. Every pass runs over blocks of `_ROW_BLOCK` rows, so none
+    allocates an n-by-n temporary unless it raises."""
+    n = arr.shape[0]
+    top, least = float(arr.max()), float(arr.min())
+    # NaN propagates through both extremes, and an infinity shows in one.
+    if not (math.isfinite(top) and math.isfinite(least)):
+        raise PreconditionError("distance matrix entries must be finite")
+    tol = VALIDATION_RTOL * max(top, -least)
+    if least < -tol:
+        i, j = (int(v) for v in np.argwhere(arr < -tol)[0])
+        raise PreconditionError(f"negative distance at ({i},{j}): {arr[i, j]}")
+    # arr[i, j] - arr[j, i] is exactly the negation of arr[j, i] - arr[i, j],
+    # so the first asymmetric pair in row-major order has i < j: it lies in
+    # its block's rows, right of the diagonal, read against the columns.
+    for s in range(0, n, _ROW_BLOCK):
+        diff = np.subtract(arr[s : s + _ROW_BLOCK, s:], arr[s:, s : s + _ROW_BLOCK].T)
+        np.abs(diff, out=diff)
+        if diff.max() > tol:
+            i, j = (s + int(v) for v in np.argwhere(diff > tol)[0])
+            raise PreconditionError(f"asymmetric distances at ({i},{j}): {arr[i, j]} vs {arr[j, i]}")
+    diag = np.abs(np.diagonal(arr))
+    if diag.max(initial=0.0) > tol:
+        i = int(np.argmax(diag))
+        raise PreconditionError(f"nonzero diagonal at ({i},{i}): {arr[i, i]}")
+    # No entry is below -tol now, so if twice the largest is finite, so is
+    # every sum below: the cleaning's and each pivot sum of the triangle check.
+    if not math.isfinite(2.0 * top):
+        raise PreconditionError("distance matrix entries too large: sums of two distances overflow")
+    # Normalize round-trip noise, then check the triangle inequality exactly
+    # once on the cleaned matrix, which is exactly symmetric. A block's
+    # upper rows and their mirror columns are read before either is written,
+    # and no later block reads them.
+    for s in range(0, n, _ROW_BLOCK):
+        mean = np.add(arr[s : s + _ROW_BLOCK, s:], arr[s:, s : s + _ROW_BLOCK].T)
+        mean /= 2.0
+        np.maximum(mean, 0.0, out=mean)
+        arr[s : s + _ROW_BLOCK, s:] = mean
+        arr[s:, s : s + _ROW_BLOCK] = mean.T
+    np.fill_diagonal(arr, 0.0)
+    flagged = _dense_violating_blocks(arr, tol)
+    if flagged:
+        # Name the first violation: lowest j, then row-major (i, l). Its pair
+        # has i < l (the difference is never positive for i = l), and the
+        # i <= l copy of every violating pair lies in a flagged block, so the
+        # flagged rows, read in order, hold it.
+        rows = np.concatenate([np.arange(s, min(s + _ROW_BLOCK, n)) for s in flagged])
+        flagged_rows = arr[rows]
+        for j in range(n):
+            bad = np.argwhere(flagged_rows - (flagged_rows[:, j, None] + arr[j]) > tol)
+            if bad.size:
+                i, l = int(rows[bad[0, 0]]), int(bad[0, 1])
+                raise PreconditionError(
+                    f"triangle inequality violated for ({i},{j},{l}): "
+                    f"{arr[i, l]} > {arr[i, j]} + {arr[j, l]}"
+                )
+        raise InternalInvariantError("blocked triangle check found a violation the pivot scan does not")
+
+
+def _dense_violating_blocks(arr: np.ndarray, tol: float) -> list[int]:
+    """Starts s of the blocks of `_ROW_BLOCK` rows holding a row i with
+    arr[i, l] - (arr[i, j] + arr[j, l]) > tol for some pivot j and some
+    l >= s; empty when `arr` satisfies the triangle inequality within tol.
+
+    `arr` is exactly symmetric, so (i, j, l) violates iff (l, j, i) does and
+    only pairs i <= l are checked, a block of rows at a time. Rounded
+    subtraction is monotone, so arr[i, l] minus the minimum over pivots j of
+    arr[i, j] + arr[j, l] exceeds tol exactly when one pivot's difference
+    does; the minimum runs over the block's live pivots only.
+    """
+    return [s for s, pivots in _dense_live_pivots(arr, tol) if _dense_block_violates(arr, s, pivots, tol)]
+
+
+def _dense_block_violates(arr: np.ndarray, s: int, pivots: list[int], tol: float) -> bool:
+    """Whether the block of rows from s holds a violation through one of
+    `pivots`. Its temporaries are freed when it returns, before the next
+    block's pivots are found."""
+    rows = arr[s : s + _ROW_BLOCK]
+    block = rows[:, s:]
+    low = block.copy()
+    pivot_sum = np.empty_like(low)
+    for j in pivots:
+        np.add(rows[:, j, None], arr[j, s:], out=pivot_sum)
+        np.minimum(low, pivot_sum, out=low)
+    np.subtract(block, low, out=low)
+    return bool(low.max() > tol)
+
+
+def _dense_live_pivots(arr: np.ndarray, tol: float):
+    """Yield (s, pivots) for each block of `_ROW_BLOCK` rows from s: the
+    pivots j, ascending, that can make some arr[i, l] - (arr[i, j] +
+    arr[j, l]) with i in the block and l >= s exceed tol.
+
+    `arr` has an exactly zero diagonal, so the difference is exactly 0 for
+    l = j and for j = i. For l != j it is at most the largest arr[i, l],
+    l >= s, minus (arr[i, j] + nn[j]), nn[j] being the least off-diagonal
+    entry of row j, since rounded + and - are monotone. A pivot is live if
+    this bound exceeds tol for some row i != j of the block.
+    """
+    n = arr.shape[0]
+    nn = np.empty(n)
+    for s in range(0, n, _ROW_BLOCK):
+        rows = arr[s : s + _ROW_BLOCK].copy()
+        np.fill_diagonal(rows[:, s:], np.inf)
+        rows.min(axis=1, out=nn[s : s + _ROW_BLOCK])
+    for s in range(0, n, _ROW_BLOCK):
+        rows = arr[s : s + _ROW_BLOCK]
+        bound = np.add(rows, nn)
+        np.subtract(rows[:, s:].max(axis=1)[:, None], bound, out=bound)
+        np.fill_diagonal(bound[:, s:], -np.inf)
+        live = np.flatnonzero(np.any(bound > tol, axis=0)).tolist()
+        del bound  # not kept alive while the caller scans the block
+        yield s, live

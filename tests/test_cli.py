@@ -751,7 +751,7 @@ def test_each_command_imports_only_its_layers(tmp_path):
         "--schema": parser,
         "solve matching": solver | {"matching", "rng"},
         "solve pseudoforest": solver | {"nets"},
-        "solve pseudoforest matrix-csv": solver | {"nets"},
+        "solve pseudoforest matrix-csv": solver | {"matrices", "nets"},
         "coreset pseudoforest": parser | {"coresets", "matching", "results"},
         "compose matching": composed,
         "compose pseudoforest": composed | {"nets"},

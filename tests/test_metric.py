@@ -22,10 +22,12 @@ from remote_div import (
     load_pointset,
     pf_cost,
 )
-from remote_div import metric
+from remote_div import matrices, metric
+from remote_div.hst import EMBED_DIAMETER
 from remote_div.metric import VALIDATION_RTOL, min_offdiag_distance
 from conftest import line_pointset, random_euclidean, random_matrix_metric
 from oracles import (
+    dense_validated,
     diameter_by_rows,
     euclidean_rows,
     min_offdiag_by_rows,
@@ -285,8 +287,12 @@ def test_matrix_csv_fields_parse_as_python_floats(instance):
     text, fields = instance
     n = int(len(fields) ** 0.5)
     expected = np.array([float(f) for f in fields]).reshape(n, n)
-    for data in (text, text.encode(), io.BytesIO(text.encode())):
-        assert metric._parse_matrix_csv(data).tobytes() == expected.tobytes()
+    text_mode = text.replace("\r\n", "\n")
+    assert matrices._parse_matrix_csv_lines(text_mode).tobytes() == expected.tobytes()
+    for stream in (io.BytesIO(text.encode()), io.StringIO(text_mode)):
+        blocks = list(matrices._csv_blocks(stream))
+        if all(block is not None for block in blocks):  # np.loadtxt took every chunk: no comment lines
+            assert np.concatenate(blocks).tobytes() == expected.tobytes()
 
 
 def _parsed_or_error(parse, text):
@@ -295,6 +301,14 @@ def _parsed_or_error(parse, text):
     except PreconditionError as exc:
         return str(exc)
     return arr.shape, arr.tobytes()
+
+
+def _loaded_or_error(load, data):
+    """A matrix-kind set's distance bits, or the message it is refused with."""
+    try:
+        return load(data).distance_matrix().tobytes()
+    except PreconditionError as exc:
+        return str(exc)
 
 
 _NUMBERS = st.sampled_from(["0", "1.5", " 2e-3 ", "-0", "+.5", "inf", "nan", "1e999", "5e-324"])
@@ -329,9 +343,18 @@ def test_matrix_csv_parse_agrees_with_the_line_parser(text):
     # ("\xa0", "\u0661"). Every source is read with the line ends a
     # text-mode read gives, so it must agree with the line parser there.
     text_mode = text.replace("\r\n", "\n").replace("\r", "\n")
-    expected = _parsed_or_error(metric._parse_matrix_csv_lines, text_mode)
+    expected = _parsed_or_error(matrices._parse_matrix_csv_lines, text_mode)
+    blocks = [block for block in matrices._csv_blocks(io.BytesIO(text.encode())) if block is None or len(block)]
+    if blocks and all(block is not None for block in blocks) and len({block.shape[1] for block in blocks}) == 1:
+        whole = np.concatenate(blocks)
+        if whole.shape[0] == whole.shape[1]:  # the streamed route keeps it
+            assert (whole.shape, whole.tobytes()) == expected
+    try:
+        outcome = _loaded_or_error(PointSet.from_matrix, matrices._parse_matrix_csv_lines(text_mode))
+    except PreconditionError as exc:
+        outcome = str(exc)
     for data in (text, text.encode(), io.BytesIO(text.encode())):
-        assert _parsed_or_error(metric._parse_matrix_csv, data) == expected
+        assert _loaded_or_error(lambda d: load_pointset(d, "matrix-csv"), data) == outcome
 
 
 def test_matrix_csv_from_a_pipe_is_read_once():
@@ -508,6 +531,11 @@ def _assert_validation_decides_as_the_scan(d):
             PointSet.from_matrix(d)
 
 
+def _dense_read(d):
+    """The triangle check's reader of blocks of the dense matrix d."""
+    return lambda rows, cols: d[np.ix_(rows, cols)]
+
+
 def test_the_one_live_pivot_is_the_violating_one():
     # Points 3, 70 and 90 form the only bad triangle, 2.5 > 1 + 1, across
     # both row blocks; every other distance is 2. Pivot 70 is the only one
@@ -516,7 +544,7 @@ def test_the_one_live_pivot_is_the_violating_one():
     np.fill_diagonal(d, 0.0)
     d[3, 70] = d[70, 3] = d[70, 90] = d[90, 70] = 1.0
     d[3, 90] = d[90, 3] = 2.5
-    live = [(s, pivots) for s, pivots in metric._live_pivots(d, VALIDATION_RTOL * 2.5) if pivots]
+    live = [(s, pivots) for s, pivots in matrices._live_pivots(_dense_read(d), 100, VALIDATION_RTOL * 2.5) if pivots]
     assert live == [(0, [70])]
     with pytest.raises(PreconditionError, match=re.escape("triangle inequality violated for (3,70,90): 2.5 > 1.0 + 1.0")):
         PointSet.from_matrix(d)
@@ -555,7 +583,7 @@ def test_triangle_violation_is_named_from_the_flagged_rows_as_the_full_scan_name
 
 def test_triangle_prune_skips_most_pivots_of_a_32d_matrix():
     d = random_euclidean(37, 500, dim=32).distance_matrix()
-    blocks = list(metric._live_pivots(d, VALIDATION_RTOL * float(d.max())))
+    blocks = list(matrices._live_pivots(_dense_read(d), 500, VALIDATION_RTOL * float(d.max())))
     assert len(blocks) == 8
     assert sum(len(pivots) for _, pivots in blocks) < 0.1 * 8 * 500
 
@@ -598,9 +626,9 @@ def test_only_newline_ends_a_csv_line(sep):
 
 
 def test_matrix_validation_peaks_below_two_square_matrices():
-    # The copy of the caller's matrix, validated and cleaned in place, is
-    # the one new n-by-n array; the triangle check keeps only a few blocks
-    # of rows.
+    # The upper triangle, half a matrix, is the one new array the size of
+    # the input: the caller's matrix is read a few rows at a time, and the
+    # triangle check keeps only a few blocks of rows.
     dmat = random_euclidean(37, 500, dim=32).distance_matrix()
     tracemalloc.start()
     try:
@@ -608,7 +636,107 @@ def test_matrix_validation_peaks_below_two_square_matrices():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2 * dmat.nbytes
+    assert peak < 0.8 * dmat.nbytes
+
+
+def test_matrix_csv_load_from_an_open_file_peaks_below_a_square_matrix():
+    # Chunks of lines are parsed into the triangle as they arrive: no n-by-n
+    # array is built for a valid file.
+    ps = random_euclidean(37, 500, dim=32)
+    data = dump_pointset(ps, "matrix-csv").encode()
+    with io.BytesIO(data) as file:
+        tracemalloc.start()
+        try:
+            loaded = load_pointset(file, "matrix-csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert loaded.distance_matrix().tobytes() == ps.distance_matrix().tobytes()
+    assert peak < 0.8 * ps.n * ps.n * 8
+
+
+def _validated_or_error(validate, matrix):
+    """The stored matrix's bits, or the message a matrix is refused with."""
+    try:
+        return validate(matrix).tobytes()
+    except PreconditionError as exc:
+        return str(exc)
+
+
+def _matrix_kinds(n: int, rng) -> dict:
+    """Matrices of n points: a metric and one with each defect the checks
+    name, within the tolerance and past it."""
+    base = PointSet.from_coords(rng.random((n, 3))).distance_matrix()
+    tol = VALIDATION_RTOL * float(base.max(initial=0.0))
+    kinds = {"valid": base}
+    if n >= 2:
+        i, j = int(rng.integers(0, n - 1)), n - 1
+        for name, value, both in [
+            ("asymmetric within", base[i, j] + tol / 2, False),
+            ("asymmetric past", base[i, j] + 0.5, False),
+            ("negative within", -tol / 2, True),
+            ("negative past", -0.25, True),
+            ("non-finite", np.nan, False),
+            ("infinite", np.inf, True),
+            ("overflowing", 1.6e308, True),
+        ]:
+            d = base.copy()
+            d[i, j] = value
+            if both:
+                d[j, i] = value
+            kinds[name] = d
+    d = base.copy()
+    d[n // 2, n // 2] = 0.5
+    kinds["nonzero diagonal"] = d
+    if n >= 3:
+        d = base.copy()
+        d[0, n - 1] = d[n - 1, 0] = float(base.max()) * 3.0
+        kinds["triangle"] = d
+    return kinds
+
+
+@pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 130])
+def test_every_matrix_source_gives_the_dense_validators_triangle_or_message(tmp_path, n):
+    # One route for matrix input: from_matrix, and load_pointset from a
+    # binary or text file, a pipe, a str and a bytes document, each give the
+    # bits the dense validator stores or its message, byte for byte.
+    for name, d in _matrix_kinds(n, stream_rng(n, 5)).items():
+        expected = _validated_or_error(dense_validated, d)
+        assert _validated_or_error(lambda m: PointSet.from_matrix(m).distance_matrix(), d) == expected, name
+        data = ("\n".join(",".join(map(repr, row)) for row in d.tolist()) + "\n").encode()
+        # A pipe is written whole before it is read, so only within its buffer.
+        pipe = ["rb-pipe"] if len(data) < 2**15 else []
+        for source in ["rb-file", "r-file", "str", "bytes", *pipe]:
+            outcome = _loaded(tmp_path, data, "matrix-csv", source)
+            outcome = outcome if isinstance(outcome, str) else outcome[2]
+            assert outcome == expected, (name, source)
+
+
+def test_every_matrix_read_is_the_dense_cleaned_matrix(tmp_path):
+    # Rows, blocks over runs, index lists and repeated indices, single
+    # distances, restrictions, the matrix-csv text and the hst embedding
+    # all read the cleaned dense matrix bit for bit.
+    from remote_div.hst import embed_subset
+
+    bench_like = dump_pointset(random_euclidean(37, 500, dim=32), "matrix-csv")
+    for ps in (random_matrix_metric(3, 70), load_pointset(bench_like, "matrix-csv")):
+        full = dense_validated(ps.distance_matrix())
+        n = ps.n
+        assert ps.distance_matrix().tobytes() == full.tobytes()
+        assert np.array([ps.distances_from(i) for i in range(n)]).tobytes() == full.tobytes()
+        rng = stream_rng(n, 9)
+        picks = rng.integers(0, n, 40)
+        assert all(ps.distance(int(i), int(j)) == full[i, j] for i, j in zip(picks, picks[::-1]))
+        for rows, cols in ((np.arange(n), np.arange(5, n - 3)), (picks, picks), (np.array([4, 4, 1]), picks)):
+            got = np.concatenate([block for _start, block in ps.blocks_between(rows, cols)])
+            assert got.tobytes() == full[np.ix_(rows, cols)].tobytes()
+        idx = sorted(set(picks.tolist()))
+        assert ps.restrict(idx).distance_matrix().tobytes() == full[np.ix_(idx, idx)].tobytes()
+        doc = dump_pointset(ps, "matrix-csv")
+        assert doc == "".join(",".join(map(repr, row)) + "\n" for row in full.tolist())
+        _hst, scaled = embed_subset(ps, idx)
+        sub = full[np.ix_(idx, idx)]
+        assert scaled.distance_matrix().tobytes() == (sub * (EMBED_DIAMETER / float(sub.max()))).tobytes()
 
 
 def test_from_matrix_is_unaffected_by_later_writes_to_the_input():
@@ -662,12 +790,14 @@ def test_from_matrix_never_writes_into_its_input():
     }
     for name, values in inputs.items():
         before = values.tobytes() if isinstance(values, np.ndarray) else repr(values)
-        stored = PointSet.from_matrix(values).distance_matrix()
+        ps = PointSet.from_matrix(values)
+        stored = ps.distance_matrix()
         after = values.tobytes() if isinstance(values, np.ndarray) else repr(values)
         assert after == before, name
-        assert not stored.flags.writeable, name
-        as_floats = np.asarray(values, dtype=np.float64)
-        assert stored.tobytes() == symmetrized(as_floats).tobytes(), name
+        as_floats_cleaned = symmetrized(np.asarray(values, dtype=np.float64))
+        assert stored.tobytes() == as_floats_cleaned.tobytes(), name
+        stored[0, 1] = -1.0  # a fresh matrix: writing it changes no later read
+        assert ps.distance(0, 1) == as_floats_cleaned[0, 1], name
 
 
 def _three_block_metric(n: int = 150) -> np.ndarray:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -170,3 +171,35 @@ def test_matching_trials_draw_their_stream_coins(seed):
         _, trace = mwm_offline(ps, 6, RunConfig(k=6, seed=seed, repeats=repeats))
         coins = stream_rng(seed, trace.trial).random(len(trace.gmm.centers))
         assert trace.z_subset == even_subset_by_list(trace.gmm.centers, coins)
+
+
+def test_uniforms_free_their_scratch_before_the_output():
+    # The rounds' six scratch arrays are gone before the words are stacked,
+    # and the words are shifted in place into doubles.
+    tracemalloc.start()
+    try:
+        doubles = uniforms(3, range(2000), 10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert doubles.tobytes() == np.array([stream_rng(3, s).random(10) for s in range(2000)]).tobytes()
+    assert peak < 600 * 1024
+
+
+def test_verify_instances_draw_their_streams_a_chunk_at_a_time():
+    # A million-trial verify holds one chunk's words, not every trial's:
+    # the first instance of 20,000 trials comes from a small draw, and the
+    # instances are those of one whole draw.
+    tracemalloc.start()
+    try:
+        next(_suite_instances(0, 20000, 4, 13))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+    words = _words(5, range(2100), 37)
+    for t, (n, ps, keys) in enumerate(_suite_instances(5, 2100, 2, 13)):
+        assert n == integer(words[t, 0], 2, 13)
+        doubles = (words[t] >> 11) * 2.0**-53
+        assert ps.coords.tobytes() == doubles[1 : 1 + 2 * n].tobytes()
+        assert keys.tobytes() == doubles[25 : 25 + n].tobytes()
