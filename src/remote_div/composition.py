@@ -194,8 +194,7 @@ def brute_force_diversity(
     if objective is Objective.REMOTE_MATCHING:
         if k % 2 != 0:
             raise PreconditionError("remote-matching needs an even k")
-        if k > costs.MATCHING_EXACT_CAP:
-            raise PreconditionError(f"k={k} above exact matching cap {costs.MATCHING_EXACT_CAP}")
+        costs.check_matching_cap(k)
     elif k < 2:
         raise PreconditionError("remote-pseudoforest needs k >= 2")
     total = math.comb(m, k)
@@ -236,8 +235,8 @@ def run_pipeline(
     k = cfg.k
     # Every matching union is scored exactly, so an over-cap k fails before
     # any coreset is built.
-    if objective is Objective.REMOTE_MATCHING and k > costs.MATCHING_EXACT_CAP:
-        raise PreconditionError(f"k={k} above exact matching cap {costs.MATCHING_EXACT_CAP}")
+    if objective is Objective.REMOTE_MATCHING:
+        costs.check_matching_cap(k)
     elapsed: dict[str, float] = {}
 
     t0 = time.perf_counter()

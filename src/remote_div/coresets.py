@@ -159,18 +159,20 @@ def _separated_sets(ps: PointSet, k: int, epsilon: float, radius: float) -> StPa
             raise InternalInvariantError("peeling exhausted the dataset before k points")
         pivot = int(alive_idx[0])
         drow = ps.distances_from(pivot)
-        counts = [
-            int(np.count_nonzero(alive & (drow <= step * r_sep)))
-            for step in range(max_step + 2)
-        ]
-        chosen_step = -1
+        # The first step whose ball grows by at most growth_cap into the next.
+        # Ball counts never fall, lie in 1..n and growth_cap >= 1, so a step
+        # where they stay level qualifies: however small epsilon is, it comes
+        # within n steps, and counting stops there.
+        chosen_step, count = -1, int(np.count_nonzero(alive & (drow <= 0.0)))
         for step in range(max_step + 1):
-            if counts[step + 1] <= growth_cap * counts[step]:
+            grown = int(np.count_nonzero(alive & (drow <= (step + 1) * r_sep)))
+            if grown <= growth_cap * count:
                 chosen_step = step
                 break
+            count = grown
         if chosen_step < 0:
             raise InternalInvariantError("no annulus with bounded growth; peeling cannot proceed")
-        if counts[chosen_step] > k:
+        if count > k:
             raise InternalInvariantError("annulus unexpectedly larger than k")
         shell = np.flatnonzero(alive & (drow <= chosen_step * r_sep))
         alive[shell] = False

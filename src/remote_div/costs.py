@@ -12,9 +12,9 @@ brackets the MST cost, both read off one MST: `threshold_labels` merges
 its edges in order of weight to label the components at every radius of
 an ascending list. Each cost has one evaluator over distances
 (`matching_weights`, `mst_value_and_edges`, `pf_sum`), shared by the subset
-reports and the brute-force search. `matching_tables` fills the matching
-DP over every mask instead; only `hst`, which reads every even sub-mask,
-uses it. The batched evaluators take a square distance matrix `dmat` and
+reports, the brute-force search and `hst`'s table of every even sub-mask,
+and exact matching has one cap, `check_matching_cap`, that every caller
+checks. The batched evaluators take a square distance matrix `dmat` and
 a (B, s) array `members` of row indices into it, one subset per row, and
 read the distances they need for the whole batch with one `take` from the
 flattened matrix per step; a subset report passes its own s-by-s matrix
@@ -89,39 +89,6 @@ def _as_subset(subset, n: int) -> list[int]:
 # Minimum-weight perfect matching
 # ---------------------------------------------------------------------------
 
-def matching_tables(dmat: np.ndarray, members: np.ndarray) -> np.ndarray:
-    """Batched DP over every vertex mask: for a (B, s) array `members` of
-    row indices into the square matrix `dmat`, tables[b, mask] = min
-    perfect-matching weight of the points members[b, p] over the bits p set
-    in `mask`. Odd-popcount masks stay at +inf. Only
-    `hst.verify_random_subset_bound` reads more than the whole set's entry;
-    `matching_weights` gives that entry alone from a small fraction of the
-    masks.
-
-    Each mask pairs its lowest point i with every other point j of the mask:
-    the candidate is d[i, j] + table[mask without i and j]. Filling masks by
-    lowest point from the top down, every candidate's mask is final when read,
-    and the masks with lowest point i that hold j are one strided view of the
-    table (bits below i clear, bits i and j set), so the DP indexes its table
-    with no index arrays. Each candidate is one float addition and min is exact, so every
-    entry is the same float whatever order the candidates are visited in.
-    Position i's distances to the later positions are read for the whole
-    batch with one `take` from the flattened `dmat`, along rows members[:, i].
-    """
-    batch, s = members.shape
-    flat, n, cols = dmat.ravel(), dmat.shape[1], members.T
-    tables = np.full((1 << s, batch), np.inf)
-    tables[0] = 0.0
-    for i in range(s - 2, -1, -1):
-        later = flat.take(cols[i] * n + cols[i + 1 :])  # row i: d[i, j] for j > i
-        for j in range(i + 1, s):
-            # axes: bits above j, bit j, bits between, bit i, bits below i
-            view = tables.reshape(1 << (s - 1 - j), 2, 1 << (j - 1 - i), 2, 1 << i, batch)
-            target = view[:, 1, :, 1, 0]
-            np.minimum(target, later[j - i - 1] + view[:, 0, :, 0, 0], out=target)
-    return tables.T
-
-
 @functools.lru_cache(maxsize=None)
 def _matching_plan(s: int) -> tuple:
     """The masks that the recursion from the whole set of s points reaches,
@@ -159,10 +126,11 @@ def _matching_layers(dmat: np.ndarray, members: np.ndarray):
     perfect-matching weights of the masks `_matching_plan` reaches, for a
     (B, s) array `members` of row indices into the square matrix `dmat`.
 
-    Each reachable mask takes min over j of d[i, j] + f(R without i and j),
-    the float addition and the exact min of `matching_tables`, so every
-    value is that table's entry bit for bit. A layer reads its candidates'
-    distances for the whole batch with one `take` from the flattened `dmat`.
+    Each reachable mask takes min over j of d[i, j] + f(R without i and j):
+    one float addition per candidate and an exact min, so every value is
+    the same float whatever order the candidates are visited in. A layer
+    reads its candidates' distances for the whole batch with one `take`
+    from the flattened `dmat`.
     """
     flat, n = dmat.ravel(), dmat.shape[1]
     values = np.zeros((members.shape[0], 1))
@@ -207,6 +175,13 @@ def _matching_witness(d: np.ndarray, layers: list[np.ndarray]) -> list[tuple[int
     return pairs
 
 
+def check_matching_cap(k: int) -> None:
+    """Raise unless a matching of k points is within MATCHING_EXACT_CAP, the
+    largest set the exact evaluators take."""
+    if k > MATCHING_EXACT_CAP:
+        raise PreconditionError(f"k={k} above exact matching cap {MATCHING_EXACT_CAP}")
+
+
 def matching_value(rows) -> float:
     """Min perfect-matching weight of the points whose distance rows are given."""
     s = len(rows)
@@ -217,16 +192,12 @@ def matching_value(rows) -> float:
 def mwm_exact(ps: PointSet, subset) -> SubsetCostReport:
     """Exact minimum-weight perfect matching cost of an even subset.
 
-    Raises on odd subsets and on subsets above MATCHING_EXACT_CAP, which
-    signals the caller to shrink the instance.
+    Raises on odd subsets and on subsets above the exact matching cap.
     """
     idx = _as_subset(subset, ps.n)
     if len(idx) % 2 != 0:
         raise PreconditionError(f"matching needs an even subset; got size {len(idx)}")
-    if len(idx) > MATCHING_EXACT_CAP:
-        raise PreconditionError(
-            f"subset size {len(idx)} exceeds exact matching cap {MATCHING_EXACT_CAP}"
-        )
+    check_matching_cap(len(idx))
     if len(idx) == 0:
         return SubsetCostReport(idx, "mwm", 0.0, [])
     d = ps.restrict(idx).distance_matrix()

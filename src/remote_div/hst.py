@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .costs import as_indices, matching_tables, threshold_labels
+from .costs import as_indices, matching_weights, threshold_labels
 from .errors import PreconditionError
 from .matching import even_subset_masks
 from .metric import PointSet
@@ -157,18 +157,28 @@ def verify_random_subset_bound(
     """Monte-Carlo check that a parity-fixed random subset's expected
     matching cost clears 1/16 of the best even-subset matching cost.
 
-    Uses one matching DP table over all sub-multisets of `members`, so both
-    the per-draw values and the brute-force maximum are exact.
+    Fills a table of the matching cost of every sub-multiset of `members`,
+    indexed by bitmask, with one `matching_weights` call per even size, so
+    both the per-draw values and the brute-force maximum are exact.
     """
     mem = sorted(as_indices(members))
     if not 1 <= len(mem) <= 14:
         raise PreconditionError("member set must hold 1 to 14 points for the even-subset brute force")
     if trials < 100:
         raise PreconditionError("need at least 100 trials for a stable mean")
-    table = matching_tables(ps.restrict(mem).distance_matrix(), np.arange(len(mem))[None])[0]
+    s = len(mem)
+    bits = ((np.arange(1 << s)[:, None] >> np.arange(s)) & 1).astype(bool)  # bits[mask, p]: p in mask
+    sizes = bits.sum(axis=1)
+    table = np.full(1 << s, math.inf)  # odd masks have no perfect matching
+    table[0] = 0.0
+    dmat = ps.restrict(mem).distance_matrix()
+    for size in range(2, s + 1, 2):
+        # The masks of this size in order, each as its positions, ascending.
+        at = sizes == size
+        table[at] = matching_weights(dmat, np.nonzero(bits[at])[1].reshape(-1, size))
     best = float(table[table != math.inf].max())
-    keep = even_subset_masks(mem, uniforms(seed, range(trials), len(mem)))
-    values = table[keep @ (1 << np.arange(len(mem)))]
+    keep = even_subset_masks(mem, uniforms(seed, range(trials), s))
+    values = table[keep @ (1 << np.arange(s))]
     mean = float(values.mean())
     stderr = float(values.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
     ratio = mean / best if best > 0 else 1.0

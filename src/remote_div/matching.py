@@ -84,7 +84,7 @@ def mwm_offline(
     """
     # Imported here, not at module level: a pseudoforest coreset imports
     # this module for `same_cell_pairs` alone.
-    from .costs import MATCHING_EXACT_CAP, mwm_exact
+    from .costs import check_matching_cap, mwm_exact
     from .rng import uniforms
 
     n = ps.n
@@ -92,8 +92,7 @@ def mwm_offline(
         raise PreconditionError(f"remote-matching needs an even k >= 2; got k={k}")
     if n < 3 * k:
         raise PreconditionError(f"need n >= 3k (n={n}, k={k})")
-    if k > MATCHING_EXACT_CAP:
-        raise PreconditionError(f"k={k} above exact matching cap {MATCHING_EXACT_CAP}")
+    check_matching_cap(k)
 
     g = gmm(ps, k, gmm_start)
     cell_of = voronoi_partition(ps, g.centers)

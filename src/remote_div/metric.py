@@ -564,12 +564,12 @@ def _load_csv(text: str) -> PointSet:
 def _float_array(values, message: str, copy: bool | None = True) -> np.ndarray:
     """A C-ordered float64 array of `values`, fresh unless copy is None and
     they are one, or a PreconditionError led by `message` when they are
-    ragged, not numbers, or complex."""
+    ragged, not numbers, complex, or integers past float range."""
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error", np.exceptions.ComplexWarning)
             return np.array(values, dtype=np.float64, order="C", copy=copy)
-    except (TypeError, ValueError, np.exceptions.ComplexWarning) as exc:
+    except (TypeError, ValueError, OverflowError, np.exceptions.ComplexWarning) as exc:
         raise PreconditionError(f"{message}: {exc}") from exc
 
 

@@ -6,7 +6,9 @@ Prüfer sequences, and antichain selection is a pruned exhaustive search.
 The per-mask matching DP, the per-subset pseudoforest sum and the
 per-subset brute force are the pure-Python loops the batched evaluators
 replaced; they do the same float additions, so results must agree bit for
-bit. The per-subset brute force can also visit the subsets in a shuffled
+bit. The full-table matching DP fills every mask through strided views of
+a numpy table, as `costs` did before it filled only the masks the whole
+set reaches; it checks sizes where the per-mask loop takes too long. The per-subset brute force can also visit the subsets in a shuffled
 order, so the batched one is checked against an order it never uses. The
 triangle scan checks one pivot at a time over the whole matrix, as matrix
 validation did before it ran in row blocks. The same-cell
@@ -108,6 +110,28 @@ def matching_table(rows: list[list[float]]) -> list[float]:
                 best = cand
         table[mask] = best
     return table
+
+
+def matching_tables_by_views(dmat: np.ndarray, members: np.ndarray) -> np.ndarray:
+    """`matching_table` for a batch: tables[b, mask] for the points
+    members[b, p] over the bits p of `mask`, into the square matrix `dmat`.
+
+    Masks are filled by lowest point i from the top down, and the masks
+    with lowest point i that hold j are one strided view of the table (bits
+    below i clear, bits i and j set), each candidate one float addition.
+    """
+    batch, s = members.shape
+    flat, n, cols = dmat.ravel(), dmat.shape[1], members.T
+    tables = np.full((1 << s, batch), np.inf)
+    tables[0] = 0.0
+    for i in range(s - 2, -1, -1):
+        later = flat.take(cols[i] * n + cols[i + 1 :])  # row i: d[i, j] for j > i
+        for j in range(i + 1, s):
+            # axes: bits above j, bit j, bits between, bit i, bits below i
+            view = tables.reshape(1 << (s - 1 - j), 2, 1 << (j - 1 - i), 2, 1 << i, batch)
+            target = view[:, 1, :, 1, 0]
+            np.minimum(target, later[j - i - 1] + view[:, 0, :, 0, 0], out=target)
+    return tables.T
 
 
 def even_subset_by_list(centers: list[int], coins) -> list[int]:

@@ -302,6 +302,8 @@ _GEN_CLUSTERS = ["gen", "--kind", "clusters", "--n", "6", "--params"]
                      id="csv-dim-not-integer"),
         pytest.param({"points.json": '{"dim": "x", "points": [[0, 1], [1, 0]]}'}, _SOLVE, id="json-dim-string"),
         pytest.param({"points.json": '{"dim": 2.5, "points": [[0, 1], [1, 0]]}'}, _SOLVE, id="json-dim-fraction"),
+        pytest.param({"points.json": '{"points": [[1%s, 2], [0, 0]]}' % ("0" * 400)}, _SOLVE,
+                     id="json-integer-past-float-range"),
         pytest.param({}, ["gen", "--kind", "uniform_cube", "--n", "5", "--seed", "-1"], id="gen-negative-seed"),
         pytest.param({}, _GEN_CLUSTERS + ["c=nan"], id="gen-cluster-count-nan"),
         pytest.param({}, _GEN_CLUSTERS + ["c=inf"], id="gen-cluster-count-inf"),

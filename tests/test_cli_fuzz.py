@@ -36,6 +36,24 @@ _HOSTILE = {
     int: ["-1", "0", "1", "3", "6", "7", "21", str(2**63), str(2**64), "1.5", "nan", "inf", "x", ""],
     float: ["0", "1e-300", "1.5", "-1", "nan", "inf", "-inf", "x"],
 }
+# Point documents whose literals parse but lie outside float range, or are
+# no numbers at all: each is an error line, never a traceback.
+_HUGE = "1" + "0" * 400
+_OUT_OF_RANGE = {
+    "huge-int.json": ('{"points": [[%s, 2], [0, 0], [1, 1]]}' % _HUGE, "json"),
+    "negative-huge-int.json": ('{"dim": 2, "points": [[0, 0], [-%s, 2], [1, 1]]}' % _HUGE, "json"),
+    "huge-exponent.json": ('{"points": [[1e400, 2], [0, 0], [1, 1]]}', "json"),
+    "negative-huge-exponent.json": ('{"points": [[0, 0], [1, -1e400], [1, 1]]}', "json"),
+    "nested-object.json": ('{"points": [[{"x": 1}, 2], [0, 0], [1, 1]]}', "json"),
+    "nested-list.json": ('{"points": [[[1, 2], 2], [0, 0], [1, 1]]}', "json"),
+    "word.json": ('{"points": [["one", 2], [0, 0], [1, 1]]}', "json"),
+    "huge-int.csv": ("%s,2\n0,0\n1,1\n" % _HUGE, "csv"),
+    "huge-exponent.csv": ("1e400,2\n0,0\n1,1\n", "csv"),
+    "negative-huge-exponent.csv": ("0,0\n1,-1e400\n1,1\n", "csv"),
+    "word.csv": ("one,2\n0,0\n1,1\n", "csv"),
+    "huge-int.matrix.csv": ("0,%s\n%s,0\n" % (_HUGE, _HUGE), "matrix-csv"),
+    "huge-exponent.matrix.csv": ("0,1e400\n1e400,0\n", "matrix-csv"),
+}
 _PARAM_ITEMS = ["c=2", "c=3", "c=2.5", "c=0", "c=-1", "c=nan", "c=inf", "c=1e300", "sep=nan", "sep=-5",
                 "sep=inf", "width=0", "width=inf", "spacing=0", "spacing=-1", "spacing=nan", "spacing=1e-320",
                 "foo=1", "values=1", "0", "5", "nan", "-inf", "1e308", "-1e308", "=", "x"]
@@ -56,6 +74,7 @@ def corpus(tmp_path_factory):
         "parts.json": "[[0, 2, 4], [1, 3, 5]]",
         "overlap.json": "[[0, 1, 2], [2, 3, 4, 5]]",
         "fraction.json": "[[0.5, 1, 2], [3, 4, 5]]",
+        **{name: text for name, (text, _fmt) in _OUT_OF_RANGE.items()},
     }
     for name, text in files.items():
         (root / name).write_text(text)
@@ -115,18 +134,32 @@ def _is_usage_error(err: str) -> bool:
     return err.startswith("usage: remote-div") and re.search(r"^remote-div( \w+)?: error: ", err, re.M) is not None
 
 
-@settings(max_examples=250, suppress_health_check=[HealthCheck.too_slow])
-@given(data=st.data())
-def test_every_drawn_command_line_keeps_the_exit_contract(corpus, data):
-    argv = data.draw(_argv(corpus), label="argv")
+def _run(argv: list[str]) -> tuple[int, str]:
+    """`cli.main(argv)`'s exit code and stderr; no warning may be raised."""
     out, err = io.StringIO(), io.StringIO()
     with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         warnings.simplefilter("always")
         code = cli.main(argv)
-    err = err.getvalue()
     assert not caught, [str(w.message) for w in caught]
+    return code, err.getvalue()
+
+
+@settings(max_examples=250, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_every_drawn_command_line_keeps_the_exit_contract(corpus, data):
+    code, err = _run(data.draw(_argv(corpus), label="argv"))
     assert code in (0, 1, 2), err
     if code == 1:
         assert err.startswith("remote-div: error:") or _is_usage_error(err), err
     if code == 2:
         assert "internal invariant" in err, err
+
+
+@pytest.mark.parametrize("name", sorted(_OUT_OF_RANGE))
+def test_out_of_range_literals_are_an_error_line(name, tmp_path):
+    text, fmt = _OUT_OF_RANGE[name]
+    (tmp_path / name).write_text(text)
+    for command in (["solve", "--objective", "matching"], ["coreset", "--objective", "pseudoforest"]):
+        code, err = _run([*command, "--k", "2", "--input", str(tmp_path / name), "--input-format", fmt])
+        assert code == 1, err
+        assert err.startswith("remote-div: error:") and err.count("\n") == 1, err

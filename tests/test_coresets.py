@@ -16,7 +16,7 @@ from remote_div import (
     gmm,
 )
 from conftest import line_pointset, random_euclidean
-from oracles import stream_rng
+from oracles import find_separated_sets_by_matrix, stream_rng
 
 
 def uniform_like_matrix(seed: int, n: int, lo: float = 1.0, hi: float = 1.2) -> PointSet:
@@ -179,6 +179,44 @@ def test_find_st_peel_branch_keeps_no_k_by_n_stack():
     assert pair.branch == "peel"
     _assert_st_contract(ps, k, eps, radius, pair)
     assert peak < k * ps.n * 8 / 2
+
+
+class _CountedRow(np.ndarray):
+    """A distance row that counts the radii it is compared with, and fails
+    once they pass `budget`."""
+
+    comparisons, budget = 0, 0
+
+    def __le__(self, other):
+        _CountedRow.comparisons += 1
+        assert _CountedRow.comparisons <= _CountedRow.budget, "step budget exceeded"
+        return np.asarray(self) <= other
+
+
+@pytest.mark.parametrize("epsilon", [1e-4, 1e-9, 1e-12])
+def test_find_st_peel_counts_balls_only_up_to_the_chosen_step(epsilon, monkeypatch):
+    # Four chains of 7 points, r_sep = epsilon/2 apart along each and 1 apart
+    # across: from a chain's first point the ball count rises by one a step
+    # up to 7, then stays level, so the peel takes whole chains at step 6.
+    # Ball counts never fall and lie in 1..n, so each peeled pivot compares
+    # its row with at most n + 2 radii (n + 1 balls and its shell), however
+    # many steps floor(1/epsilon) allows.
+    k, chain, radius = 8, 7, 1.0
+    r_sep = epsilon * radius / 2.0
+    n = 4 * chain
+    at = np.arange(n)
+    same = at[:, None] // chain == at[None, :] // chain
+    ps = PointSet.from_matrix(np.where(same, np.abs(at[:, None] - at[None, :]) * r_sep, 1.0))
+    rows = PointSet.distances_from
+    monkeypatch.setattr(PointSet, "distances_from", lambda self, i: rows(self, i).view(_CountedRow))
+    monkeypatch.setattr(_CountedRow, "comparisons", 0)
+    monkeypatch.setattr(_CountedRow, "budget", k * (n + 2))
+    pair = find_separated_sets(ps, k, epsilon, radius)
+    assert pair.branch == "peel"
+    assert pair.s == list(range(k))
+    assert _CountedRow.comparisons <= 2 * (chain + 2)  # two pivots, each chosen at step 6
+    if epsilon >= 1e-4:  # the oracle counts every step up to floor(1/epsilon)
+        assert pair == find_separated_sets_by_matrix(ps, k, epsilon, radius)
 
 
 def test_find_st_uniform_grid_at_exact_threshold():

@@ -19,11 +19,12 @@ from remote_div import (
     threshold_components,
 )
 from remote_div import costs
-from remote_div.costs import MATCHING_EXACT_CAP, matching_tables, matching_weights, pf_sum, threshold_labels
+from remote_div.costs import MATCHING_EXACT_CAP, matching_weights, pf_sum, threshold_labels
 from remote_div.generators import make_grid
 from conftest import line_pointset, random_euclidean, random_matrix_metric
 from oracles import (
     matching_table,
+    matching_tables_by_views,
     mst_by_pruefer,
     mwm_by_pairings,
     pf_sum_loop,
@@ -63,6 +64,23 @@ def test_mwm_cap():
     ps = random_euclidean(1, MATCHING_EXACT_CAP + 2)
     with pytest.raises(PreconditionError, match="cap"):
         mwm_exact(ps, list(range(MATCHING_EXACT_CAP + 2)))
+
+
+def test_every_exact_matching_caller_names_the_one_cap():
+    from remote_div import Objective, RunConfig, brute_force_diversity, mwm_offline, run_pipeline
+
+    k = MATCHING_EXACT_CAP + 2
+    ps = random_euclidean(1, 3 * k)
+    calls = (
+        lambda: mwm_exact(ps, range(k)),
+        lambda: mwm_offline(ps, k, RunConfig(k=k)),
+        lambda: brute_force_diversity(ps, k, Objective.REMOTE_MATCHING, candidates=range(k)),
+        lambda: run_pipeline(ps, RunConfig(k=k), 2),
+    )
+    for call in calls:
+        with pytest.raises(PreconditionError, match=f"^k={k} above exact matching cap {MATCHING_EXACT_CAP}$"):
+            call()
+    costs.check_matching_cap(MATCHING_EXACT_CAP)  # the cap itself is allowed
 
 
 def _witness_instances():
@@ -135,15 +153,6 @@ def block_diagonal(d):
     return dmat, np.arange(batch * s).reshape(batch, s)
 
 
-@given(distance_batches(st.sampled_from(range(0, 13, 2))))
-@example(random_euclidean(5, 12).distance_matrix()[None])
-def test_matching_tables_equal_the_per_mask_dp_bit_for_bit(d):
-    tables = matching_tables(*block_diagonal(d))
-    assert tables.shape == (d.shape[0], 1 << d.shape[1])
-    for b in range(d.shape[0]):
-        assert tables[b].tobytes() == np.array(matching_table(d[b].tolist())).tobytes()
-
-
 @given(distance_batches(st.integers(0, 14)))
 @example(random_euclidean(7, 16).distance_matrix()[None])
 @example(random_euclidean(7, 18).distance_matrix()[None])
@@ -152,12 +161,14 @@ def test_matching_tables_equal_the_per_mask_dp_bit_for_bit(d):
 @example(PointSet.from_coords(np.repeat(stream_rng(5, 0).random((8, 2)), 2, axis=0)).distance_matrix()[None])
 @example(random_matrix_metric(21, 14).distance_matrix()[None])
 def test_matching_weights_equal_the_whole_set_table_entry_bit_for_bit(d):
-    # Odd sizes included: they have no perfect matching, and both give +inf.
+    # Odd sizes included: they have no perfect matching, and give +inf.
     dmat, members = block_diagonal(d)
     weights = matching_weights(dmat, members)
-    assert weights.tobytes() == matching_tables(dmat, members)[:, -1].tobytes()
-    if d.shape[1] <= 16:  # the per-mask loop takes seconds above
-        assert weights.tobytes() == np.array([matching_table(m.tolist())[-1] for m in d]).tobytes()
+    if d.shape[1] <= 16:
+        expected = np.array([matching_table(m.tolist())[-1] for m in d])
+    else:  # the per-mask loop takes seconds here
+        expected = matching_tables_by_views(dmat, members)[:, -1]
+    assert weights.tobytes() == expected.tobytes()
     if d.shape[1] % 2:
         assert np.isinf(weights).all()
 

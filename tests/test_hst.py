@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
 from remote_div import (
@@ -230,13 +231,26 @@ def test_subset_bound_randoms_clear_one_sixteenth(seed):
     assert stats.sample_mean >= stats.best_even_value / 16.0 - 3 * stats.std_error
 
 
-@pytest.mark.parametrize("seed", [0, 2**64 - 2001])
-@pytest.mark.parametrize("trials", [100, 2000])
-def test_subset_bound_equals_the_per_draw_loop_bit_for_bit(trials, seed):
+def _subset_bound_instances():
+    """(point set, members) at 1 to 14 members: uniform points, and at 11
+    to 14 members a rounded grid, whose distances tie, and points that
+    coincide in groups of two to four, whose distances are 0."""
     ps = random_euclidean(5, 24)
     rng = stream_rng(11, 0)
     for size in range(2, 15):
-        members = [int(i) for i in rng.permutation(24)[:size]]  # unsorted, not a prefix
+        yield ps, [int(i) for i in rng.permutation(24)[:size]]  # unsorted, not a prefix
+    yield ps, [17]
+    grid = PointSet.from_coords(rng.integers(0, 5, (14, 2)) / 8.0)
+    coincident = PointSet.from_coords(np.repeat(rng.random((5, 2)), [2, 3, 3, 2, 4], axis=0))
+    for size in range(11, 15):
+        yield grid, list(range(size))
+        yield coincident, [int(i) for i in rng.permutation(14)[:size]]
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 2001])
+@pytest.mark.parametrize("trials", [100, 2000])
+def test_subset_bound_equals_the_per_draw_loop_bit_for_bit(trials, seed):
+    for ps, members in _subset_bound_instances():
         stats = verify_random_subset_bound(ps, members, trials, seed)
         assert repr(stats) == repr(random_subset_bound_by_draws(ps, members, trials, seed))
 

@@ -756,8 +756,10 @@ def test_from_matrix_is_unaffected_by_later_writes_to_the_input():
         [[0, 1j], [1j, 0]],
         np.array([[0, 1j], [1j, 0]]),
         np.array([[0, 1j], [1j, 0]], dtype=object),
+        [[0, 10**400], [10**400, 0]],
+        np.array([[0, -(10**400)], [-(10**400), 0]], dtype=object),
     ],
-    ids=["ragged", "string", "complex list", "complex array", "complex objects"],
+    ids=["ragged", "string", "complex list", "complex array", "complex objects", "huge int list", "huge int objects"],
 )
 def test_inputs_that_are_not_real_arrays_are_precondition_errors(values):
     with pytest.raises(PreconditionError, match="^distance matrix must be an array of real numbers: "):
