@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 import time
 from pathlib import Path
@@ -26,10 +25,10 @@ from .metric import FORMATS, Objective, PointSet, RunConfig, dump_pointset, load
 # command loads only its own modules.
 
 SCHEMA_VERSION = 1
-# The `gen --kind` choices, one per `generators.make_*`; held here so that
-# building the parser imports neither `generators` nor `rng`.
+# The `gen --kind` choices, the keys of `generators._GEN_PARAMS`; held here
+# so that building the parser imports neither `generators` nor `rng`.
 KINDS = ("uniform_cube", "clusters", "grid", "line")
-TIMING_KEYS = ("timings", "elapsed")
+TIMING_KEYS = ("timings",)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -100,7 +99,7 @@ REPORT_SCHEMA = {
         "oracle_value": "float|null",
         "oracle_indices": "[int]|null",
         "ratio": "float|null",
-        "elapsed": "{stage: float} (blanked by canonicalization)",
+        "timings": "{split|coresets|solve_union|oracle|total_seconds: float} (blanked by canonicalization)",
     },
     "eval": {"objective": "string", "k": "int", "value": "float", "indices": "[int]", "enumeration_cap": "int"},
     "verify": {"suite": "hst|mstcc|lemma42|all", "suites": "{name: {pass: bool, ...}}", "pass": "bool"},
@@ -202,7 +201,7 @@ def _emit(args, payload: dict, started: float) -> int:
         "command": args.command,
         "flags": flags,
         **payload,
-        "timings": {"total_seconds": time.perf_counter() - started},
+        "timings": {**payload.get("timings", {}), "total_seconds": time.perf_counter() - started},
     }
     try:
         text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
@@ -254,41 +253,6 @@ def _read_parts(path: str) -> list[list[int]]:
     return parts
 
 
-_SUITE_CHUNK = 1024  # verify trials whose streams are drawn at once
-# The named settings each --kind takes; only line takes bare numbers.
-_GEN_PARAMS = {"uniform_cube": (), "clusters": ("c", "sep", "width"), "grid": ("spacing",), "line": ()}
-
-
-def _parse_params(raw: str, kind: str) -> tuple[dict[str, float], list[float]]:
-    """The named settings and the bare numbers in `raw`. A name `kind` does
-    not take, a name given twice, or bare numbers for a kind other than line
-    is a PreconditionError."""
-    named: dict[str, float] = {}
-    bare: list[float] = []
-    for item in raw.split(","):
-        item = item.strip()
-        if not item:
-            continue
-        key, eq, value = item.partition("=")
-        key = key.strip()
-        try:
-            number = float(value if eq else item)
-        except ValueError as exc:
-            raise PreconditionError(f"bad parameter {item!r}: {exc}") from exc
-        if not eq:
-            bare.append(number)
-        elif key not in _GEN_PARAMS[kind]:
-            names = ", ".join(_GEN_PARAMS[kind]) or "none"
-            raise PreconditionError(f"--kind {kind} takes no parameter {key!r} (its parameters: {names})")
-        elif key in named:
-            raise PreconditionError(f"parameter {key!r} given twice")
-        else:
-            named[key] = number
-    if bare and kind != "line":
-        raise PreconditionError(f"--kind {kind} takes no bare values; only line does")
-    return named, bare
-
-
 def _resolve_start(raw: str, n: int, seed: int) -> int:
     """The GMM start index `raw` names: an index below n, or for 'random'
     `rng.integer` of the first word of stream (seed, START_POINT_STREAM)."""
@@ -306,33 +270,9 @@ def _resolve_start(raw: str, n: int, seed: int) -> int:
 
 
 def _cmd_gen(args) -> int:
-    from .generators import make_clusters, make_grid, make_line, make_uniform_cube
-    from .rng import check_seed
+    from .generators import generate
 
-    params, values = _parse_params(args.params, args.kind)
-    check_seed(args.seed)
-    dim = 2 if args.dim is None else args.dim
-    if args.kind == "uniform_cube":
-        ps = make_uniform_cube(args.n, dim, args.seed)
-    elif args.kind == "clusters":
-        clusters = params.get("c", 2.0)
-        if not clusters.is_integer():  # never truncated
-            raise PreconditionError(f"c={clusters!r} is not an integer")
-        ps = make_clusters(
-            args.n,
-            dim,
-            args.seed,
-            clusters=int(clusters),
-            separation=params.get("sep", 100.0),
-            width=params.get("width", 1.0),
-        )
-    elif args.kind == "grid":
-        ps = make_grid(args.n, dim, spacing=params.get("spacing", 1.0))
-    else:
-        if args.dim not in (None, 1):
-            raise PreconditionError(f"--kind line makes 1-D points; got --dim {args.dim}")
-        ps = make_line(args.n, values or None)
-    document = dump_pointset(ps, "json")
+    document = dump_pointset(generate(args.kind, args.n, args.dim, args.seed, args.params), "json")
     if args.output:
         _write_text(args.output, document)
         return 0
@@ -426,102 +366,12 @@ def _cmd_eval(args) -> int:
     return _emit(args, payload, started)
 
 
-# ---------------------------------------------------------------------------
-# Verification suites
-# ---------------------------------------------------------------------------
-
-def _suite_instances(seed: int, trials: int, lo: int, hi: int):
-    """Per trial t, from stream (seed, t): a size n in [lo, hi), hi <= 13,
-    from word 0, n points in the unit square from the first 2n of words
-    1..24, and n doubles to order a sample by from words 25..36. Streams
-    are drawn `_SUITE_CHUNK` at a time, so memory does not grow with the
-    trials."""
-    from .rng import _doubles, _words, integer
-
-    for first in range(0, trials, _SUITE_CHUNK):
-        for row in _words(seed, range(first, min(first + _SUITE_CHUNK, trials)), 37):
-            n = integer(row[0], lo, hi)
-            doubles = _doubles(row)
-            yield n, PointSet.from_coords(doubles[1 : 1 + 2 * n].reshape(n, 2)), doubles[25 : 25 + n]
-
-
-def _suite_hst(seed: int, trials: int) -> dict:
-    import numpy as np
-
-    from .costs import matching_value
-    from .hst import embed_subset, hst_distance_matrix, hst_mwm_odd_count
-
-    worst_stretch = 0.0
-    max_identity_gap = 0.0
-    checked_pairs = 0
-    checked_sets = 0
-    for n, ps, keys in _suite_instances(seed, trials, 4, 13):
-        hst, scaled = embed_subset(ps, range(n), d=40)
-        hmat = hst_distance_matrix(hst)
-        pairs = np.triu_indices(n, 1)
-        dist, tree = scaled.distance_matrix()[pairs], hmat[pairs]
-        worst_stretch = max(worst_stretch, float((tree[dist > 0] / dist[dist > 0]).max(initial=0.0)))
-        checked_pairs += len(dist)
-        size = min(n - n % 2, 8)
-        # A prefix of the keys' stable argsort, `rng.permutation`'s order, sorted in
-        # Python: numpy's sort kernels would page 0.25 MB of code into `verify`.
-        members = sorted(sorted(range(n), key=keys.tolist().__getitem__)[:size])
-        formula = hst_mwm_odd_count(hst, members)
-        sub = [[float(hmat[a, b]) for b in members] for a in members]
-        exact = matching_value(sub)
-        max_identity_gap = max(max_identity_gap, abs(formula - exact))
-        checked_sets += 1
-    return {
-        "trials": trials,
-        "checked_pairs": checked_pairs,
-        "checked_sets": checked_sets,
-        "worst_stretch": worst_stretch,
-        "stretch_bound": 4.0,
-        "max_identity_gap": max_identity_gap,
-        "pass": bool(worst_stretch <= 4.0 + 1e-9 and max_identity_gap <= 1e-9),
-    }
-
-
-def _suite_mstcc(seed: int, trials: int) -> dict:
-    from .costs import mst_component_sum, mst_cost
-
-    low = math.inf
-    high = 0.0
-    for n, ps, _keys in _suite_instances(seed, trials, 2, 13):
-        subset = list(range(n))
-        total = mst_component_sum(ps, subset)
-        mst = mst_cost(ps, subset).value
-        ratio = mst / total
-        low = min(low, ratio)
-        high = max(high, ratio)
-    ok = low >= 0.5 - 1e-9 and high <= 1.0 + 1e-9
-    return {"trials": trials, "min_ratio": low, "max_ratio": high, "pass": bool(ok)}
-
-
-def _suite_lemma42(seed: int, trials: int) -> dict:
-    from .hst import verify_random_subset_bound
-
-    draws = 2000
-    worst_margin = math.inf
-    min_ratio = math.inf
-    for i, (size, ps, _keys) in enumerate(_suite_instances(seed, trials, 2, 11)):
-        stats = verify_random_subset_bound(ps, range(size), draws, seed=(seed + i + 1) % 2**64)
-        margin = stats.sample_mean - (stats.best_even_value / 16.0 - 3.0 * stats.std_error)
-        worst_margin = min(worst_margin, margin)
-        min_ratio = min(min_ratio, stats.ratio)
-    return {
-        "trials": trials,
-        "draws": draws,
-        "worst_margin": worst_margin,
-        "min_ratio": min_ratio,
-        "pass": bool(worst_margin >= 0.0),
-    }
-
-
 def _cmd_verify(args) -> int:
     started = time.perf_counter()
     if args.trials < 1:
         raise PreconditionError("--trials must be positive")
+    from .hst import _suite_hst, _suite_lemma42, _suite_mstcc
+
     suites = {}
     if args.suite in ("hst", "all"):
         suites["hst"] = _suite_hst(args.seed, args.trials)

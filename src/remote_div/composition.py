@@ -52,7 +52,7 @@ class PipelineReport:
     oracle_value: float | None
     oracle_indices: list[int] | None
     ratio: float | None
-    elapsed: dict[str, float] = field(default_factory=dict)
+    timings: dict[str, float] = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         return {
@@ -73,7 +73,7 @@ class PipelineReport:
             "oracle_value": self.oracle_value,
             "oracle_indices": self.oracle_indices,
             "ratio": self.ratio,
-            "elapsed": dict(self.elapsed),
+            "timings": dict(self.timings),
         }
 
 
@@ -237,11 +237,11 @@ def run_pipeline(
     # any coreset is built.
     if objective is Objective.REMOTE_MATCHING:
         costs.check_matching_cap(k)
-    elapsed: dict[str, float] = {}
+    timings: dict[str, float] = {}
 
     t0 = time.perf_counter()
     partition = split_dataset(ps, m, strategy, cfg.seed, parts)
-    elapsed["split"] = time.perf_counter() - t0
+    timings["split"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     coresets: list[Coreset] = []
@@ -251,7 +251,7 @@ def run_pipeline(
         coresets.append(core)
         per_part_global.append(global_idx)
     union = compose_coresets(partition, per_part_global)
-    elapsed["coresets"] = time.perf_counter() - t0
+    timings["coresets"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     lower_bound = False
@@ -264,7 +264,7 @@ def run_pipeline(
         # algorithms on the union, mapped back to global indices.
         lower_bound = True
         union_value, union_solution = _lower_bound_on_union(ps, union, cfg)
-    elapsed["solve_union"] = time.perf_counter() - t0
+    timings["solve_union"] = time.perf_counter() - t0
 
     oracle_value = None
     oracle_indices = None
@@ -275,7 +275,7 @@ def run_pipeline(
         oracle_value = oracle.value
         oracle_indices = oracle.indices
         ratio = union_value / oracle_value if oracle_value > 0 else 1.0
-        elapsed["oracle"] = time.perf_counter() - t0
+        timings["oracle"] = time.perf_counter() - t0
 
     return PipelineReport(
         objective=objective.value,
@@ -294,7 +294,7 @@ def run_pipeline(
         oracle_value=oracle_value,
         oracle_indices=oracle_indices,
         ratio=ratio,
-        elapsed=elapsed,
+        timings=timings,
     )
 
 

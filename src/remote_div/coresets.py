@@ -10,11 +10,12 @@ the k points covering the dataset best (P, inside the smallest ball that
 excludes at most k outliers), the k outliers themselves (U), the greedy
 farthest-point centers (Y), and two well-separated sets S and T found by a
 density/peeling argument. The outlier radius and the far-count check are
-one best-first search over the metric's cell grid; it and the dense-ball
-scan read only the candidate cells the grid's bounds leave (every cell,
-on matrix input and in high dimensions), bit for bit the distances of
-whole rows. The matching coreset is the farthest-point centers plus k/2
-spare same-cell pairs.
+one best-first search over the cell grid of `cells`, which only these
+pseudoforest searches import; it and the dense-ball scan read only the
+candidate cells the grid's bounds leave (every cell, on matrix input and
+in high dimensions), bit for bit the distances of whole rows. The
+matching coreset is the farthest-point centers plus k/2 spare same-cell
+pairs.
 """
 from __future__ import annotations
 
@@ -25,7 +26,7 @@ import numpy as np
 from .errors import InternalInvariantError, PreconditionError
 from .gmm import gmm, voronoi_partition
 from .matching import same_cell_pairs
-from .metric import PointSet, _cell_grid
+from .metric import PointSet
 
 
 @dataclass(frozen=True)
@@ -81,6 +82,8 @@ def _least_order_statistic(ps: PointSet, j: int, best: float) -> tuple[int | Non
     largest distance from below and only cells whose upper bound reaches L
     are read. Cells go in stable ascending order of L until an L exceeds
     the best found, so ties go to the lowest index."""
+    from .cells import _cell_grid
+
     grid = _cell_grid(ps)
     everything = np.arange(grid.size)
     floors = np.empty(grid.size)
@@ -195,6 +198,8 @@ def _first_dense(ps: PointSet, k: int, half: float) -> int | None:
     the best found; a cell counts the points of cells wholly inside the
     ball in full, skips cells wholly outside, and reads distances only to
     the points of cells that straddle its boundary."""
+    from .cells import _cell_grid
+
     grid = _cell_grid(ps)
     best = None
     for c in np.argsort(grid.order[grid.starts[:-1]]).tolist():

@@ -14,7 +14,9 @@ Two executable identities live here: the matching cost of an even leaf set
 under the tree metric equals a weighted count of odd-occupancy nodes, and
 a parity-fixed random subset of any point set achieves, in expectation, at
 least 1/16 of the best even-subset matching cost. Both are exercised by
-the verification CLI and the acceptance suite.
+the acceptance suite and by the suites of `remote-div verify`, which live
+here with the instances they draw (`_suite_hst`, `_suite_mstcc`,
+`_suite_lemma42`), so that only `verify` compiles them.
 """
 from __future__ import annotations
 
@@ -24,14 +26,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .costs import as_indices, matching_weights, threshold_labels
+from .costs import as_indices, matching_value, matching_weights, mst_component_sum, mst_cost, threshold_labels
 from .errors import PreconditionError
 from .matching import even_subset_masks
 from .metric import PointSet
-from .rng import uniforms
+from .rng import _doubles, _words, integer, uniforms
 
 DEFAULT_DEPTH = 40
 EMBED_DIAMETER = 1.0 - 1e-12
+_SUITE_CHUNK = 1024  # verify trials whose streams are drawn at once
 
 
 @dataclass(frozen=True, eq=False)
@@ -189,3 +192,85 @@ def verify_random_subset_bound(
         best_even_value=best,
         ratio=ratio,
     )
+
+
+# ---------------------------------------------------------------------------
+# Verification suites of `remote-div verify`
+# ---------------------------------------------------------------------------
+
+
+def _suite_instances(seed: int, trials: int, lo: int, hi: int):
+    """Per trial t, from stream (seed, t): a size n in [lo, hi), hi <= 13,
+    from word 0, n points in the unit square from the first 2n of words
+    1..24, and n doubles to order a sample by from words 25..36. Streams
+    are drawn `_SUITE_CHUNK` at a time, so memory does not grow with the
+    trials."""
+    for first in range(0, trials, _SUITE_CHUNK):
+        for row in _words(seed, range(first, min(first + _SUITE_CHUNK, trials)), 37):
+            n = integer(row[0], lo, hi)
+            doubles = _doubles(row)
+            yield n, PointSet.from_coords(doubles[1 : 1 + 2 * n].reshape(n, 2)), doubles[25 : 25 + n]
+
+
+def _suite_hst(seed: int, trials: int) -> dict:
+    worst_stretch = 0.0
+    max_identity_gap = 0.0
+    checked_pairs = 0
+    checked_sets = 0
+    for n, ps, keys in _suite_instances(seed, trials, 4, 13):
+        hst, scaled = embed_subset(ps, range(n), d=40)
+        hmat = hst_distance_matrix(hst)
+        pairs = np.triu_indices(n, 1)
+        dist, tree = scaled.distance_matrix()[pairs], hmat[pairs]
+        worst_stretch = max(worst_stretch, float((tree[dist > 0] / dist[dist > 0]).max(initial=0.0)))
+        checked_pairs += len(dist)
+        size = min(n - n % 2, 8)
+        # A prefix of the keys' stable argsort, `rng.permutation`'s order, sorted in
+        # Python: numpy's sort kernels would page 0.25 MB of code into `verify`.
+        members = sorted(sorted(range(n), key=keys.tolist().__getitem__)[:size])
+        formula = hst_mwm_odd_count(hst, members)
+        sub = [[float(hmat[a, b]) for b in members] for a in members]
+        exact = matching_value(sub)
+        max_identity_gap = max(max_identity_gap, abs(formula - exact))
+        checked_sets += 1
+    return {
+        "trials": trials,
+        "checked_pairs": checked_pairs,
+        "checked_sets": checked_sets,
+        "worst_stretch": worst_stretch,
+        "stretch_bound": 4.0,
+        "max_identity_gap": max_identity_gap,
+        "pass": bool(worst_stretch <= 4.0 + 1e-9 and max_identity_gap <= 1e-9),
+    }
+
+
+def _suite_mstcc(seed: int, trials: int) -> dict:
+    low = math.inf
+    high = 0.0
+    for n, ps, _keys in _suite_instances(seed, trials, 2, 13):
+        subset = list(range(n))
+        total = mst_component_sum(ps, subset)
+        mst = mst_cost(ps, subset).value
+        ratio = mst / total
+        low = min(low, ratio)
+        high = max(high, ratio)
+    ok = low >= 0.5 - 1e-9 and high <= 1.0 + 1e-9
+    return {"trials": trials, "min_ratio": low, "max_ratio": high, "pass": bool(ok)}
+
+
+def _suite_lemma42(seed: int, trials: int) -> dict:
+    draws = 2000
+    worst_margin = math.inf
+    min_ratio = math.inf
+    for i, (size, ps, _keys) in enumerate(_suite_instances(seed, trials, 2, 11)):
+        stats = verify_random_subset_bound(ps, range(size), draws, seed=(seed + i + 1) % 2**64)
+        margin = stats.sample_mean - (stats.best_even_value / 16.0 - 3.0 * stats.std_error)
+        worst_margin = min(worst_margin, margin)
+        min_ratio = min(min_ratio, stats.ratio)
+    return {
+        "trials": trials,
+        "draws": draws,
+        "worst_margin": worst_margin,
+        "min_ratio": min_ratio,
+        "pass": bool(worst_margin >= 0.0),
+    }

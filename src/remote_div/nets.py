@@ -33,9 +33,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .cells import min_offdiag_distance
 from .costs import pf_cost
 from .errors import InternalInvariantError, PreconditionError
-from .metric import ClampedMetric, PointSet, diameter, min_offdiag_distance
+from .metric import ClampedMetric, PointSet, diameter
 from .results import DiversitySolution
 
 CLAMP_CONSTANT = 1.0 / 160.0

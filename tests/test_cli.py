@@ -713,7 +713,7 @@ runs = {
         "solve", "--objective", "pseudoforest", "--k", "10", "--input", matrix, "--input-format", "matrix-csv",
         "--output", out,
     ],
-    "coreset pseudoforest": ["coreset", "--objective", "pseudoforest", "--k", "8", "--input", points, "--output", out],
+    "coreset pseudoforest": ["coreset", "--objective", "pseudoforest", "--k", "2", "--input", points, "--output", out],
     "compose matching": ["compose", "--objective", "matching", "--k", "10", "--parts", "2", "--input", points, "--output", out],
     "compose pseudoforest": [
         "compose", "--objective", "pseudoforest", "--k", "10", "--parts", "2", "--input", points, "--output", out,
@@ -752,11 +752,11 @@ def test_each_command_imports_only_its_layers(tmp_path):
         "--version": parser,
         "--schema": parser,
         "solve matching": solver | {"matching", "rng"},
-        "solve pseudoforest": solver | {"nets"},
-        "solve pseudoforest matrix-csv": solver | {"matrices", "nets"},
-        "coreset pseudoforest": parser | {"coresets", "matching", "results"},
+        "solve pseudoforest": solver | {"cells", "nets"},
+        "solve pseudoforest matrix-csv": solver | {"cells", "matrices", "nets"},
+        "coreset pseudoforest": parser | {"cells", "coresets", "matching", "results"},
         "compose matching": composed,
-        "compose pseudoforest": composed | {"nets"},
+        "compose pseudoforest": composed | {"cells", "nets"},
         "compose matching --oracle": composed,
         "eval matching": solver | {"composition", "rng"},
         "eval pseudoforest": solver | {"composition", "rng"},
@@ -764,6 +764,34 @@ def test_each_command_imports_only_its_layers(tmp_path):
         "load_pointset": {"errors", "gmm", "metric"},
     }
     assert {name: set(modules) for name, modules in sets.items()} == expected
+
+
+# Bytes `compile` allocates at its peak for a module that every command
+# imports; on py 3.11.7 the largest, metric.py, peaks at 1.24 MiB.
+_COMPILE_BUDGET = 1.4 * 2**20
+
+
+def test_modules_every_command_imports_compile_within_a_budget():
+    # Without a bytecode cache each run compiles the modules it imports, and
+    # the largest compile sets a floor under every command's peak memory, so
+    # code that only some commands run lives in modules only they import.
+    src = Path(remote_div.__file__).parent
+    peaks = {}
+    for name in ("__init__", "cli", "errors", "gmm", "metric"):
+        text = (src / f"{name}.py").read_text()
+        tracemalloc.start()
+        try:
+            compile(text, name, "exec")
+            peaks[name] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert {name: peak for name, peak in peaks.items() if peak > _COMPILE_BUDGET} == {}
+
+
+def test_gen_kinds_are_the_generators_parameter_table():
+    from remote_div import cli, generators
+
+    assert cli.KINDS == tuple(generators._GEN_PARAMS)
 
 
 _PSEUDOFOREST_IMPORTS = r"""

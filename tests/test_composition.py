@@ -296,4 +296,4 @@ def test_pipeline_report_dict_shape():
     assert d["bound_kind"] == "exact"
     assert d["union_size"] == sum(d["coreset_sizes"])
     assert d["ratio"] is not None
-    assert set(d["elapsed"]) >= {"split", "coresets", "solve_union"}
+    assert set(d["timings"]) >= {"split", "coresets", "solve_union"}

@@ -24,7 +24,8 @@ from remote_div import (
 )
 from remote_div import matrices, metric
 from remote_div.hst import EMBED_DIAMETER
-from remote_div.metric import VALIDATION_RTOL, min_offdiag_distance
+from remote_div.cells import min_offdiag_distance
+from remote_div.metric import VALIDATION_RTOL
 from conftest import line_pointset, random_euclidean, random_matrix_metric
 from oracles import (
     dense_validated,
@@ -77,6 +78,22 @@ def test_load_json_basic():
     ps = load_pointset('{"dim":1,"points":[[0],[5]]}', "json")
     assert ps.n == 2
     assert ps.distance(0, 1) == 5.0
+
+
+@pytest.mark.parametrize(
+    "points, where",
+    [
+        ('[["1", 2], [3, 4]]', r'point 0, field 0: "1" is not'),
+        ("[[1, 2], [true, 4]]", "point 1, field 0: true is not"),
+        ("[[1, 2], [3, false]]", "point 1, field 1: false is not"),
+        ("[[1, 2], [3, null]]", "point 1, field 1: null is not"),
+    ],
+)
+def test_load_json_rejects_coordinates_that_are_not_numbers(points, where):
+    # numpy reads "1" as 1.0, a boolean as 0 or 1 and null as nan, so the
+    # loader names the field first, as csv names the line of a "1".
+    with pytest.raises(PreconditionError, match=where):
+        load_pointset('{"points": %s}' % points, "json")
 
 
 def test_load_matrix_symmetry_error_names_indices():

@@ -113,11 +113,11 @@ def test_pf_offline_builds_the_cell_grid_once(monkeypatch, matrix):
     # n >= 2k, so the floor rule reads no smallest distance: the rescale's
     # diameter is the one reduction over all pairs, and the tree's bound
     # check reuses it, as does a second solve on the same point set.
-    import remote_div.metric as metric
+    import remote_div.cells as cells
 
     ps = random_matrix_metric(31, 40) if matrix else random_euclidean(31, 40)
-    original, built = metric._cell_grid, []
-    monkeypatch.setattr(metric, "_cell_grid", lambda p: built.append(p.n) or original(p))
+    original, built = cells._cell_grid, []
+    monkeypatch.setattr(cells, "_cell_grid", lambda p: built.append(p.n) or original(p))
     first, _tree = pf_offline(ps, 4)
     assert built == [40]
     assert pf_offline(ps, 4)[0] == first

@@ -43,10 +43,10 @@ from remote_div import (
     split_dataset,
     voronoi_partition,
 )
-from remote_div import metric
+from remote_div import cells
 from remote_div.errors import InternalInvariantError
 from remote_div.matching import same_cell_pairs
-from remote_div.metric import min_offdiag_distance
+from remote_div.cells import min_offdiag_distance
 from oracles import (
     cut_net_tree,
     diameter_by_rows,
@@ -120,7 +120,7 @@ def test_file_parts_compose_like_the_strategy_that_made_them(n, k, m, strategy, 
     made = run_pipeline(ps, cfg, m, strategy).to_dict()
     parts = split_dataset(ps, m, strategy, seed)
     given_parts = run_pipeline(ps, cfg, m, "file", parts=parts).to_dict()
-    for key in ("strategy", "seed", "elapsed"):
+    for key in ("strategy", "seed", "timings"):
         del made[key], given_parts[key]
     assert given_parts == made
 
@@ -357,9 +357,9 @@ def test_order_statistics_with_k_plus_one_around_the_cell_count(n, dim):
     ps = PointSet.from_coords(stream_rng(n + width, 0).random((n, width)))
     if dim == "matrix":
         ps = PointSet.from_matrix(ps.distance_matrix())
-    cells = metric._cell_grid(ps).size
+    count = cells._cell_grid(ps).size
     dmat = ps.distance_matrix()
-    for k in range(max(1, cells - 2), min(cells, ps.n - 1) + 1):
+    for k in range(max(1, count - 2), min(count, ps.n - 1) + 1):
         assert k_outlier_radius(ps, k) == k_outlier_radius_by_matrix(dmat, k)
         assert k_outlier_radius(ps, k - 1) == k_outlier_radius_by_matrix(dmat, k - 1)
 
@@ -370,7 +370,7 @@ def test_outlier_radius_ties_across_cells_go_to_the_lowest_index(mirrored):
     # different cells. Mirrored, the higher index's cell has the lower floor
     # and is read first, and the other cell's floor equals the radius.
     ps = PointSet.from_coords(np.array([[-3.0], [-2.0], [-1.0], [1.0], [2.0], [3.0]]) * (-1.0 if mirrored else 1.0))
-    grid = metric._cell_grid(ps)
+    grid = cells._cell_grid(ps)
     cell = {int(p): c for c in range(grid.size) for p in grid.members(c)}
     assert cell[2] != cell[3]
     assert k_outlier_radius(ps, 1) == (2, 3.0) == k_outlier_radius_by_matrix(ps.distance_matrix(), 1)

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from remote_div import PointSet, RunConfig, mwm_offline, split_dataset
-from remote_div.cli import _resolve_start, _suite_hst, _suite_instances, canonicalize_report, main
+from remote_div.cli import _resolve_start, canonicalize_report, main
+from remote_div.hst import _suite_hst, _suite_instances
 from remote_div.errors import PreconditionError
 from remote_div.generators import make_clusters, make_uniform_cube
 from remote_div.rng import SPLIT_STREAM, START_POINT_STREAM, _words, integer, permutation, uniforms
